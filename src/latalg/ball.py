@@ -18,6 +18,7 @@ import numpy as np
 
 from .expr import Expr, desugar, eval_pointwise, eval_real, variables
 from .rewrite import polynomial_majorant, product_kill, zero_simplify
+from .seeding import seeded_rng
 
 __all__ = [
     "BallGrid", "GridFunction", "eval_on_ball", "vanishes_on_ball",
@@ -184,7 +185,7 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
                 for i, name in enumerate(names[1:]):
                     env[name] = rest_flat[i]
                 consider(env)
-        rng = np.random.default_rng([seed % 2**32, 11])
+        rng = seeded_rng(seed, 11)
         pts = rng.uniform(-scale, scale, (samples, k))
         consider({name: pts[:, i] for i, name in enumerate(names)})
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -20,10 +21,11 @@ from .cylinder import CylinderGrid, constant_one, cylinder_extension, generator,
 from .discretize import (
     atomize, build_partition, discrete_weight, discretize_function, verify_bounds,
 )
-from .expr import ParseError, parse, variables
+from .expr import ExprError, parse, variables
 from .freenorm import SearchConfig, norm_sandwich
 from .models import model_suite, model_to_json
 from .rewrite import polynomial_majorant
+from .seeding import seeded_rng
 
 USAGE_ERROR = 2
 VIOLATION = 1
@@ -40,12 +42,41 @@ def _emit(report: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
 def _parse_expr_or_exit(text: str):
     try:
         return parse(text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
+    except ExprError as exc:
+        _usage_error(str(exc))
+
+
+def _cylinder_grid(n: int, args: argparse.Namespace) -> CylinderGrid:
+    try:
+        return CylinderGrid.regular(n, r_levels=args.grid_r, face_points=args.grid_sphere)
+    except ValueError as exc:
+        _usage_error(str(exc))
+
+
+def _parse_vector(name: str, value: str) -> np.ndarray:
+    """``eN`` (1-based basis vector) or comma-separated finite numbers."""
+    if value.startswith("e") and value[1:].isdigit():
+        index = int(value[1:]) - 1
+        if index < 0:
+            _usage_error(f"generator for {name!r}: basis vectors start at e1, got {value!r}")
+        vec = np.zeros(index + 1)
+        vec[index] = 1.0
+        return vec
+    try:
+        vec = np.asarray([float(x) for x in value.split(",")], dtype=float)
+    except ValueError:
+        _usage_error(f"generator for {name!r} must be eN or comma-separated numbers, got {value!r}")
+    if not np.all(np.isfinite(vec)):
+        _usage_error(f"generator for {name!r} has a non-finite coordinate: {value!r}")
+    return vec
 
 
 def _parse_gens(text: str | None, names: tuple[str, ...], n: int | None) -> dict:
@@ -57,38 +88,28 @@ def _parse_gens(text: str | None, names: tuple[str, ...], n: int | None) -> dict
             if not part:
                 continue
             if "=" not in part:
-                raise SystemExit(USAGE_ERROR)
+                _usage_error(f"generator assignment {part!r} is not of the form name=vector")
             name, value = part.split("=", 1)
             gens[name.strip()] = value.strip()
         parsed: dict[str, np.ndarray] = {}
         dim = n or 0
         for name, value in gens.items():
-            if value.startswith("e") and value[1:].isdigit():
-                index = int(value[1:]) - 1
-                dim = max(dim, index + 1, 1)
-                vec = np.zeros(index + 1)
-                vec[index] = 1.0
-                parsed[name] = vec
-            else:
-                parsed[name] = np.asarray([float(x) for x in value.split(",")], dtype=float)
-                dim = max(dim, parsed[name].shape[0])
+            parsed[name] = _parse_vector(name, value)
+            dim = max(dim, parsed[name].shape[0])
         out = {}
         for name, vec in parsed.items():
             if vec.shape[0] > dim:
-                print(f"error: generator for {name!r} exceeds dimension {dim}", file=sys.stderr)
-                raise SystemExit(USAGE_ERROR)
+                _usage_error(f"generator for {name!r} exceeds dimension {dim}")
             full = np.zeros(dim)
             full[: vec.shape[0]] = vec
             out[name] = full
         missing = [name for name in names if name not in out]
         if missing:
-            print(f"error: no generators for variables {missing}", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+            _usage_error(f"no generators for variables {missing}")
         return out
     dim = n or max(len(names), 1)
     if len(names) > dim:
-        print(f"error: {len(names)} variables but dimension {dim}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error(f"{len(names)} variables but dimension {dim}")
     gens = {}
     for i, name in enumerate(names):
         vec = np.zeros(dim)
@@ -112,7 +133,7 @@ def cmd_check_identity(args: argparse.Namespace) -> int:
 
     majorant = polynomial_majorant(e)
     names = variables(e)
-    rng = np.random.default_rng([args.seed % 2**32, 61])
+    rng = seeded_rng(args.seed, 61)
     worst = 0.0
     worst_model = None
     for model in model_suite(args.seed):
@@ -162,7 +183,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     if args.n != 2:
         print("error: surfaces are emitted for dimension 2 only", file=sys.stderr)
         return USAGE_ERROR
-    grid = CylinderGrid.regular(2, r_levels=args.grid_r, face_points=args.grid_sphere)
+    grid = _cylinder_grid(2, args)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     one = constant_one(grid)
@@ -205,12 +226,8 @@ def cmd_discretize(args: argparse.Namespace) -> int:
     names = variables(e)
     n = args.n or max(len(names), 1)
     deltas = args.delta or [2.0 ** -5]
-    for delta in deltas:
-        if not (0.0 < delta < 1.0):
-            print(f"error: delta must lie in (0, 1), got {delta}", file=sys.stderr)
-            return USAGE_ERROR
     gens = _parse_gens(args.gens, names, n)
-    grid = CylinderGrid.regular(n, r_levels=args.grid_r, face_points=args.grid_sphere)
+    grid = _cylinder_grid(n, args)
     w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
     originals = {name: generator(vec, grid).values for name, vec in gens.items()}
     runs = []
@@ -283,6 +300,13 @@ def main(argv=None) -> int:
     if args.command != "surface" and not args.expr:
         print("error: --expr is required", file=sys.stderr)
         return USAGE_ERROR
+    if args.iters < 0:
+        print(f"error: --iters must be >= 0, got {args.iters}", file=sys.stderr)
+        return USAGE_ERROR
+    for delta in args.delta or ():
+        if not (0.0 < delta < 1.0):
+            print(f"error: delta must lie in (0, 1), got {delta}", file=sys.stderr)
+            return USAGE_ERROR
     return args.func(args)
 
 

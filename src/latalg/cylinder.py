@@ -21,6 +21,7 @@ import numpy as np
 
 from .expr import Expr, desugar, eval_pointwise, variables
 from .rewrite import product_kill
+from .seeding import seeded_rng
 
 __all__ = [
     "CylinderGrid", "StarFunction", "star_product", "generator", "constant_one",
@@ -261,7 +262,7 @@ def check_star_axioms(grid: CylinderGrid, trials: int = 100, seed: int = 0,
     semiprimeness away from r = 0 (f*f = 0 at a point with r > 0 forces
     f = 0 there).  The weight row is pinned globally: 1*1 must equal r.
     """
-    rng = np.random.default_rng([seed % 2**32, 21])
+    rng = seeded_rng(seed, 21)
     report = StarAxiomReport(trials, [])
     one = constant_one(grid)
     weight = product(one, one)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .expr import Expr, Add, Join, Mul, Scale, Var, Zero, desugar
 from .models import DiagonalAlgebra, WeightedGridModel
+from .seeding import seeded_rng
 
 __all__ = [
     "PartitionSpec", "AtomDecomposition", "build_partition", "atomize",
@@ -105,9 +106,20 @@ def atomize(split_fns: Sequence, w, partition: PartitionSpec) -> AtomDecompositi
     """
     columns = [partition.cell_index(_values(f)) for f in split_fns]
     columns.append(partition.cell_index(_values(w)))
-    stacked = np.stack(columns, axis=1)
-    fingerprints, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    return AtomDecomposition(inverse.reshape(-1), fingerprints)
+    # Points in lexicographic order of their cell indices, first function
+    # most significant (the order of np.unique(axis=0)); an atom starts
+    # wherever a point's indices differ from those of the point before it.
+    # Working one column at a time keeps no (points, functions) array alive.
+    order = np.lexsort(columns[::-1])
+    starts = np.zeros(order.shape[0], dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    atom_of_point = np.empty(order.shape[0], dtype=np.intp)
+    atom_of_point[order] = np.cumsum(starts) - 1
+    first = order[starts]
+    return AtomDecomposition(atom_of_point, np.stack([column[first] for column in columns], axis=1))
 
 
 def lift_to_grid(coeffs: np.ndarray, atoms: AtomDecomposition) -> np.ndarray:
@@ -247,7 +259,7 @@ def verify_bounds(originals: Sequence, discretes: Sequence[np.ndarray], w, weigh
             raise ValueError("discrete function fails 0 <= f_d <= f")
         split_sup_errors.append(float(np.max(gap, initial=0.0)))
 
-    rng = np.random.default_rng([seed % 2**32, 31])
+    rng = seeded_rng(seed, 31)
     violations = 0
     for _ in range(pair_trials):
         x = rng.uniform(-1, 1, atoms.atom_count)

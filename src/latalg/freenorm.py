@@ -10,6 +10,21 @@ exceeds the free norm.  Candidates are drawn from three sources:
 * discretized cylinder generators, one operator per mesh parameter;
 * a seeded best-so-far random search with coordinate-wise resampling.
 
+Each search compiles its term once: desugared, its variables checked
+against the generators, and flattened into a post-order program over the
+generator images.  Candidates are then plain ``(weights, columns)`` arrays.
+The sign operators, and the random draws of every fifth iteration (which do
+not depend on the search state), are evaluated together in one masked
+``(batch, atoms)`` pass: shorter candidates are padded with zero atoms,
+which evaluate to 0 and so leave every sup norm unchanged.  Mutations of
+the best-so-far operator are evaluated one at a time.  Every candidate
+passes the contraction check on its columns, and only the winner is built
+as an :class:`OperatorIntoAlgebra`; the reported bound is its value replayed
+by :func:`evaluate_operator`.  The arithmetic is that of
+:func:`evaluate_operator` operation for operation (generator images come
+from the same matrix-vector products, stacked per atom count), so values
+and witnesses do not depend on how the candidates were grouped.
+
 Upper bounds evaluate the polynomial majorant at the generator norms.  For
 product-free terms a second lower bound is available from tuples of
 functionals with column-wise feasibility (the lattice-part norm).
@@ -27,9 +42,12 @@ import numpy as np
 
 from .cylinder import CylinderGrid, generator
 from .discretize import atomize, build_partition, discrete_weight, discretize_function
-from .expr import Expr, contains_product, desugar, eval_pointwise, variables
+from .expr import (
+    Add, Expr, Join, Mul, Scale, Var, Zero, contains_product, desugar, eval_pointwise, variables,
+)
 from .models import DiagonalAlgebra
 from .rewrite import Polynomial, polynomial_majorant
+from .seeding import seeded_rng
 
 __all__ = [
     "OperatorIntoAlgebra", "NormSandwich", "SearchConfig",
@@ -40,6 +58,12 @@ __all__ = [
 
 class ContractionError(RuntimeError):
     """Internal guard: a search candidate lost its contraction certificate."""
+
+
+def _check_contraction(columns: np.ndarray, tol: float = 1e-9) -> None:
+    norm = float(np.max(np.abs(columns), initial=0.0))
+    if norm > 1.0 + tol:
+        raise ContractionError(f"operator norm {norm} exceeds 1")
 
 
 @dataclass(eq=False)
@@ -67,9 +91,7 @@ class OperatorIntoAlgebra:
         return float(np.max(np.abs(self.columns), initial=0.0))
 
     def certify(self, tol: float = 1e-9) -> None:
-        norm = self.operator_norm()
-        if norm > 1.0 + tol:
-            raise ContractionError(f"operator norm {norm} exceeds 1")
+        _check_contraction(self.columns, tol)
 
     def apply(self, x: Sequence[float]):
         vec = np.asarray(x, dtype=float)
@@ -114,21 +136,128 @@ def _gen_dimension(gens: Mapping[str, Sequence[float]]) -> int:
     return dims.pop()
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng([seed % 2**32, *key])
+# Steps of a compiled term: (kind, a, b).  ``a`` and ``b`` index earlier
+# slots, except that ``a`` is the variable index of _VAR and the coefficient
+# of _SCALE.
+_ZERO, _VAR, _SCALE, _ADD, _JOIN, _MUL = range(6)
+_BINARY = {Add: _ADD, Join: _JOIN, Mul: _MUL}
+
+# Search iterations whose random draws are evaluated in one batch; bounds the
+# memory of a long search.  A multiple of 5, so every block starts on a draw.
+_BLOCK_ITERS = 1000
 
 
-def _sign_operators(n: int, cap: int, seed: int):
-    """Single-atom operators with weight 1 and +-1 columns."""
+class _CompiledTerm:
+    """A term prepared once for evaluation through many candidate operators.
+
+    The steps are those of :meth:`FiniteModel.evaluate` on a diagonal algebra
+    (join = maximum, product ``weights * a * b``), applied to arrays whose
+    last axis runs over atoms.
+    """
+
+    def __init__(self, e: Expr, gens: Mapping[str, Sequence[float]]):
+        core = desugar(e)
+        self.dimension = _gen_dimension(gens)
+        names = variables(core)
+        for name in names:
+            if name not in gens:
+                raise ValueError(f"no generator vector for variable {name!r}")
+        self.vectors = [np.asarray(gens[name], dtype=float) for name in names]
+        self.steps: list[tuple] = []
+        self._emit(core, {name: i for i, name in enumerate(names)})
+
+    def _emit(self, node: Expr, index: Mapping[str, int]) -> int:
+        if isinstance(node, Zero):
+            step = (_ZERO, None, None)
+        elif isinstance(node, Var):
+            step = (_VAR, index[node.name], None)
+        elif isinstance(node, Scale):
+            step = (_SCALE, node.coeff, self._emit(node.child, index))
+        else:
+            step = (_BINARY[type(node)], self._emit(node.left, index),
+                    self._emit(node.right, index))
+        self.steps.append(step)
+        return len(self.steps) - 1
+
+    def _sup_norms(self, weights: np.ndarray, images) -> np.ndarray:
+        slots = []
+        for kind, a, b in self.steps:
+            if kind == _VAR:
+                value = images[a]
+            elif kind == _SCALE:
+                value = a * slots[b]
+            elif kind == _ADD:
+                value = slots[a] + slots[b]
+            elif kind == _JOIN:
+                value = np.maximum(slots[a], slots[b])
+            elif kind == _MUL:
+                value = weights * slots[a] * slots[b]
+            else:
+                value = np.zeros(weights.shape)
+            slots.append(value)
+        return np.max(np.abs(slots[-1]), axis=-1, initial=0.0)
+
+    def value(self, candidate) -> float:
+        """Sup norm of the term's image through one ``(weights, columns)`` candidate."""
+        weights, columns = candidate
+        _check_contraction(columns)
+        return float(self._sup_norms(weights, [vec @ columns for vec in self.vectors]))
+
+    def values(self, candidates) -> list[float]:
+        """:meth:`value` of many candidates, in one ``(batch, atoms)`` pass.
+
+        Candidates with the same atom count share one stacked product per
+        generator, which computes for each of them the product that
+        :meth:`value` computes.
+        """
+        sizes = np.array([weights.shape[0] for weights, _ in candidates], dtype=int)
+        weights = np.zeros((len(candidates), sizes.max(initial=1)))
+        images = np.zeros((len(self.vectors),) + weights.shape)
+        for size in np.unique(sizes):
+            rows = np.flatnonzero(sizes == size)
+            columns = np.stack([candidates[r][1] for r in rows])
+            _check_contraction(columns)
+            weights[rows, :size] = [candidates[r][0] for r in rows]
+            for image, vec in zip(images, self.vectors):
+                image[rows, :size] = np.matmul(vec, columns)
+        return self._sup_norms(weights, images).tolist()
+
+
+def _sign_operators(n: int, cap: int, seed: int) -> list[tuple]:
+    """Single-atom candidates with weight 1 and +-1 columns."""
     if 2 ** n <= cap:
-        patterns = ((i >> np.arange(n)) & 1 for i in range(2 ** n))
-        rows = [2.0 * np.asarray(bits, dtype=float) - 1.0 for bits in patterns]
+        rows = 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) - 1.0
     else:
-        rng = _rng(seed, 41)
-        rows = list(rng.choice([-1.0, 1.0], size=(cap, n)))
-    algebra = DiagonalAlgebra([1.0])
-    for row in rows:
-        yield OperatorIntoAlgebra(algebra, row.reshape(n, 1))
+        rows = seeded_rng(seed, 41).choice([-1.0, 1.0], size=(cap, n))
+    ones = np.ones(1)
+    return [(ones, row.reshape(n, 1)) for row in rows]
+
+
+def _generator_splits(n: int, r_levels: int, face_points: int):
+    """Positive and negative parts of the basis generators on the regular
+    cylinder grid, and the radial weight function."""
+    grid = CylinderGrid.regular(n, r_levels=r_levels, face_points=face_points)
+    splits = []
+    for basis in np.eye(n):
+        values = generator(basis, grid).values
+        splits.append((np.maximum(values, 0.0), np.maximum(-values, 0.0)))
+    return splits, np.broadcast_to(grid.r_levels[:, None], grid.shape)
+
+
+def _discretized_candidate(splits, w, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(weights, columns)`` of the discretized operator for one mesh parameter.
+
+    Scaling commutes with taking positive and negative parts, so the splits
+    of the scaled generators are the scaled splits.
+    """
+    scale = 1.0 / (1.0 + delta)
+    scaled = [(scale * pos, scale * neg) for pos, neg in splits]
+    partition = build_partition(delta)
+    atoms = atomize([part for pair in scaled for part in pair], w, partition)
+    weights = discrete_weight(w, atoms, partition)
+    columns = [discretize_function(pos, atoms, partition) - discretize_function(neg, atoms, partition)
+               for pos, neg in scaled]
+    return weights, np.stack(columns)
 
 
 def discretized_operator(n: int, delta: float, r_levels: int = 17,
@@ -138,39 +267,21 @@ def discretized_operator(n: int, delta: float, r_levels: int = 17,
     Basis images are the level-set discretizations of the generators scaled
     by ``1/(1 + delta)``; the weight function is the radial coordinate.
     """
-    grid = CylinderGrid.regular(n, r_levels=r_levels, face_points=face_points)
-    scale = 1.0 / (1.0 + delta)
-    splits = []
-    for i in range(n):
-        basis = np.zeros(n)
-        basis[i] = 1.0
-        values = scale * generator(basis, grid).values
-        splits.append((np.maximum(values, 0.0), np.maximum(-values, 0.0)))
-    w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
-    partition = build_partition(delta)
-    flat = [part for pair in splits for part in pair]
-    atoms = atomize(flat, w, partition)
-    weights = discrete_weight(w, atoms, partition)
-    columns = []
-    for pos, neg in splits:
-        pos_d = discretize_function(pos, atoms, partition)
-        neg_d = discretize_function(neg, atoms, partition)
-        columns.append(pos_d - neg_d)
-    op = OperatorIntoAlgebra(DiagonalAlgebra(weights), np.stack(columns))
+    weights, columns = _discretized_candidate(*_generator_splits(n, r_levels, face_points), delta)
+    op = OperatorIntoAlgebra(DiagonalAlgebra(weights), columns)
     op.certify()
     return op
 
 
-def _random_operator(rng: np.random.Generator, n: int, max_atoms: int) -> OperatorIntoAlgebra:
+def _random_operator(rng: np.random.Generator, n: int, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     atoms = int(rng.integers(1, max_atoms + 1))
     weights = 1.0 - rng.random(atoms)  # (0, 1]
-    columns = rng.uniform(-1.0, 1.0, (n, atoms))
-    return OperatorIntoAlgebra(DiagonalAlgebra(weights), columns)
+    return weights, rng.uniform(-1.0, 1.0, (n, atoms))
 
 
-def _mutate_operator(rng: np.random.Generator, op: OperatorIntoAlgebra) -> OperatorIntoAlgebra:
-    weights = op.algebra.weights.copy()
-    columns = op.columns.copy()
+def _mutate_operator(rng: np.random.Generator, weights: np.ndarray,
+                     columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    weights, columns = weights.copy(), columns.copy()
     n, atoms = columns.shape
     slot = int(rng.integers(0, atoms + n * atoms))
     if slot < atoms:
@@ -178,7 +289,7 @@ def _mutate_operator(rng: np.random.Generator, op: OperatorIntoAlgebra) -> Opera
     else:
         slot -= atoms
         columns[slot // atoms, slot % atoms] = rng.uniform(-1.0, 1.0)
-    return OperatorIntoAlgebra(DiagonalAlgebra(weights), columns)
+    return weights, columns
 
 
 def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
@@ -187,40 +298,61 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
 
     Deterministic under the seed; the per-iteration randomness is derived
     from (seed, iteration), so enlarging the budget or the mesh list never
-    decreases the result.
+    decreases the result.  Candidates are considered in a fixed order (sign
+    operators, discretized operators, then one per iteration) and the first
+    one attaining the best value wins.  The returned bound is the winner
+    certified and replayed by :func:`evaluate_operator`, so it is the value
+    of the returned operator under the model evaluator whatever the batched
+    evaluation computed.
     """
     config = config or SearchConfig()
-    core = desugar(e)
-    n = _gen_dimension(gens)
+    term = _CompiledTerm(e, gens)
+    n = term.dimension
 
     best_value = -1.0
-    best_op: OperatorIntoAlgebra | None = None
+    best = None
 
-    def consider(op: OperatorIntoAlgebra) -> None:
-        nonlocal best_value, best_op
-        value = evaluate_operator(core, gens, op)
+    def consider(value: float, candidate) -> None:
+        nonlocal best_value, best
         if value > best_value:
-            best_value, best_op = value, op
+            best_value, best = value, candidate
 
-    for op in _sign_operators(n, config.sign_pattern_cap, config.seed):
-        consider(op)
-    for delta in config.delta_list:
-        consider(discretized_operator(n, delta, config.r_levels, config.face_points))
-    for iteration in range(config.search_iters):
-        rng = _rng(config.seed, 42, iteration)
-        if best_op is None or iteration % 5 == 0:
-            consider(_random_operator(rng, n, config.max_atoms))
-        else:
-            consider(_mutate_operator(rng, best_op))
+    signs = _sign_operators(n, config.sign_pattern_cap, config.seed)
+    for value, candidate in zip(term.values(signs), signs):
+        consider(value, candidate)
+    if config.delta_list:
+        splits, w = _generator_splits(n, config.r_levels, config.face_points)
+        for delta in config.delta_list:
+            candidate = _discretized_candidate(splits, w, delta)
+            consider(term.value(candidate), candidate)
+    for start in range(0, config.search_iters, _BLOCK_ITERS):
+        stop = min(start + _BLOCK_ITERS, config.search_iters)
+        draws = [_random_operator(seeded_rng(config.seed, 42, iteration), n, config.max_atoms)
+                 for iteration in range(start, stop, 5)]
+        draw_values = term.values(draws)
+        for iteration in range(start, stop):
+            if iteration % 5 == 0:
+                index = (iteration - start) // 5
+                consider(draw_values[index], draws[index])
+                continue
+            rng = seeded_rng(config.seed, 42, iteration)
+            candidate = (_random_operator(rng, n, config.max_atoms) if best is None
+                         else _mutate_operator(rng, *best))
+            consider(term.value(candidate), candidate)
 
-    assert best_op is not None
-    return best_value, best_op
+    if best is None:
+        raise ValueError("the search produced no candidate operator")
+    op = OperatorIntoAlgebra(DiagonalAlgebra(best[0]), best[1])
+    return evaluate_operator(e, gens, op), op
+
+
+def _majorant_value(majorant: Polynomial, gen_norms: Mapping[str, float]) -> float:
+    return float(majorant.evaluate({k: float(v) for k, v in gen_norms.items()}))
 
 
 def majorant_upper_bound(e: Expr, gen_norms: Mapping[str, float]) -> float:
     """Majorant polynomial evaluated at the generator norms."""
-    majorant = polynomial_majorant(e)
-    return float(majorant.evaluate({k: float(v) for k, v in gen_norms.items()}))
+    return _majorant_value(polynomial_majorant(e), gen_norms)
 
 
 @dataclass
@@ -243,11 +375,12 @@ def norm_sandwich(e: Expr, gens: Mapping[str, Sequence[float]],
     lower, witness = operator_lower_bound(e, gens, config)
     norms = {name: float(np.sum(np.abs(np.asarray(vec, dtype=float))))
              for name, vec in gens.items()}
-    upper = majorant_upper_bound(e, norms)
+    majorant = polynomial_majorant(e)
+    upper = _majorant_value(majorant, norms)
     if lower > upper + 1e-12 * (1.0 + upper):
         raise ContractionError(
             f"soundness violation: lower bound {lower} exceeds upper bound {upper}")
-    return NormSandwich(lower, upper, witness, polynomial_majorant(e))
+    return NormSandwich(lower, upper, witness, majorant)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +438,7 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     if 2 ** n <= 1024:
         corners = (2.0 * ((i >> np.arange(n)) & 1) - 1.0 for i in range(corner_count))
     else:
-        corners = iter(_rng(seed, 51).choice([-1.0, 1.0], size=(corner_count, n)))
+        corners = iter(seeded_rng(seed, 51).choice([-1.0, 1.0], size=(corner_count, n)))
     for corner in corners:
         tuples = np.zeros((k, n))
         tuples[0] = corner
@@ -313,7 +446,7 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
 
     best_tuples = identity
     for iteration in range(iters):
-        rng = _rng(seed, 52, iteration)
+        rng = seeded_rng(seed, 52, iteration)
         if iteration % 3 == 0:
             candidate = _project_feasible(rng.uniform(-1.0, 1.0, (k, n)))
         else:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Add, Expr, Join, Scale, Var, Zero, desugar, variables
+from .seeding import seeded_rng
 
 __all__ = [
     "ModelError", "ModelElement", "FiniteModel",
@@ -186,10 +187,6 @@ class ConditionReport:
         return f"ConditionReport({self.name}: {self.trials} trials, {status})"
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng([seed % 2**32, *key])
-
-
 def _disjoint_pair(model: FiniteModel, rng: np.random.Generator):
     mask = rng.integers(0, 2, model.size).astype(float)
     x = np.abs(rng.uniform(-1, 1, model.size)) * mask
@@ -205,7 +202,7 @@ def check_f_algebra_condition(model: FiniteModel, trials: int = 100,
     ``(z*x) /\\ y == 0`` and ``(x*z) /\\ y == 0`` coordinatewise.
     """
     report = ConditionReport("f_algebra_condition", trials)
-    rng = _rng(seed, 1)
+    rng = seeded_rng(seed, 1)
     for trial in range(trials):
         x, y = _disjoint_pair(model, rng)
         z = np.abs(rng.uniform(-1, 1, model.size))
@@ -245,7 +242,7 @@ def check_semiprime(model: FiniteModel, trials: int = 100, seed: int = 0) -> boo
         return False
     if square_zero_witness(model) is not None:
         return False
-    rng = _rng(seed, 2)
+    rng = seeded_rng(seed, 2)
     for _ in range(trials):
         x = rng.uniform(-1, 1, model.size)
         if np.any(x != 0.0) and np.all(model.product_values(x, x) == 0.0):
@@ -263,7 +260,7 @@ def check_fstar(model: FiniteModel, trials: int = 100, seed: int = 0) -> bool:
         product = model.product_values(a, a)
         if np.all(product == 0.0):
             return False  # |a| /\ |a| = a != 0
-    rng = _rng(seed, 3)
+    rng = seeded_rng(seed, 3)
     for _ in range(trials):
         x, y = _disjoint_pair(model, rng)
         if np.any(model.product_values(x, y) != 0.0):
@@ -286,7 +283,7 @@ def check_submultiplicative(model: FiniteModel, trials: int = 100, seed: int = 0
             a, b = model.basis(i).values, model.basis(j).values
             if np.max(np.abs(model.product_values(a, b)), initial=0.0) > slack:
                 return False
-    rng = _rng(seed, 4)
+    rng = seeded_rng(seed, 4)
     for _ in range(trials):
         a = rng.uniform(-1, 1, model.size)
         b = rng.uniform(-1, 1, model.size)
@@ -332,7 +329,7 @@ def random_diagonal(rng: np.random.Generator, size: int) -> DiagonalAlgebra:
 def model_suite(seed: int = 0, weighted: int = 20, diagonal: int = 20,
                 zero_points: int = 7, max_size: int = 12) -> list[FiniteModel]:
     """Deterministic collection of models used for identity transport."""
-    rng = _rng(seed, 5)
+    rng = seeded_rng(seed, 5)
     suite: list[FiniteModel] = []
     for _ in range(weighted):
         suite.append(random_weighted_grid(rng, int(rng.integers(1, max_size + 1))))

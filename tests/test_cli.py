@@ -119,3 +119,26 @@ def test_gens_missing_variable_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["norm", "--expr", "v + w", "--gens", "v=e1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--expr", "x", "--gens", "x=e0"],
+    ["norm", "--expr", "x", "--gens", "x=abc"],
+    ["norm", "--expr", "x", "--gens", "x=1,nan"],
+    ["norm", "--expr", "1e999*x"],
+    ["discretize", "--expr", "v", "--grid-sphere", "1"],
+    ["surface", "--n", "2", "--grid-r", "1"],
+    ["norm", "--expr", "x", "--gens", "x"],
+    ["norm", "--expr", "x", "--iters", "-3"],
+    ["norm", "--expr", "x", "--delta", "1.5"],
+])
+def test_input_errors_exit_2_with_one_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

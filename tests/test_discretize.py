@@ -55,6 +55,24 @@ def test_atomize_edge_cases():
         atomize([np.array([1.3])], np.array([0.5]), p)
 
 
+@pytest.mark.parametrize("delta, functions, points", [
+    (0.5, 1, 40), (0.25, 3, 500), (0.125, 4, 2000), (2.0 ** -5, 2, 3000), (0.3, 6, 1),
+])
+def test_atomize_matches_unique_when_atoms_merge(delta, functions, points):
+    # Coarse cells over random values put many points in each atom.
+    rng = np.random.default_rng(points + functions)
+    p = build_partition(delta)
+    fns = [rng.uniform(0.0, 1.0, points) for _ in range(functions)]
+    w = rng.uniform(0.0, 1.0, points)
+    atoms = atomize(fns, w, p)
+    stacked = np.stack([p.cell_index(v) for v in fns + [w]], axis=1)
+    fingerprints, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    assert atoms.atom_count < points or points == 1
+    assert atoms.fingerprints.dtype == fingerprints.dtype
+    assert np.array_equal(atoms.fingerprints, fingerprints)
+    assert np.array_equal(atoms.atom_of_point, inverse.reshape(-1))
+
+
 def test_discretize_function_trace(trace):
     p, f, w, atoms = trace
     assert discretize_function(f, atoms, p).tolist() == [0.0, 0.5, 0.75]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from latalg.expr import Mul, Scale, Var, Zero, parse, random_expr
 from latalg.freenorm import (
-    ContractionError, OperatorIntoAlgebra, SearchConfig, discretized_operator,
+    ContractionError, OperatorIntoAlgebra, SearchConfig, _CompiledTerm, discretized_operator,
     evaluate_operator, majorant_upper_bound, norm_sandwich,
     operator_lower_bound, product_free_lower_bound,
 )
@@ -60,6 +62,25 @@ def test_contraction_certificate_enforced():
     op = OperatorIntoAlgebra(algebra, np.array([[1.5]]))
     with pytest.raises(ContractionError):
         evaluate_operator(Var("v"), {"v": [1.0]}, op)
+
+
+def test_compiled_term_matches_evaluate_operator():
+    # Batched and single evaluation reproduce evaluate_operator bit for bit,
+    # also for non-basis generators, whose images are rounded sums.
+    rng = np.random.default_rng(17)
+    for i in range(30):
+        n = 1 + i % 4
+        e = random_expr(random.Random(600 + i), ("v", "w"), 7)
+        gens = {name: rng.uniform(-1.0, 1.0, n) for name in ("v", "w")}
+        term = _CompiledTerm(e, gens)
+        candidates = [(1.0 - rng.random(a), rng.uniform(-1.0, 1.0, (n, a)))
+                      for a in rng.integers(1, 9, 12)]
+        expected = [evaluate_operator(e, gens, OperatorIntoAlgebra(DiagonalAlgebra(w), c))
+                    for w, c in candidates]
+        assert term.values(candidates) == expected
+        assert [term.value(c) for c in candidates] == expected
+    with pytest.raises(ContractionError):
+        term.values([(np.ones(1), np.full((n, 1), 1.5))])
 
 
 def test_discretized_operator_certified():
@@ -149,3 +170,97 @@ def test_operator_apply_shape_checked():
         op.apply([1.0, 2.0])
     element = op.apply([2.0])
     assert element.values.tolist() == [2.0, -1.0]
+
+
+EYE4 = {f"x{i + 1}": np.eye(4)[i] for i in range(4)}
+
+# (term, generators, search config, lower bound, witness atoms, sha256 prefix
+# of the witness JSON), recorded with the search that built one
+# DiagonalAlgebra per candidate and evaluated it with evaluate_operator.
+# The cases cover n = 1..4, non-basis generators, 2**n > sign_pattern_cap,
+# no sign patterns at all, single-atom draws, zero leaves, products, and
+# winners from every source (sign, discretized, random and mutated).
+GOLDEN = [
+    ('x1*x1',
+     {'x1': [1.0]},
+     dict(search_iters=300),
+     1.0, 1, 'c1d1f111ea052316'),
+    ('x1*x2 + (x1 \\/ x2)',
+     {'x1': [1, 0], 'x2': [0, 1]},
+     dict(search_iters=400, seed=7),
+     2.0, 1, '6f9c60a57f050216'),
+    ('v*w + (v \\/ w)',
+     {'v': [0.5, 0.5], 'w': [0.3, -0.7]},
+     dict(search_iters=400, seed=1),
+     1.0, 1, '05718ce77fa7dd08'),
+    ('(x*y - z) \\/ (0.5*(x*z) + y)',
+     {'x': [1, 0, 0], 'y': [0, 1, 0], 'z': [0, 0, 1]},
+     dict(search_iters=300, seed=11),
+     2.0, 1, 'eaa3f35bb3a916dd'),
+    ('x1*x2*x3 - abs(x1)*x4 + (x2 \\/ x4)',
+     EYE4,
+     dict(search_iters=250, seed=3),
+     3.0, 1, '4011a688f5ed596e'),
+    ('pos(a*b) + 1.5*(c \\/ d)',
+     {'a': [0.1, -0.4, 0.25, 0.25], 'b': [0.3, 0.3, -0.2, 0.2], 'c': [-0.5, 0.125, 0.0, 0.375], 'd': [0.05, 0.6, -0.15, 0.2]},
+     dict(search_iters=250, seed=4),
+     1.5, 1, '89ce76feed5382fb'),
+    ('x*y + neg(z) - 0.75*x',
+     {'x': [0.4, -0.6, 0.0], 'y': [0.1, 0.2, 0.7], 'z': [-0.3, 0.3, 0.4]},
+     dict(search_iters=200, seed=9, sign_pattern_cap=4, delta_list=(0.0625,), r_levels=9, face_points=4),
+     1.23046875, 504, 'adb16023ead4a491'),
+    ('x*(0) + (0) \\/ y + 0*y',
+     {'x': [1, 0], 'y': [0.25, -0.75]},
+     dict(search_iters=120, seed=6),
+     1.0, 1, '05718ce77fa7dd08'),
+    ('0',
+     {},
+     dict(search_iters=50),
+     0.0, 1, 'c1d1f111ea052316'),
+    ('v*v*v - w',
+     {'v': [0.6, -0.2, 0.2], 'w': [0.1, 0.1, -0.8]},
+     dict(search_iters=300, seed=-3, max_atoms=1, delta_list=()),
+     1.8, 1, 'f749761b5780463e'),
+    ('v*w \\/ (v + w)',
+     {'v': [0.5, -0.5], 'w': [0.25, 0.75]},
+     dict(search_iters=60, seed=4294967304, sign_pattern_cap=0, delta_list=()),
+     0.933262570360213, 6, 'b13038a95878aca4'),
+    ('(w \\/ (w \\/ v) \\/ w * (v * v)) + w * v',
+     {'v': [0.2739233746429086], 'w': [-0.4604265724722594]},
+     dict(search_iters=200, seed=0, delta_list=()),
+     0.45860999916358947, 1, 'd82fc43eefdb0004'),
+    ('w + w + w + (w + v * v) + (w \\/ w) + (-1.4684907630962236*(v \\/ w) + (w \\/ w))',
+     {'v': [-0.17613413012497814, -0.047262000889459234, -0.2718179889644719], 'w': [0.06173517130314021, 0.18846578666979238, 0.24505199805408817]},
+     dict(search_iters=200, seed=30, delta_list=()),
+     3.6982488501148927, 1, '4dbd4e21f044e03a'),
+    ('(0 + w \\/ -1.0696309208926817*(w \\/ w)) * (0 + (0 \\/ v)) * (v * -0.9214777657641968*w)',
+     {'v': [0.45415110296200456, 0.2679320906355993], 'w': [-0.3740292532117979, 0.3269880859307448]},
+     dict(search_iters=200, seed=41, delta_list=()),
+     0.030711114176074892, 1, 'a91d9993ac16f7b3'),
+    ('w * (0 \\/ v)',
+     {'v': [0.19161512792441573, 0.22244622305572168, 0.03193630678948334], 'w': [0.31563273076007525, -0.17544429472509346, 0.09794889550014492]},
+     dict(search_iters=200, seed=50),
+     0.1083518746126132, 2584, '02a24de7b810a145'),
+    ('(-1.771489136924004*(v \\/ v) \\/ w + v \\/ 0 + v) + 0.5744812753840596*(-0.4635444223995897*w * (w * w))',
+     {'v': [-0.007363810711807139, -0.19663246213856977], 'w': [-0.23143221879620413, 0.48515714634220275]},
+     dict(search_iters=200, seed=73, delta_list=()),
+     0.5272442841282304, 1, '752f32012467844b'),
+    ('w * v * (w \\/ w)',
+     {'v': [-0.1433541592369011, -0.17343547658502367, 0.08212522626206348, 0.09216587936382215], 'w': [0.2165822011576018, 0.12574499791341937, 0.2134311847343508, 0.22364172162207263]},
+     dict(search_iters=200, seed=75, delta_list=()),
+     0.08696805513163941, 1, '4e9f8297fcf4908b'),
+    ('(v + w * v) * (w \\/ v * v)',
+     {'v': [0.06254773330233349, 0.19860690048478774, 0.13784284512259676, -0.13739640500470407], 'w': [-0.09991685754438728, 0.18677672269813095, -0.24736734771721264, 0.16061420919138314]},
+     dict(search_iters=30, seed=7, delta_list=(), sign_pattern_cap=1),
+     0.07382837591385012, 5, '0ad79e7e99fb3dfc'),
+]
+
+
+@pytest.mark.parametrize("text, gens, config, value, atoms, digest", GOLDEN)
+def test_lower_bound_golden(text, gens, config, value, atoms, digest):
+    found, op = operator_lower_bound(parse(text), gens, SearchConfig(**config))
+    blob = json.dumps(op.to_json(), sort_keys=True).encode()
+    assert found == value
+    assert op.algebra.size == atoms
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
+    assert evaluate_operator(parse(text), gens, op) == value
