@@ -92,7 +92,6 @@ from .models import (
     check_fstar,
     check_semiprime,
     check_submultiplicative,
-    eval_in_model,
     model_from_json,
     model_suite,
     model_to_json,
@@ -123,7 +122,7 @@ __all__ = [
     "polynomial_majorant", "zero_simplify",
     # models
     "ModelElement", "WeightedGridModel", "DiagonalAlgebra", "ZeroProductModel",
-    "eval_in_model", "check_f_algebra_condition", "check_semiprime",
+    "check_f_algebra_condition", "check_semiprime",
     "check_fstar", "check_submultiplicative",
     "model_to_json", "model_from_json", "model_suite",
     # dual ball

@@ -21,7 +21,7 @@ from .rewrite import polynomial_majorant, product_kill, zero_simplify
 from .seeding import seeded_rng
 
 __all__ = [
-    "BallGrid", "GridFunction", "eval_on_ball", "vanishes_on_ball",
+    "BallGrid", "GridFunction", "generator_vectors", "eval_on_ball", "vanishes_on_ball",
     "vanishes_on_reals", "lattice_projection", "limit_profile",
     "BallReport", "RealLineReport",
 ]
@@ -77,19 +77,23 @@ class GridFunction:
         np.savetxt(path, table, delimiter=",", header=header, comments="")
 
 
-def _functional_env(e: Expr, gens: Mapping[str, Sequence[float]],
-                    functionals: np.ndarray) -> dict:
-    """Bind each variable to ``x* . x_v`` for every functional row."""
-    n = functionals.shape[1]
-    env = {}
+def generator_vectors(e: Expr, gens: Mapping[str, Sequence[float]],
+                      dimension: int) -> dict[str, np.ndarray]:
+    """The generator vector of every free variable of ``e``, in name order.
+
+    Raises ValueError when a variable has no vector in ``gens`` or its
+    vector does not have ``dimension`` coordinates.
+    """
+    vectors = {}
     for name in variables(e):
         if name not in gens:
             raise ValueError(f"no generator vector for variable {name!r}")
         vec = np.asarray(gens[name], dtype=float)
-        if vec.shape != (n,):
-            raise ValueError(f"generator for {name!r} has dimension {vec.shape}, expected ({n},)")
-        env[name] = functionals @ vec
-    return env
+        if vec.shape != (dimension,):
+            raise ValueError(
+                f"generator for {name!r} has shape {vec.shape}, expected ({dimension},)")
+        vectors[name] = vec
+    return vectors
 
 
 def eval_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGrid) -> GridFunction:
@@ -98,7 +102,8 @@ def eval_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGrid) -
     At grid point ``x*`` the variable ``v`` takes the value ``x* . gens[v]``.
     """
     core = desugar(e)
-    env = _functional_env(core, gens, grid.points)
+    env = {name: grid.points @ vec
+           for name, vec in generator_vectors(core, gens, grid.dimension).items()}
     values = eval_pointwise(core, env)
     return GridFunction(grid, np.broadcast_to(np.asarray(values, dtype=float), (grid.size,)).copy())
 

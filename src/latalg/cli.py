@@ -159,8 +159,10 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     names = variables(e)
     gens = _parse_gens(args.gens, names, args.n)
     dim = max((v.shape[0] for v in gens.values()), default=args.n or 1)
+    if args.grid_sphere < 3:
+        _usage_error(f"--grid-sphere must be >= 3 for the ball grid, got {args.grid_sphere}")
     points = args.grid_sphere if args.grid_sphere % 2 == 1 else args.grid_sphere + 1
-    grid = BallGrid(dim, max(points, 3))
+    grid = BallGrid(dim, points)
     ball = vanishes_on_ball(e, gens, grid, tol=args.tol)
     real = vanishes_on_reals(e, scale=3.0, seed=args.seed, tol=args.tol)
     if not ball.vanishes:

@@ -19,7 +19,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, desugar, eval_pointwise, variables
+from .ball import generator_vectors
+from .expr import Expr, desugar, eval_pointwise
 from .rewrite import product_kill
 from .seeding import seeded_rng
 
@@ -180,15 +181,8 @@ def cylinder_extension(e: Expr, gens: Mapping[str, Sequence[float]],
     ``u`` itself, which equals the radial limit.
     """
     core = desugar(e)
-    names = variables(core)
-    dots = {}
-    for name in names:
-        if name not in gens:
-            raise ValueError(f"no generator vector for variable {name!r}")
-        vec = np.asarray(gens[name], dtype=float)
-        if vec.shape != (grid.dimension,):
-            raise ValueError(f"generator for {name!r} must have dimension {grid.dimension}")
-        dots[name] = grid.sphere_points @ vec
+    dots = {name: grid.sphere_points @ vec
+            for name, vec in generator_vectors(core, gens, grid.dimension).items()}
 
     r = grid.r_levels
     positive = r > 0.0

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, Add, Join, Mul, Scale, Var, Zero, desugar
+from .expr import Add, Expr, Join, Mul, Scale, Var, Zero, desugar, fold
 from .models import DiagonalAlgebra, WeightedGridModel
 from .seeding import seeded_rng
 
@@ -179,23 +179,21 @@ def error_budget(e: Expr, delta: float, var_magnitudes: Mapping[str, float] | No
     """
     mags = dict(var_magnitudes or {})
 
-    def walk(node: Expr) -> tuple[float, float]:
-        if isinstance(node, Zero):
-            return 0.0, 0.0
-        if isinstance(node, Var):
-            return mags.get(node.name, 1.0), delta
-        if isinstance(node, Scale):
-            m, b = walk(node.child)
-            return abs(node.coeff) * m, abs(node.coeff) * b
-        m1, b1 = walk(node.left)
-        m2, b2 = walk(node.right)
-        if isinstance(node, (Add, Join)):
-            return m1 + m2, b1 + b2
-        if isinstance(node, Mul):
-            return m1 * m2, m1 * b2 + m2 * b1 + delta * m1 * m2
-        raise TypeError(f"expected a core node, got {node!r}")
+    def scale(node: Scale, child: tuple[float, float]) -> tuple[float, float]:
+        m, b = child
+        return abs(node.coeff) * m, abs(node.coeff) * b
 
-    return walk(desugar(e))[1]
+    def total(node: Expr, left: tuple[float, float], right: tuple[float, float]):
+        (m1, b1), (m2, b2) = left, right
+        return m1 + m2, b1 + b2
+
+    def product(node: Mul, left: tuple[float, float], right: tuple[float, float]):
+        (m1, b1), (m2, b2) = left, right
+        return m1 * m2, m1 * b2 + m2 * b1 + delta * m1 * m2
+
+    ops = {Zero: lambda node: (0.0, 0.0), Var: lambda node: (mags.get(node.name, 1.0), delta),
+           Scale: scale, Add: total, Join: total, Mul: product}
+    return fold(desugar(e), ops)[1]
 
 
 @dataclass

@@ -7,6 +7,22 @@ accepted as sugar and removed by :func:`desugar`.  Terms are immutable and
 hashable, so they may be shared freely across threads; every operation in
 this module is pure.
 
+Every traversal of a term runs over its post-order tape,
+:attr:`Expr.postorder`: one ``(node, arity)`` pair per node occurrence,
+children before parents and left before right.  The tape is built without
+recursion on first use and cached on the node, so no traversal is limited
+by the interpreter's recursion limit (only ``==``, ``hash`` and ``repr``,
+which the dataclasses generate, recurse), and a term evaluated many times
+is flattened once.  Repeated subterms are not shared: work counted per
+subterm (the normal-form budget) is counted per occurrence.
+
+:func:`fold` runs a tape with a value stack.  A backend is an op table that
+maps each node class to ``f(node, *child_values)``; an op reads only the
+fields of its own node.  Entry points call :func:`desugar` once (it returns
+a core term unchanged) and fold the result with a table over the six core
+kinds only.  :data:`ARRAY_OPS` holds the scaling, addition and join shared
+by the numpy backends.
+
 Concrete syntax (see :func:`parse`)::
 
     expr  := add (("\\/" | "/\\") add)*        lattice ops bind loosest
@@ -19,7 +35,8 @@ Concrete syntax (see :func:`parse`)::
 A numeric literal followed by ``*`` denotes scaling, while ``expr * expr``
 is the algebra product; the leading numeric token disambiguates.  The
 signature has no constants other than 0, so a bare numeric literal is only
-legal when it spells zero (``0``, ``0.0``, ...).
+legal when it spells zero (``0``, ``0.0``, ...).  Parentheses, unary minus
+and ``c*`` prefixes may nest at most :data:`MAX_NESTING` levels deep.
 """
 
 from __future__ import annotations
@@ -28,14 +45,16 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
 __all__ = [
     "Expr", "Zero", "Var", "Scale", "Add", "Join", "Mul",
     "Meet", "Pos", "NegPart", "Abs", "Neg",
-    "Assignment", "ParseError", "MissingVariableError",
+    "Assignment", "ParseError", "MissingVariableError", "MAX_NESTING",
+    "fold", "ARRAY_OPS",
     "parse", "print_expr", "desugar", "complexity", "variables",
     "eval_real", "eval_pointwise", "substitute", "contains_product",
     "random_expr", "cosh_sinh_witness",
@@ -65,9 +84,35 @@ class MissingVariableError(ExprError):
 
 
 class Expr:
-    """Base class of all term nodes.  Instances are immutable."""
+    """Base class of all term nodes.  Instances are immutable.
+
+    ``arity`` is the number of children: none for leaves, ``child`` for
+    unary kinds, ``left`` and ``right`` for binary kinds.
+    """
 
     __slots__ = ()
+    arity = 0
+
+    @cached_property
+    def postorder(self) -> list[tuple["Expr", int]]:
+        """``(node, arity)`` for every node occurrence, children first, left to right.
+
+        Built once, without recursion.  It is not a dataclass field, so
+        ``==`` and ``hash`` do not see it.
+        """
+        tape = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            arity = node.arity
+            tape.append((node, arity))
+            if arity == 1:
+                stack.append(node.child)
+            elif arity == 2:
+                stack.append(node.left)
+                stack.append(node.right)
+        tape.reverse()
+        return tape
 
 
 @dataclass(frozen=True)
@@ -90,6 +135,7 @@ class Var(Expr):
 class Scale(Expr):
     coeff: float
     child: Expr
+    arity = 1
 
     def __post_init__(self):
         if not math.isfinite(self.coeff):
@@ -100,18 +146,21 @@ class Scale(Expr):
 class Add(Expr):
     left: Expr
     right: Expr
+    arity = 2
 
 
 @dataclass(frozen=True)
 class Join(Expr):
     left: Expr
     right: Expr
+    arity = 2
 
 
 @dataclass(frozen=True)
 class Mul(Expr):
     left: Expr
     right: Expr
+    arity = 2
 
 
 # Sugar kinds, eliminated by desugar().
@@ -120,61 +169,50 @@ class Mul(Expr):
 class Meet(Expr):
     left: Expr
     right: Expr
+    arity = 2
 
 
 @dataclass(frozen=True)
 class Pos(Expr):
     child: Expr
+    arity = 1
 
 
 @dataclass(frozen=True)
 class NegPart(Expr):
     child: Expr
+    arity = 1
 
 
 @dataclass(frozen=True)
 class Abs(Expr):
     child: Expr
+    arity = 1
 
 
 @dataclass(frozen=True)
 class Neg(Expr):
     child: Expr
+    arity = 1
 
 
-_CORE_KINDS = (Zero, Var, Scale, Add, Join, Mul)
+_BINARY = (Add, Join, Mul)
 
 
-def desugar(e: Expr) -> Expr:
-    """Rewrite ``e`` using only the six core kinds, preserving semantics.
-
-    Meet becomes ``-((-a) \\/ (-b))``, ``pos(a)`` becomes ``a \\/ 0``,
-    ``neg(a)`` becomes ``(-a) \\/ 0`` and ``abs(a)`` becomes ``a \\/ (-a)``.
-    Arithmetic negation folds into an immediate scaling node, so printed
-    negative coefficients round-trip structurally.
-    """
-    if isinstance(e, (Zero, Var)):
-        return e
-    if isinstance(e, Scale):
-        return Scale(e.coeff, desugar(e.child))
-    if isinstance(e, Add):
-        return Add(desugar(e.left), desugar(e.right))
-    if isinstance(e, Join):
-        return Join(desugar(e.left), desugar(e.right))
-    if isinstance(e, Mul):
-        return Mul(desugar(e.left), desugar(e.right))
-    if isinstance(e, Neg):
-        return _negate(desugar(e.child))
-    if isinstance(e, Meet):
-        return _negate(Join(_negate(desugar(e.left)), _negate(desugar(e.right))))
-    if isinstance(e, Pos):
-        return Join(desugar(e.child), Zero())
-    if isinstance(e, NegPart):
-        return Join(_negate(desugar(e.child)), Zero())
-    if isinstance(e, Abs):
-        d = desugar(e.child)
-        return Join(d, _negate(d))
-    raise TypeError(f"not an expression node: {e!r}")
+def fold(e: Expr, ops: Mapping[type, Callable]):
+    """Value of ``e``: ``ops[type(node)](node, *child_values)`` at every node, bottom up."""
+    stack = []
+    for node, arity in e.postorder:
+        op = ops[type(node)]
+        if arity == 0:
+            stack.append(op(node))
+        elif arity == 1:
+            stack[-1] = op(node, stack[-1])
+        else:
+            right = stack.pop()
+            stack[-1] = op(node, stack[-1], right)
+            del right  # frees an array value as soon as it is used
+    return stack[0]
 
 
 def _negate(e: Expr) -> Expr:
@@ -183,89 +221,122 @@ def _negate(e: Expr) -> Expr:
     return Scale(-1.0, e)
 
 
+def _rebuild_scale(node: Scale, child: Expr) -> Expr:
+    return node if child is node.child else Scale(node.coeff, child)
+
+
+def _rebuild_binary(node: Expr, left: Expr, right: Expr) -> Expr:
+    if left is node.left and right is node.right:
+        return node
+    return type(node)(left, right)
+
+
+#: Copies a core term from its rewritten children, reusing every node whose
+#: children came back unchanged; transforms override the kinds they rewrite.
+_REBUILD = {Zero: lambda node: node, Var: lambda node: node, Scale: _rebuild_scale,
+            **dict.fromkeys(_BINARY, _rebuild_binary)}
+
+_DESUGAR = {
+    **_REBUILD,
+    Neg: lambda node, child: _negate(child),
+    Meet: lambda node, left, right: _negate(Join(_negate(left), _negate(right))),
+    Pos: lambda node, child: Join(child, Zero()),
+    NegPart: lambda node, child: Join(_negate(child), Zero()),
+    Abs: lambda node, child: Join(child, _negate(child)),
+}
+
+
+def desugar(e: Expr) -> Expr:
+    """Rewrite ``e`` using only the six core kinds, preserving semantics.
+
+    Meet becomes ``-((-a) \\/ (-b))``, ``pos(a)`` becomes ``a \\/ 0``,
+    ``neg(a)`` becomes ``(-a) \\/ 0`` and ``abs(a)`` becomes ``a \\/ (-a)``.
+    Arithmetic negation folds into an immediate scaling node, so printed
+    negative coefficients round-trip structurally.  A core term is returned
+    as it is.
+    """
+    return fold(e, _DESUGAR)
+
+
+_COMPLEXITY = {Zero: lambda node: 1, Var: lambda node: 1, Scale: lambda node, child: 1 + child,
+               **dict.fromkeys(_BINARY, lambda node, left, right: 1 + max(left, right))}
+
+
 def complexity(e: Expr) -> int:
-    """1 for leaves (0 and variables); otherwise one more than the deepest child."""
-    if isinstance(e, (Zero, Var)):
-        return 1
-    if isinstance(e, (Scale, Pos, NegPart, Abs, Neg)):
-        return 1 + complexity(e.child)
-    return 1 + max(complexity(e.left), complexity(e.right))
+    """Of the desugared term: 1 for leaves (0 and variables); otherwise one
+    more than the deepest child."""
+    return fold(desugar(e), _COMPLEXITY)
+
+
+_VARIABLES = {Zero: lambda node: frozenset(), Var: lambda node: frozenset((node.name,)),
+              Scale: lambda node, child: child,
+              **dict.fromkeys(_BINARY, lambda node, left, right: left | right)}
 
 
 def variables(e: Expr) -> tuple[str, ...]:
     """Free variables of ``e``, sorted lexicographically."""
-    out: set[str] = set()
-    _collect_vars(e, out)
-    return tuple(sorted(out))
-
-
-def _collect_vars(e: Expr, out: set) -> None:
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, (Scale, Pos, NegPart, Abs, Neg)):
-        _collect_vars(e.child, out)
-    elif not isinstance(e, Zero):
-        _collect_vars(e.left, out)
-        _collect_vars(e.right, out)
+    return tuple(sorted(fold(desugar(e), _VARIABLES)))
 
 
 def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:
-    """Replace variables by expressions (simultaneously)."""
-    if isinstance(e, Var):
-        return replacements.get(e.name, e)
-    if isinstance(e, Zero):
-        return e
-    if isinstance(e, Scale):
-        return Scale(e.coeff, substitute(e.child, replacements))
-    if isinstance(e, (Pos, NegPart, Abs, Neg)):
-        return type(e)(substitute(e.child, replacements))
-    return type(e)(substitute(e.left, replacements), substitute(e.right, replacements))
+    """Replace variables by expressions (simultaneously) in the desugared ``e``."""
+    ops = {**_REBUILD, Var: lambda node: replacements.get(node.name, node)}
+    return fold(desugar(e), ops)
+
+
+_CONTAINS_PRODUCT = {Zero: lambda node: False, Var: lambda node: False,
+                     Scale: lambda node, child: child,
+                     **dict.fromkeys(_BINARY, lambda node, left, right: left or right),
+                     Mul: lambda node, left, right: True}
 
 
 def contains_product(e: Expr) -> bool:
-    if isinstance(e, Mul):
-        return True
-    if isinstance(e, (Zero, Var)):
-        return False
-    if isinstance(e, (Scale, Pos, NegPart, Abs, Neg)):
-        return contains_product(e.child)
-    return contains_product(e.left) or contains_product(e.right)
+    return fold(desugar(e), _CONTAINS_PRODUCT)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
+
+def _scale(node: Scale, child):
+    return node.coeff * child
+
+
+def _add(node: Add, left, right):
+    return left + right
+
+
+def _multiply(node: Mul, left, right):
+    return left * right
+
+
+#: Scaling, addition and join of numpy values.  A numpy backend adds its own
+#: ops for 0, variables and the product.
+ARRAY_OPS = {Scale: _scale, Add: _add, Join: lambda node, left, right: np.maximum(left, right)}
+
+_REAL = {Zero: lambda node: 0.0, Scale: _scale, Add: _add,
+         Join: lambda node, left, right: max(left, right), Mul: _multiply}
+
+_POINTWISE = {**ARRAY_OPS, Zero: lambda node: 0.0, Mul: _multiply}
+
+
+def _lookup(env: Mapping, convert=lambda value: value):
+    """Op for variables: the converted value bound to the name in ``env``."""
+
+    def value(node: Var):
+        try:
+            return convert(env[node.name])
+        except KeyError:
+            raise MissingVariableError(f"no value for variable {node.name!r}") from None
+
+    return value
+
 
 def eval_real(e: Expr, assignment: Assignment) -> float:
     """Evaluate ``e`` over the reals (join = max).
 
     Raises :class:`MissingVariableError` if a free variable is not covered.
     """
-    if isinstance(e, Zero):
-        return 0.0
-    if isinstance(e, Var):
-        try:
-            return float(assignment[e.name])
-        except KeyError:
-            raise MissingVariableError(f"no value for variable {e.name!r}") from None
-    if isinstance(e, Scale):
-        return e.coeff * eval_real(e.child, assignment)
-    if isinstance(e, Add):
-        return eval_real(e.left, assignment) + eval_real(e.right, assignment)
-    if isinstance(e, Join):
-        return max(eval_real(e.left, assignment), eval_real(e.right, assignment))
-    if isinstance(e, Mul):
-        return eval_real(e.left, assignment) * eval_real(e.right, assignment)
-    if isinstance(e, Meet):
-        return min(eval_real(e.left, assignment), eval_real(e.right, assignment))
-    if isinstance(e, Pos):
-        return max(eval_real(e.child, assignment), 0.0)
-    if isinstance(e, NegPart):
-        return max(-eval_real(e.child, assignment), 0.0)
-    if isinstance(e, Abs):
-        return abs(eval_real(e.child, assignment))
-    if isinstance(e, Neg):
-        return -eval_real(e.child, assignment)
-    raise TypeError(f"not an expression node: {e!r}")
+    return fold(desugar(e), {**_REAL, Var: _lookup(assignment, float)})
 
 
 def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"]):
@@ -275,36 +346,17 @@ def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"]):
     pointwise product.  Returns an array (or a scalar if every binding is
     scalar).
     """
-    if isinstance(e, Zero):
-        return 0.0
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise MissingVariableError(f"no value for variable {e.name!r}") from None
-    if isinstance(e, Scale):
-        return e.coeff * eval_pointwise(e.child, env)
-    if isinstance(e, Add):
-        return eval_pointwise(e.left, env) + eval_pointwise(e.right, env)
-    if isinstance(e, Join):
-        return np.maximum(eval_pointwise(e.left, env), eval_pointwise(e.right, env))
-    if isinstance(e, Mul):
-        return eval_pointwise(e.left, env) * eval_pointwise(e.right, env)
-    if isinstance(e, Meet):
-        return np.minimum(eval_pointwise(e.left, env), eval_pointwise(e.right, env))
-    if isinstance(e, Pos):
-        return np.maximum(eval_pointwise(e.child, env), 0.0)
-    if isinstance(e, NegPart):
-        return np.maximum(-eval_pointwise(e.child, env), 0.0)
-    if isinstance(e, Abs):
-        return np.abs(eval_pointwise(e.child, env))
-    if isinstance(e, Neg):
-        return -eval_pointwise(e.child, env)
-    raise TypeError(f"not an expression node: {e!r}")
+    return fold(desugar(e), {**_POINTWISE, Var: _lookup(env)})
 
 
 # ---------------------------------------------------------------------------
 # Parsing
+
+#: Deepest nesting :func:`parse` accepts, counting parentheses (including
+#: those of ``pos``, ``neg`` and ``abs``), unary minus and ``c*`` prefixes.
+#: A parenthesis level costs six interpreter frames, so this stays well
+#: inside the default recursion limit of 1000.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"""
@@ -338,6 +390,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -351,6 +404,15 @@ class _Parser:
         kind, text, pos = self.next()
         if kind != "op" or text != op:
             raise ParseError(f"expected {op!r}, found {text or 'end of input'!r}", pos)
+
+    def nested(self, parse, pos: int) -> Expr:
+        """``parse()`` one nesting level deeper, within :data:`MAX_NESTING`."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
 
     def parse(self) -> Expr:
         e = self.parse_lat()
@@ -396,10 +458,10 @@ class _Parser:
                 return left
 
     def parse_unary(self) -> Expr:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.next()
-            return Neg(self.parse_unary())
+            return Neg(self.nested(self.parse_unary, pos))
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
@@ -409,7 +471,7 @@ class _Parser:
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "*":
                 self.next()
-                return Scale(value, self.parse_unary())
+                return Scale(value, self.nested(self.parse_unary, pos))
             if value == 0.0:
                 return Zero()
             raise ParseError(
@@ -418,12 +480,12 @@ class _Parser:
         if kind == "ident":
             if text in _RESERVED:
                 self.expect_op("(")
-                inner = self.parse_lat()
+                inner = self.nested(self.parse_lat, pos)
                 self.expect_op(")")
                 return {"pos": Pos, "neg": NegPart, "abs": Abs}[text](inner)
             return Var(text)
         if kind == "op" and text == "(":
-            inner = self.parse_lat()
+            inner = self.nested(self.parse_lat, pos)
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
@@ -437,45 +499,45 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Printing
 
-# Binding levels, loosest to tightest.  A node is parenthesized when printed
-# in a context demanding a tighter level than its own.
+# Binding levels, loosest to tightest.  A node prints as (text, level) and
+# is parenthesized when printed in a context demanding a tighter level.
 _LAT, _ADD, _MUL, _UNARY, _ATOM = range(5)
 
 
+def _within(printed: tuple[str, int], need: int) -> str:
+    text, level = printed
+    return f"({text})" if level < need else text
+
+
+def _print_mul(node: Mul, left, right) -> tuple[str, int]:
+    # A bare "0" factor would re-parse as a scaling coefficient.
+    left = "(0)" if isinstance(node.left, Zero) else _within(left, _MUL)
+    right = "(0)" if isinstance(node.right, Zero) else _within(right, _UNARY)
+    return f"{left} * {right}", _MUL
+
+
+def _print_scale(node: Scale, child) -> tuple[str, int]:
+    c = node.coeff
+    sign = "-" if (c < 0 or (c == 0 and math.copysign(1.0, c) < 0)) else ""
+    # Parenthesized zero: a trailing bare "0" would bind to a following "*".
+    child = "(0)" if isinstance(node.child, Zero) else _within(child, _UNARY)
+    return f"{sign}{abs(c)!r}*{child}", _UNARY
+
+
+_PRINT = {
+    Zero: lambda node: ("0", _ATOM),
+    Var: lambda node: (node.name, _ATOM),
+    Join: lambda node, left, right: (f"{_within(left, _LAT)} \\/ {_within(right, _ADD)}", _LAT),
+    Add: lambda node, left, right: (f"{_within(left, _ADD)} + {_within(right, _MUL)}", _ADD),
+    Mul: _print_mul,
+    Scale: _print_scale,
+}
+
+
 def print_expr(e: Expr) -> str:
-    """Render ``e`` so that ``parse(print_expr(e)) == desugar(e)`` structurally."""
-    return _print(desugar(e), _LAT)
-
-
-def _print(e: Expr, need: int) -> str:
-    if isinstance(e, Zero):
-        return "0"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Join):
-        s = f"{_print(e.left, _LAT)} \\/ {_print(e.right, _ADD)}"
-        level = _LAT
-    elif isinstance(e, Add):
-        s = f"{_print(e.left, _ADD)} + {_print(e.right, _MUL)}"
-        level = _ADD
-    elif isinstance(e, Mul):
-        # A bare "0" factor would re-parse as a scaling coefficient.
-        left = "(0)" if isinstance(e.left, Zero) else _print(e.left, _MUL)
-        right = "(0)" if isinstance(e.right, Zero) else _print(e.right, _UNARY)
-        s = f"{left} * {right}"
-        level = _MUL
-    elif isinstance(e, Scale):
-        c = e.coeff
-        sign = "-" if (c < 0 or (c == 0 and math.copysign(1.0, c) < 0)) else ""
-        # Parenthesized zero: a trailing bare "0" would bind to a following "*".
-        child = "(0)" if isinstance(e.child, Zero) else _print(e.child, _UNARY)
-        s = f"{sign}{abs(c)!r}*{child}"
-        level = _UNARY
-    else:
-        raise TypeError(f"print_expr expects a core node, got {e!r}")
-    if level < need:
-        return f"({s})"
-    return s
+    """Render ``e`` so that ``parse(print_expr(e)) == desugar(e)`` structurally
+    (for terms whose printed nesting stays within :data:`MAX_NESTING`)."""
+    return fold(desugar(e), _PRINT)[0]
 
 
 # ---------------------------------------------------------------------------

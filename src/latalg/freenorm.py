@@ -10,13 +10,14 @@ exceeds the free norm.  Candidates are drawn from three sources:
 * discretized cylinder generators, one operator per mesh parameter;
 * a seeded best-so-far random search with coordinate-wise resampling.
 
-Each search compiles its term once: desugared, its variables checked
-against the generators, and flattened into a post-order program over the
-generator images.  Candidates are then plain ``(weights, columns)`` arrays.
-The sign operators, and the random draws of every fifth iteration (which do
-not depend on the search state), are evaluated together in one masked
-``(batch, atoms)`` pass: shorter candidates are padded with zero atoms,
-which evaluate to 0 and so leave every sup norm unchanged.  Mutations of
+Each search prepares its term once: desugared, with its variables bound to
+their generator vectors; an evaluation folds the term's post-order tape with
+array ops over the generator images.  Candidates are then plain
+``(weights, columns)`` arrays.  The sign operators, and the random draws
+of every fifth iteration (which do not depend on the search state), are
+evaluated together in one masked ``(batch, atoms)`` pass: shorter
+candidates are padded with zero atoms, which evaluate to 0 and so leave
+every sup norm unchanged.  Mutations of
 the best-so-far operator are evaluated one at a time.  Every candidate
 passes the contraction check on its columns, and only the winner is built
 as an :class:`OperatorIntoAlgebra`; the reported bound is its value replayed
@@ -40,11 +41,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .ball import generator_vectors
 from .cylinder import CylinderGrid, generator
 from .discretize import atomize, build_partition, discrete_weight, discretize_function
-from .expr import (
-    Add, Expr, Join, Mul, Scale, Var, Zero, contains_product, desugar, eval_pointwise, variables,
-)
+from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, contains_product, desugar, eval_pointwise, fold
 from .models import DiagonalAlgebra
 from .rewrite import Polynomial, polynomial_majorant
 from .seeding import seeded_rng
@@ -108,11 +108,8 @@ def evaluate_operator(e: Expr, gens: Mapping[str, Sequence[float]],
                       op: OperatorIntoAlgebra) -> float:
     """Sup norm of the term evaluated through the (certified) operator."""
     op.certify()
-    assignment = {}
-    for name in variables(e):
-        if name not in gens:
-            raise ValueError(f"no generator vector for variable {name!r}")
-        assignment[name] = op.apply(gens[name])
+    assignment = {name: op.apply(vec)
+                  for name, vec in generator_vectors(e, gens, op.domain_dimension).items()}
     return op.algebra.evaluate(e, assignment).sup_norm()
 
 
@@ -136,12 +133,6 @@ def _gen_dimension(gens: Mapping[str, Sequence[float]]) -> int:
     return dims.pop()
 
 
-# Steps of a compiled term: (kind, a, b).  ``a`` and ``b`` index earlier
-# slots, except that ``a`` is the variable index of _VAR and the coefficient
-# of _SCALE.
-_ZERO, _VAR, _SCALE, _ADD, _JOIN, _MUL = range(6)
-_BINARY = {Add: _ADD, Join: _JOIN, Mul: _MUL}
-
 # Search iterations whose random draws are evaluated in one batch; bounds the
 # memory of a long search.  A multiple of 5, so every block starts on a draw.
 _BLOCK_ITERS = 1000
@@ -150,58 +141,28 @@ _BLOCK_ITERS = 1000
 class _CompiledTerm:
     """A term prepared once for evaluation through many candidate operators.
 
-    The steps are those of :meth:`FiniteModel.evaluate` on a diagonal algebra
+    The ops are those of :meth:`FiniteModel.evaluate` on a diagonal algebra
     (join = maximum, product ``weights * a * b``), applied to arrays whose
     last axis runs over atoms.
     """
 
     def __init__(self, e: Expr, gens: Mapping[str, Sequence[float]]):
-        core = desugar(e)
+        self.core = desugar(e)
         self.dimension = _gen_dimension(gens)
-        names = variables(core)
-        for name in names:
-            if name not in gens:
-                raise ValueError(f"no generator vector for variable {name!r}")
-        self.vectors = [np.asarray(gens[name], dtype=float) for name in names]
-        self.steps: list[tuple] = []
-        self._emit(core, {name: i for i, name in enumerate(names)})
+        self.vectors = generator_vectors(self.core, gens, self.dimension)
 
-    def _emit(self, node: Expr, index: Mapping[str, int]) -> int:
-        if isinstance(node, Zero):
-            step = (_ZERO, None, None)
-        elif isinstance(node, Var):
-            step = (_VAR, index[node.name], None)
-        elif isinstance(node, Scale):
-            step = (_SCALE, node.coeff, self._emit(node.child, index))
-        else:
-            step = (_BINARY[type(node)], self._emit(node.left, index),
-                    self._emit(node.right, index))
-        self.steps.append(step)
-        return len(self.steps) - 1
-
-    def _sup_norms(self, weights: np.ndarray, images) -> np.ndarray:
-        slots = []
-        for kind, a, b in self.steps:
-            if kind == _VAR:
-                value = images[a]
-            elif kind == _SCALE:
-                value = a * slots[b]
-            elif kind == _ADD:
-                value = slots[a] + slots[b]
-            elif kind == _JOIN:
-                value = np.maximum(slots[a], slots[b])
-            elif kind == _MUL:
-                value = weights * slots[a] * slots[b]
-            else:
-                value = np.zeros(weights.shape)
-            slots.append(value)
-        return np.max(np.abs(slots[-1]), axis=-1, initial=0.0)
+    def _sup_norms(self, weights: np.ndarray, images: Mapping[str, np.ndarray]) -> np.ndarray:
+        ops = {**ARRAY_OPS, Zero: lambda node: np.zeros(weights.shape),
+               Var: lambda node: images[node.name],
+               Mul: lambda node, a, b: weights * a * b}
+        return np.max(np.abs(fold(self.core, ops)), axis=-1, initial=0.0)
 
     def value(self, candidate) -> float:
         """Sup norm of the term's image through one ``(weights, columns)`` candidate."""
         weights, columns = candidate
         _check_contraction(columns)
-        return float(self._sup_norms(weights, [vec @ columns for vec in self.vectors]))
+        images = {name: vec @ columns for name, vec in self.vectors.items()}
+        return float(self._sup_norms(weights, images))
 
     def values(self, candidates) -> list[float]:
         """:meth:`value` of many candidates, in one ``(batch, atoms)`` pass.
@@ -218,9 +179,9 @@ class _CompiledTerm:
             columns = np.stack([candidates[r][1] for r in rows])
             _check_contraction(columns)
             weights[rows, :size] = [candidates[r][0] for r in rows]
-            for image, vec in zip(images, self.vectors):
+            for image, vec in zip(images, self.vectors.values()):
                 image[rows, :size] = np.matmul(vec, columns)
-        return self._sup_norms(weights, images).tolist()
+        return self._sup_norms(weights, dict(zip(self.vectors, images))).tolist()
 
 
 def _sign_operators(n: int, cap: int, seed: int) -> list[tuple]:
@@ -392,18 +353,6 @@ def _project_feasible(tuples: np.ndarray) -> np.ndarray:
     return tuples / np.maximum(sums, 1.0)
 
 
-def _tuple_value(core: Expr, gens: Mapping[str, Sequence[float]],
-                 tuples: np.ndarray) -> float:
-    env = {}
-    for name in variables(core):
-        if name not in gens:
-            raise ValueError(f"no generator vector for variable {name!r}")
-        env[name] = tuples @ np.asarray(gens[name], dtype=float)
-    vals = np.broadcast_to(np.asarray(eval_pointwise(core, env), dtype=float),
-                           (tuples.shape[0],))
-    return float(np.sum(np.abs(vals)))
-
-
 def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
                              tuple_size: int = 2, iters: int = 2000,
                              seed: int = 0) -> float:
@@ -417,6 +366,7 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     if contains_product(core):
         raise ValueError("the lattice-part bound applies to product-free terms only")
     n = _gen_dimension(gens)
+    vectors = generator_vectors(core, gens, n)
     k = tuple_size
     if k < 1:
         raise ValueError("tuple_size must be >= 1")
@@ -425,7 +375,10 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
 
     def consider(tuples: np.ndarray) -> float:
         nonlocal best
-        value = _tuple_value(core, gens, tuples)
+        env = {name: tuples @ vec for name, vec in vectors.items()}
+        vals = np.broadcast_to(np.asarray(eval_pointwise(core, env), dtype=float),
+                               (tuples.shape[0],))
+        value = float(np.sum(np.abs(vals)))
         if value > best:
             best = value
         return value

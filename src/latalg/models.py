@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Add, Expr, Join, Scale, Var, Zero, desugar, variables
+from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, desugar, fold
 from .seeding import seeded_rng
 
 __all__ = [
     "ModelError", "ModelElement", "FiniteModel",
     "WeightedGridModel", "DiagonalAlgebra", "ZeroProductModel",
-    "eval_in_model", "check_f_algebra_condition", "check_semiprime",
+    "check_f_algebra_condition", "check_semiprime",
     "check_fstar", "check_submultiplicative", "square_zero_witness",
     "ConditionReport", "model_to_json", "model_from_json",
     "random_weighted_grid", "random_diagonal", "model_suite",
@@ -83,30 +83,18 @@ class FiniteModel:
 
     def evaluate(self, e: Expr, assignment) -> ModelElement:
         """Evaluate ``e`` with the model's operations (join = coordinatewise max)."""
-        core = desugar(e)
-        env: dict[str, np.ndarray] = {}
-        for name in variables(core):
+        def values(node: Var) -> np.ndarray:
+            name = node.name
             if name not in assignment:
                 raise ModelError(f"no element assigned to variable {name!r}")
             el = assignment[name]
             if not isinstance(el, ModelElement) or el.model is not self:
                 raise ModelError(f"variable {name!r} is bound to an element of another model")
-            env[name] = el.values
+            return el.values
 
-        def rec(node: Expr) -> np.ndarray:
-            if isinstance(node, Zero):
-                return np.zeros(self.size)
-            if isinstance(node, Var):
-                return env[node.name]
-            if isinstance(node, Scale):
-                return node.coeff * rec(node.child)
-            if isinstance(node, Add):
-                return rec(node.left) + rec(node.right)
-            if isinstance(node, Join):
-                return np.maximum(rec(node.left), rec(node.right))
-            return self.product_values(rec(node.left), rec(node.right))
-
-        return ModelElement(self, rec(core))
+        ops = {**ARRAY_OPS, Zero: lambda node: np.zeros(self.size), Var: values,
+               Mul: lambda node, a, b: self.product_values(a, b)}
+        return ModelElement(self, fold(desugar(e), ops))
 
 
 class WeightedGridModel(FiniteModel):
@@ -158,10 +146,6 @@ class ZeroProductModel(FiniteModel):
 
     def product_values(self, a, b):
         return np.zeros(self.size)
-
-
-def eval_in_model(e: Expr, model: FiniteModel, assignment) -> ModelElement:
-    return model.evaluate(e, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from typing import Mapping
 import numpy as np
 
 from .expr import (
-    Add, Expr, Join, Mul, Scale, Var, Zero,
-    _negate, desugar, eval_real,
+    _REBUILD, Add, Expr, Join, Mul, Scale, Var, Zero,
+    _negate, desugar, eval_real, fold,
 )
 
 __all__ = [
@@ -206,26 +206,39 @@ class NormalForm:
 # ---------------------------------------------------------------------------
 # Product kill and structural cleanup
 
+_PRODUCT_KILL = {**_REBUILD, Mul: lambda node, left, right: Zero()}
+
+
 def product_kill(e: Expr) -> Expr:
     """Copy of ``e`` with every product node replaced by 0.
 
     The output is product-free, hence positively homogeneous, and equals
     the scaled limit ``e(eps*a)/eps`` as ``eps`` decreases to 0.
     """
-    e = desugar(e)
+    return fold(desugar(e), _PRODUCT_KILL)
 
-    def kill(node: Expr) -> Expr:
-        if isinstance(node, (Zero, Var)):
-            return node
-        if isinstance(node, Scale):
-            return Scale(node.coeff, kill(node.child))
-        if isinstance(node, Add):
-            return Add(kill(node.left), kill(node.right))
-        if isinstance(node, Join):
-            return Join(kill(node.left), kill(node.right))
-        return Zero()  # Mul
 
-    return kill(e)
+def _simplify_scale(node: Scale, child: Expr) -> Expr:
+    if isinstance(child, Zero) or node.coeff == 1.0:
+        return child
+    return Scale(node.coeff, child)
+
+
+def _simplify_add(node: Add, left: Expr, right: Expr) -> Expr:
+    if isinstance(left, Zero):
+        return right
+    if isinstance(right, Zero):
+        return left
+    return Add(left, right)
+
+
+def _simplify_join(node: Join, left: Expr, right: Expr) -> Expr:
+    if isinstance(left, Zero) and isinstance(right, Zero):
+        return left
+    return Join(left, right)
+
+
+_ZERO_SIMPLIFY = {**_REBUILD, Scale: _simplify_scale, Add: _simplify_add, Join: _simplify_join}
 
 
 def zero_simplify(e: Expr) -> Expr:
@@ -234,33 +247,7 @@ def zero_simplify(e: Expr) -> Expr:
     No lattice identities beyond neutral elements are used; in particular
     ``e \\/ 0`` is left alone.
     """
-    e = desugar(e)
-
-    def simp(node: Expr) -> Expr:
-        if isinstance(node, (Zero, Var)):
-            return node
-        if isinstance(node, Scale):
-            child = simp(node.child)
-            if isinstance(child, Zero):
-                return Zero()
-            if node.coeff == 1.0:
-                return child
-            return Scale(node.coeff, child)
-        left = simp(node.left)
-        right = simp(node.right)
-        if isinstance(node, Add):
-            if isinstance(left, Zero):
-                return right
-            if isinstance(right, Zero):
-                return left
-            return Add(left, right)
-        if isinstance(node, Join):
-            if isinstance(left, Zero) and isinstance(right, Zero):
-                return Zero()
-            return Join(left, right)
-        return Mul(left, right)
-
-    return simp(e)
+    return fold(desugar(e), _ZERO_SIMPLIFY)
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +363,15 @@ class _Builder:
         return self.sub(self.join_times_nf(a.pos, b), self.join_times_nf(a.neg, b))
 
     def build(self, e: Expr) -> NormalForm:
-        if isinstance(e, Zero):
-            return self.zero()
-        if isinstance(e, Var):
-            return self.var(e.name)
-        if isinstance(e, Scale):
-            return self.scale(self.build(e.child), e.coeff)
-        if isinstance(e, Add):
-            return self.add(self.build(e.left), self.build(e.right))
-        if isinstance(e, Join):
-            return self.join(self.build(e.left), self.build(e.right))
-        if isinstance(e, Mul):
-            return self.mul(self.build(e.left), self.build(e.right))
-        raise TypeError(f"expected a core node, got {e!r}")
+        """Normal form of the core term ``e``, children before parents."""
+        return fold(e, {
+            Zero: lambda node: self.zero(),
+            Var: lambda node: self.var(node.name),
+            Scale: lambda node, a: self.scale(a, node.coeff),
+            Add: lambda node, a, b: self.add(a, b),
+            Join: lambda node, a, b: self.join(a, b),
+            Mul: lambda node, a, b: self.mul(a, b),
+        })
 
 
 def normal_form(e: Expr, budget: int = 1_000_000) -> NormalForm:
@@ -431,6 +414,26 @@ def normal_form_to_expr(nf: NormalForm) -> Expr:
 # ---------------------------------------------------------------------------
 # Polynomial majorant
 
+def _majorant_join(node: Join, left: Polynomial, right: Polynomial) -> Polynomial:
+    if isinstance(node.right, Zero):
+        return left
+    if isinstance(node.left, Zero):
+        return right
+    if node.right == _negate(node.left) or node.left == _negate(node.right):
+        return left
+    return left + right
+
+
+_MAJORANT = {
+    Zero: lambda node: Polynomial.zero(),
+    Var: lambda node: Polynomial.symbol(node.name),
+    Scale: lambda node, child: child.scaled(abs(node.coeff)),
+    Add: lambda node, left, right: left + right,
+    Join: _majorant_join,
+    Mul: lambda node, left, right: left * right,
+}
+
+
 def polynomial_majorant(e: Expr) -> Polynomial:
     """Nonnegative-coefficient polynomial ``p`` with ``|e(a)| <= p(|a|)``.
 
@@ -442,23 +445,7 @@ def polynomial_majorant(e: Expr) -> Polynomial:
     positive part, negative part or absolute value are bounded tightly by
     the child's majorant (``|a \\/ 0| <= |a|`` and ``|a \\/ -a| = |a|``).
     """
-    e = desugar(e)
-    if isinstance(e, Zero):
-        return Polynomial.zero()
-    if isinstance(e, Var):
-        return Polynomial.symbol(e.name)
-    if isinstance(e, Scale):
-        return polynomial_majorant(e.child).scaled(abs(e.coeff))
-    if isinstance(e, Join):
-        if isinstance(e.right, Zero):
-            return polynomial_majorant(e.left)
-        if isinstance(e.left, Zero):
-            return polynomial_majorant(e.right)
-        if e.right == _negate(e.left) or e.left == _negate(e.right):
-            return polynomial_majorant(e.left)
-    if isinstance(e, (Add, Join)):
-        return polynomial_majorant(e.left) + polynomial_majorant(e.right)
-    return polynomial_majorant(e.left) * polynomial_majorant(e.right)
+    return fold(desugar(e), _MAJORANT)
 
 
 def majorant_bound(e: Expr, magnitudes: Mapping[str, float]) -> float:
@@ -470,7 +457,7 @@ def check_normal_form(e: Expr, nf: NormalForm, points: int = 100, seed: int = 0,
                       scale: float = 3.0, rel_tol: float = 1e-6) -> float:
     """Max relative disagreement between ``e`` and ``nf`` at random points.
 
-    Independent oracle: raw recursive evaluation of ``e`` against the
+    Independent oracle: direct real evaluation of ``e`` against the
     split-variable evaluation of ``nf``.  Raises AssertionError beyond
     ``rel_tol``.
     """

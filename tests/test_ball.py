@@ -7,9 +7,15 @@ from latalg.ball import (
     BallGrid, GridFunction, eval_on_ball, lattice_projection, limit_profile,
     vanishes_on_ball, vanishes_on_reals,
 )
+from latalg.cylinder import CylinderGrid, cylinder_extension
 from latalg.expr import (
     Add, Join, Mul, Var, Zero, cosh_sinh_witness, eval_real, parse, random_expr,
 )
+from latalg.freenorm import (
+    OperatorIntoAlgebra, SearchConfig, evaluate_operator, operator_lower_bound,
+    product_free_lower_bound,
+)
+from latalg.models import DiagonalAlgebra
 from latalg.rewrite import product_kill
 
 WITNESS = parse("pos(pos(x)*pos(x) - pos(x))")
@@ -173,3 +179,38 @@ def test_projection_semantic_identity_on_product_free():
         for _ in range(10):
             a = {"x": rng.uniform(-2, 2), "y": rng.uniform(-2, 2)}
             assert eval_real(p, a) == eval_real(e, a)
+
+
+def _cylinder_extension(e, gens):
+    return cylinder_extension(e, gens, CylinderGrid.regular(2, r_levels=3, face_points=2))
+
+
+def _evaluate_operator(e, gens):
+    op = OperatorIntoAlgebra(DiagonalAlgebra([1.0]), np.array([[1.0], [0.5]]))
+    return evaluate_operator(e, gens, op)
+
+
+def _operator_lower_bound(e, gens):
+    return operator_lower_bound(e, gens, SearchConfig(search_iters=0, delta_list=()))
+
+
+def _product_free_lower_bound(e, gens):
+    return product_free_lower_bound(e, gens, iters=0)
+
+
+# Every caller binding variables to generator vectors of dimension 2.  The
+# wrong-dimension case of eval_on_ball is test_eval_on_ball_dimension_mismatch.
+@pytest.mark.parametrize("caller, gens, message", [
+    (lambda e, gens: eval_on_ball(e, gens, BallGrid(2, 3)), {"v": [1.0, 0.0]}, "no generator"),
+    (_cylinder_extension, {"v": [1.0, 0.0]}, "no generator"),
+    (_cylinder_extension, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "expected"),
+    (_evaluate_operator, {"v": [1.0, 0.0]}, "no generator"),
+    (_evaluate_operator, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "expected"),
+    (_operator_lower_bound, {"v": [1.0, 0.0]}, "no generator"),
+    (_operator_lower_bound, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "one dimension"),
+    (_product_free_lower_bound, {"v": [1.0, 0.0]}, "no generator"),
+    (_product_free_lower_bound, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "one dimension"),
+])
+def test_generator_binding_errors(caller, gens, message):
+    with pytest.raises(ValueError, match=message):
+        caller(parse("v \\/ w"), gens)

@@ -131,6 +131,10 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["norm", "--expr", "x", "--gens", "x"],
     ["norm", "--expr", "x", "--iters", "-3"],
     ["norm", "--expr", "x", "--delta", "1.5"],
+    ["kernel", "--expr", "x", "--grid-sphere", "-5"],
+    ["kernel", "--expr", "x", "--grid-sphere", "2"],
+    ["kernel", "--expr", "(" * 400 + "x" + ")" * 400],
+    ["check-identity", "--expr=" + "-" * 3000 + "x"],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     try:
@@ -142,3 +146,15 @@ def test_input_errors_exit_2_with_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_kernel_even_grid_rounds_up(capsys):
+    reports = []
+    for points in ("4", "5"):
+        code, out, _ = run_cli(capsys, "kernel", "--expr", "pos(x)*pos(x) - x",
+                               "--grid-sphere", points)
+        assert code == 0
+        report = json.loads(out)
+        del report["params"]
+        reports.append(report)
+    assert reports[0] == reports[1]

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latalg.expr import (
-    Abs, Add, Join, Meet, MissingVariableError, Mul, Neg, NegPart, ParseError,
-    Pos, Scale, Var, Zero, complexity, contains_product, desugar, eval_real,
-    parse, print_expr, random_expr, substitute, variables,
+    MAX_NESTING, Abs, Add, Join, Meet, MissingVariableError, Mul, Neg, NegPart,
+    ParseError, Pos, Scale, Var, Zero, complexity, contains_product, desugar,
+    eval_real, parse, print_expr, random_expr, substitute, variables,
 )
 
 
@@ -199,3 +199,25 @@ def test_print_accepts_sugar():
     e = Abs(Var("x"))
     assert parse(print_expr(e)) == desugar(e)
     assert print_expr(Pos(Var("x"))) == "x \\/ 0"
+
+
+@pytest.mark.parametrize("nest", [
+    lambda k: "(" * k + "x" + ")" * k,
+    lambda k: "-" * k + "x",
+    lambda k: "2*" * k + "x",
+    lambda k: "pos(" * k + "x" + ")" * k,
+    lambda k: "-2*" * (k // 2) + "-" * (k % 2) + "x",
+])
+def test_nesting_budget(nest):
+    # nest(k) nests exactly k levels.
+    assert variables(parse(nest(MAX_NESTING))) == ("x",)
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse(nest(MAX_NESTING + 1))
+
+
+def test_deep_input_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse("-" * 3000 + "x")
+    assert err.value.position == MAX_NESTING
+    with pytest.raises(ParseError):
+        parse("(" * 400 + "x" + ")" * 400)

@@ -1,0 +1,105 @@
+import random
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latalg.discretize import error_budget
+from latalg.expr import (
+    MAX_NESTING, Abs, Add, Join, Mul, Scale, Var, Zero, desugar, eval_pointwise,
+    eval_real, fold, parse, print_expr, random_expr,
+)
+from latalg.models import WeightedGridModel, ZeroProductModel
+from latalg.rewrite import NormalFormBudgetError, normal_form, polynomial_majorant, product_kill
+
+
+def _structure(e):
+    """Comparable flat form of a term: its tape with each node's own data.
+
+    ``==`` on terms recurses once per level, which a 2,000-term sum exceeds.
+    """
+    return [(type(node), arity, getattr(node, "name", None), getattr(node, "coeff", None))
+            for node, arity in e.postorder]
+
+
+def test_postorder_tape():
+    x, y = Var("x"), Var("y")
+    e = Add(Scale(2.0, x), Join(x, Zero()))
+    assert e.postorder == [(x, 0), (Scale(2.0, x), 1), (x, 0), (Zero(), 0),
+                           (Join(x, Zero()), 2), (e, 2)]
+    assert e.postorder is e.postorder
+    # The cached tape is not a field: equality and hashing ignore it.
+    assert e == Add(Scale(2.0, x), Join(x, Zero()))
+    assert hash(e) == hash(Add(Scale(2.0, x), Join(x, Zero())))
+    shared = Mul(Add(x, y), Add(x, y))
+    assert len(shared.postorder) == 7  # one entry per occurrence
+
+
+def test_fold_runs_children_before_parents():
+    ops = {Zero: lambda node: "0", Var: lambda node: node.name,
+           Scale: lambda node, child: f"s({child})",
+           Add: lambda node, left, right: f"+({left},{right})"}
+    assert fold(Add(Scale(2.0, Var("x")), Zero()), ops) == "+(s(x),0)"
+
+
+def test_desugar_keeps_core_terms():
+    e = parse("x*y + 2*(x \\/ 0)")
+    assert desugar(e) is e
+    assert desugar(Abs(e)) == Join(e, Scale(-1.0, e))
+
+
+def _deep_sum(rng, terms):
+    return parse(" + ".join(rng.choice(("x", "y")) for _ in range(terms)))
+
+
+def _chain(kind, depth):
+    """Right-nested chain whose printed form nests ``depth`` levels or fewer."""
+    e = Var("x")
+    for i in range(depth):
+        other = Var("y" if i % 2 else "x")
+        e = {"scale": lambda: Scale(1.25, e), "add": lambda: Add(other, e),
+             "join": lambda: Join(other, e), "mul": lambda: Mul(other, e)}[kind]()
+    return e
+
+
+terms = st.one_of(
+    st.builds(lambda seed, depth: random_expr(random.Random(seed), ("x", "y"), depth),
+              st.integers(0, 10**9), st.integers(1, 10)),
+    st.builds(lambda seed, n: _deep_sum(random.Random(seed), n),
+              st.integers(0, 10**9), st.integers(1, 2000)),
+    st.builds(_chain, st.sampled_from(["scale", "add", "join", "mul"]),
+              st.integers(1, MAX_NESTING)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=terms, x=st.floats(-1, 1), y=st.floats(-1, 1))
+def test_backends_agree(e, x, y):
+    assert _structure(parse(print_expr(e))) == _structure(desugar(e))
+
+    real = eval_real(e, {"x": x, "y": y})
+    assert eval_pointwise(e, {"x": x, "y": y}) == real
+
+    model = ZeroProductModel(3)
+    values = {"x": np.array([x, y, 0.5]), "y": np.array([y, -0.25, x])}
+    assignment = {name: model.element(v) for name, v in values.items()}
+    killed = np.broadcast_to(eval_pointwise(product_kill(e), values), (3,))
+    assert np.array_equal(model.evaluate(e, assignment).values, killed)
+
+
+def test_deep_sum_through_every_backend():
+    e = parse("+".join(["x"] * 2000))
+    assert eval_real(e, {"x": 0.5}) == 1000.0
+    assert eval_pointwise(e, {"x": np.array([0.5, 1.0])}).tolist() == [1000.0, 2000.0]
+    model = WeightedGridModel([1.0])
+    assert model.evaluate(e, {"x": model.element([0.25])}).values.tolist() == [500.0]
+    assert polynomial_majorant(e).terms == {("x",): 2000.0}
+    assert error_budget(e, 0.5) == 1000.0
+    assert _structure(parse(print_expr(e))) == _structure(e)
+    mixed = _deep_sum(random.Random(1), 2000)
+    try:
+        nf = normal_form(mixed, budget=2000)
+    except NormalFormBudgetError:
+        pass
+    else:
+        assert nf.term_count() <= 2000

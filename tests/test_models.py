@@ -7,7 +7,7 @@ from latalg.expr import Mul, Var, parse, random_expr, variables
 from latalg.models import (
     ConditionReport, DiagonalAlgebra, FiniteModel, ModelError, WeightedGridModel,
     ZeroProductModel, check_f_algebra_condition, check_fstar, check_semiprime,
-    check_submultiplicative, eval_in_model, model_from_json, model_suite,
+    check_submultiplicative, model_from_json, model_suite,
     model_to_json, random_diagonal, random_weighted_grid, square_zero_witness,
 )
 from latalg.rewrite import polynomial_majorant, product_kill
@@ -34,7 +34,7 @@ class InflatingModel(FiniteModel):
 def test_eval_zero_product_kills_squares():
     m = ZeroProductModel(4)
     x = m.element([1.0, -2.0, 3.0, 0.5])
-    out = eval_in_model(Mul(Var("x"), Var("x")), m, {"x": x})
+    out = m.evaluate(Mul(Var("x"), Var("x")), {"x": x})
     assert np.array_equal(out.values, np.zeros(4))
 
 
