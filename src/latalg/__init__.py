@@ -64,7 +64,6 @@ from .expr import (
     Zero,
     complexity,
     cosh_sinh_witness,
-    desugar,
     eval_pointwise,
     eval_real,
     parse,
@@ -113,7 +112,7 @@ __all__ = [
     "Expr", "Zero", "Var", "Scale", "Add", "Join", "Mul",
     "Meet", "Pos", "NegPart", "Abs", "Neg",
     "Assignment", "ParseError",
-    "parse", "print_expr", "desugar", "complexity", "substitute",
+    "parse", "print_expr", "complexity", "substitute",
     "eval_real", "eval_pointwise", "variables", "random_expr",
     "cosh_sinh_witness",
     # rewrites

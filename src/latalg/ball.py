@@ -16,13 +16,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, desugar, eval_pointwise, eval_real, variables
+from .expr import Expr, eval_pointwise, eval_real, variables
 from .rewrite import polynomial_majorant, product_kill, zero_simplify
 from .seeding import seeded_rng
 
 __all__ = [
-    "BallGrid", "GridFunction", "generator_vectors", "eval_on_ball", "vanishes_on_ball",
-    "vanishes_on_reals", "lattice_projection", "limit_profile",
+    "BallGrid", "GridFunction", "generator_vectors", "generator_norms", "eval_on_ball",
+    "vanishes_on_ball", "vanishes_on_reals", "lattice_projection", "limit_profile",
     "BallReport", "RealLineReport",
 ]
 
@@ -96,15 +96,19 @@ def generator_vectors(e: Expr, gens: Mapping[str, Sequence[float]],
     return vectors
 
 
+def generator_norms(gens: Mapping[str, Sequence[float]]) -> dict[str, float]:
+    """The absolute-sum norm of every generator vector in ``gens``."""
+    return {name: float(np.sum(np.abs(np.asarray(vec, dtype=float)))) for name, vec in gens.items()}
+
+
 def eval_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGrid) -> GridFunction:
     """Sample ``x* -> e(...)`` with each variable read through its generator.
 
     At grid point ``x*`` the variable ``v`` takes the value ``x* . gens[v]``.
     """
-    core = desugar(e)
     env = {name: grid.points @ vec
-           for name, vec in generator_vectors(core, gens, grid.dimension).items()}
-    values = eval_pointwise(core, env)
+           for name, vec in generator_vectors(e, gens, grid.dimension).items()}
+    values = eval_pointwise(e, env)
     return GridFunction(grid, np.broadcast_to(np.asarray(values, dtype=float), (grid.size,)).copy())
 
 
@@ -124,10 +128,7 @@ def vanishes_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGri
     majorant bound at the absolute-sum norms of the generators.
     """
     f = eval_on_ball(e, gens, grid)
-    majorant = polynomial_majorant(e)
-    norms = {name: float(np.sum(np.abs(np.asarray(vec, dtype=float))))
-             for name, vec in gens.items()}
-    bound = float(majorant.evaluate(norms)) if variables(e) else 0.0
+    bound = float(polynomial_majorant(e).evaluate(generator_norms(gens)))
     threshold = tol * (1.0 + bound)
     idx = int(np.argmax(np.abs(f.values)))
     residual = float(abs(f.values[idx]))
@@ -155,10 +156,9 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
     samples; residuals are scaled by ``1 + p(|a|)`` with ``p`` the majorant,
     so the verdict is uniform across magnitudes.
     """
-    core = desugar(e)
-    names = variables(core)
+    names = variables(e)
     k = len(names)
-    majorant = polynomial_majorant(core)
+    majorant = polynomial_majorant(e)
     g = grid_per_axis if grid_per_axis is not None else _DEFAULT_AXIS_POINTS.get(k, 11)
 
     worst = 0.0
@@ -167,8 +167,8 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
     def consider(env: dict) -> None:
         nonlocal worst, witness
         shape = env[names[0]].shape if names else (1,)
-        vals = np.broadcast_to(np.asarray(eval_pointwise(core, env), dtype=float), shape)
-        bound_val = majorant.evaluate({n: np.abs(env[n]) for n in names}) if names else 0.0
+        vals = np.broadcast_to(np.asarray(eval_pointwise(e, env), dtype=float), shape)
+        bound_val = majorant.evaluate({n: np.abs(env[n]) for n in names})
         bound = np.broadcast_to(np.asarray(bound_val, dtype=float), shape)
         scaled = np.abs(vals) / (1.0 + bound)
         idx = int(np.argmax(scaled))
@@ -203,7 +203,7 @@ def lattice_projection(e: Expr) -> Expr:
     Symbolically this is product-kill followed by the structural zero
     cleanup; it is idempotent and the identity on product-free terms.
     """
-    return zero_simplify(product_kill(desugar(e)))
+    return zero_simplify(product_kill(e))
 
 
 def limit_profile(e: Expr, point: Mapping[str, float],

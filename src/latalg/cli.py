@@ -141,7 +141,7 @@ def cmd_check_identity(args: argparse.Namespace) -> int:
             assignment = {name: model.random_element(rng) for name in names}
             value = model.evaluate(e, assignment).sup_norm()
             bound = float(majorant.evaluate(
-                {name: el.sup_norm() for name, el in assignment.items()})) if names else 0.0
+                {name: el.sup_norm() for name, el in assignment.items()}))
             scaled = value / (1.0 + bound)
             if scaled > worst:
                 worst, worst_model = scaled, model_to_json(model)
@@ -244,8 +244,8 @@ def cmd_discretize(args: argparse.Namespace) -> int:
         try:
             atoms = atomize(splits, w, partition)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return VIOLATION
+            _usage_error(f"generator absolute-sum norms must stay below 1 + delta = "
+                         f"{float(partition.cuts[-1])} to discretize ({exc})")
         weights = discrete_weight(w, atoms, partition)
         discretes = [discretize_function(s, atoms, partition) for s in splits]
         composite_gens = {}

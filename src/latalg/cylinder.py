@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .ball import generator_vectors
-from .expr import Expr, desugar, eval_pointwise
+from .expr import Expr, eval_pointwise
 from .rewrite import product_kill
 from .seeding import seeded_rng
 
@@ -111,36 +111,13 @@ class StarFunction:
     def sup(self) -> float:
         return float(np.max(np.abs(self.values), initial=0.0))
 
-    def _like(self, values) -> "StarFunction":
-        return StarFunction(self.grid, values)
-
     def _check(self, other: "StarFunction") -> None:
         if other.grid is not self.grid:
             raise ValueError("star functions live on different grids")
 
-    def __add__(self, other):
-        self._check(other)
-        return self._like(self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._like(self.values - other.values)
-
-    def __mul__(self, scalar: float):
-        return self._like(float(scalar) * self.values)
-
-    __rmul__ = __mul__
-
-    def __abs__(self):
-        return self._like(np.abs(self.values))
-
     def join(self, other):
         self._check(other)
-        return self._like(np.maximum(self.values, other.values))
-
-    def meet(self, other):
-        self._check(other)
-        return self._like(np.minimum(self.values, other.values))
+        return StarFunction(self.grid, np.maximum(self.values, other.values))
 
     def to_csv(self, path) -> None:
         n = self.grid.dimension
@@ -180,9 +157,8 @@ def cylinder_extension(e: Expr, gens: Mapping[str, Sequence[float]],
     divided by r; the r = 0 row is the product-killed term evaluated at
     ``u`` itself, which equals the radial limit.
     """
-    core = desugar(e)
     dots = {name: grid.sphere_points @ vec
-            for name, vec in generator_vectors(core, gens, grid.dimension).items()}
+            for name, vec in generator_vectors(e, gens, grid.dimension).items()}
 
     r = grid.r_levels
     positive = r > 0.0
@@ -191,11 +167,11 @@ def cylinder_extension(e: Expr, gens: Mapping[str, Sequence[float]],
         r_pos = r[positive][:, None]
         env = {name: r_pos * row[None, :] for name, row in dots.items()}
         vals = np.broadcast_to(
-            np.asarray(eval_pointwise(core, env), dtype=float),
+            np.asarray(eval_pointwise(e, env), dtype=float),
             (int(np.sum(positive)), grid.shape[1]))
         out[positive] = vals / r_pos
     if np.any(~positive):
-        killed = product_kill(core)
+        killed = product_kill(e)
         vals0 = np.broadcast_to(
             np.asarray(eval_pointwise(killed, dots), dtype=float), (grid.shape[1],))
         out[~positive] = vals0

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Add, Expr, Join, Mul, Scale, Var, Zero, desugar, fold
+from .expr import Add, Expr, Join, Mul, Scale, Var, Zero, fold
 from .models import DiagonalAlgebra, WeightedGridModel
 from .seeding import seeded_rng
 
@@ -193,7 +193,7 @@ def error_budget(e: Expr, delta: float, var_magnitudes: Mapping[str, float] | No
 
     ops = {Zero: lambda node: (0.0, 0.0), Var: lambda node: (mags.get(node.name, 1.0), delta),
            Scale: scale, Add: total, Join: total, Mul: product}
-    return fold(desugar(e), ops)[1]
+    return fold(e, ops)[1]
 
 
 @dataclass

@@ -1,27 +1,26 @@
 """Expression language for lattice-algebra terms over the reals.
 
-A term is built from six core node kinds: the constant ``0``, variables,
-real scaling, addition, join (pointwise maximum) and a product.  Meet,
-positive part, negative part, absolute value and arithmetic negation are
-accepted as sugar and removed by :func:`desugar`.  Terms are immutable and
-hashable, so they may be shared freely across threads; every operation in
-this module is pure.
+A term is built from six node kinds: the constant ``0``, variables, real
+scaling, addition, join (pointwise maximum) and a product.  Meet, positive
+part, negative part, absolute value and arithmetic negation are notation:
+:func:`Meet`, :func:`Pos`, :func:`NegPart`, :func:`Abs` and :func:`Neg`
+build the core term that spells them, so every term holds the six kinds
+only.  Terms are immutable and hashable, so they may be shared freely
+across threads; every operation in this module is pure.
 
 Every traversal of a term runs over its post-order tape,
 :attr:`Expr.postorder`: one ``(node, arity)`` pair per node occurrence,
 children before parents and left before right.  The tape is built without
 recursion on first use and cached on the node, so no traversal is limited
-by the interpreter's recursion limit (only ``==``, ``hash`` and ``repr``,
-which the dataclasses generate, recurse), and a term evaluated many times
-is flattened once.  Repeated subterms are not shared: work counted per
-subterm (the normal-form budget) is counted per occurrence.
+by the interpreter's recursion limit (``==`` and ``hash`` do not recurse
+either; only the dataclasses' ``repr`` does), and a term evaluated many
+times is flattened once.  Repeated subterms are not shared: work counted
+per subterm (the normal-form budget) is counted per occurrence.
 
 :func:`fold` runs a tape with a value stack.  A backend is an op table that
-maps each node class to ``f(node, *child_values)``; an op reads only the
-fields of its own node.  Entry points call :func:`desugar` once (it returns
-a core term unchanged) and fold the result with a table over the six core
-kinds only.  :data:`ARRAY_OPS` holds the scaling, addition and join shared
-by the numpy backends.
+maps each of the six node classes to ``f(node, *child_values)``; an op
+reads only the fields of its own node.  :data:`ARRAY_OPS` holds the
+scaling, addition and join shared by the numpy backends.
 
 Concrete syntax (see :func:`parse`)::
 
@@ -55,7 +54,7 @@ __all__ = [
     "Meet", "Pos", "NegPart", "Abs", "Neg",
     "Assignment", "ParseError", "MissingVariableError", "MAX_NESTING",
     "fold", "ARRAY_OPS",
-    "parse", "print_expr", "desugar", "complexity", "variables",
+    "parse", "print_expr", "complexity", "variables",
     "eval_real", "eval_pointwise", "substitute", "contains_product",
     "random_expr", "cosh_sinh_witness",
 ]
@@ -84,21 +83,44 @@ class MissingVariableError(ExprError):
 
 
 class Expr:
-    """Base class of all term nodes.  Instances are immutable.
+    """Base class of the six term kinds.  Instances are immutable.
 
     ``arity`` is the number of children: none for leaves, ``child`` for
-    unary kinds, ``left`` and ``right`` for binary kinds.
+    scaling, ``left`` and ``right`` for binary kinds.  ``label`` is a
+    node's own data, children excluded: the name of a variable, the
+    coefficient of a scaling.
     """
 
     __slots__ = ()
     arity = 0
+    label = None
+
+    def __eq__(self, other):
+        """Structural equality, node pair by node pair on an explicit stack."""
+        if not isinstance(other, Expr):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a.label != b.label:
+                return False
+            if a.arity == 1:
+                pairs.append((a.child, b.child))
+            elif a.arity == 2:
+                pairs.append((a.right, b.right))
+                pairs.append((a.left, b.left))
+        return True
+
+    def __hash__(self):
+        return hash(tuple((type(node), node.label) for node, _ in self.postorder))
 
     @cached_property
     def postorder(self) -> list[tuple["Expr", int]]:
         """``(node, arity)`` for every node occurrence, children first, left to right.
 
-        Built once, without recursion.  It is not a dataclass field, so
-        ``==`` and ``hash`` do not see it.
+        Built once, without recursion, and not a dataclass field.
         """
         tape = []
         stack = [self]
@@ -115,14 +137,15 @@ class Expr:
         return tape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Zero(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     name: str
+    label = property(lambda self: self.name)
 
     def __post_init__(self):
         if not self.name.isidentifier() or not self.name.isascii():
@@ -131,72 +154,70 @@ class Var(Expr):
             raise ExprError(f"{self.name!r} is a reserved word")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scale(Expr):
     coeff: float
     child: Expr
     arity = 1
+    label = property(lambda self: self.coeff)
 
     def __post_init__(self):
         if not math.isfinite(self.coeff):
             raise ExprError(f"scaling coefficient must be finite, got {self.coeff!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     left: Expr
     right: Expr
     arity = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Join(Expr):
     left: Expr
     right: Expr
     arity = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     left: Expr
     right: Expr
     arity = 2
 
 
-# Sugar kinds, eliminated by desugar().
-
-@dataclass(frozen=True)
-class Meet(Expr):
-    left: Expr
-    right: Expr
-    arity = 2
-
-
-@dataclass(frozen=True)
-class Pos(Expr):
-    child: Expr
-    arity = 1
-
-
-@dataclass(frozen=True)
-class NegPart(Expr):
-    child: Expr
-    arity = 1
-
-
-@dataclass(frozen=True)
-class Abs(Expr):
-    child: Expr
-    arity = 1
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    child: Expr
-    arity = 1
-
-
 _BINARY = (Add, Join, Mul)
+
+
+# Notation: each function builds the core term that spells it.
+
+def Neg(e: Expr) -> Expr:
+    """``-e``, folded into an immediate scaling node, so printed negative
+    coefficients round-trip structurally."""
+    if isinstance(e, Scale):
+        return Scale(-e.coeff, e.child)
+    return Scale(-1.0, e)
+
+
+def Meet(a: Expr, b: Expr) -> Expr:
+    """``a /\\ b`` as ``-((-a) \\/ (-b))``."""
+    return Neg(Join(Neg(a), Neg(b)))
+
+
+def Pos(a: Expr) -> Expr:
+    """``pos(a)`` as ``a \\/ 0``."""
+    return Join(a, Zero())
+
+
+def NegPart(a: Expr) -> Expr:
+    """``neg(a)`` as ``(-a) \\/ 0``."""
+    return Join(Neg(a), Zero())
+
+
+def Abs(a: Expr) -> Expr:
+    """``abs(a)`` as ``a \\/ (-a)``, sharing ``a``."""
+    return Join(a, Neg(a))
 
 
 def fold(e: Expr, ops: Mapping[type, Callable]):
@@ -215,12 +236,6 @@ def fold(e: Expr, ops: Mapping[type, Callable]):
     return stack[0]
 
 
-def _negate(e: Expr) -> Expr:
-    if isinstance(e, Scale):
-        return Scale(-e.coeff, e.child)
-    return Scale(-1.0, e)
-
-
 def _rebuild_scale(node: Scale, child: Expr) -> Expr:
     return node if child is node.child else Scale(node.coeff, child)
 
@@ -236,36 +251,13 @@ def _rebuild_binary(node: Expr, left: Expr, right: Expr) -> Expr:
 _REBUILD = {Zero: lambda node: node, Var: lambda node: node, Scale: _rebuild_scale,
             **dict.fromkeys(_BINARY, _rebuild_binary)}
 
-_DESUGAR = {
-    **_REBUILD,
-    Neg: lambda node, child: _negate(child),
-    Meet: lambda node, left, right: _negate(Join(_negate(left), _negate(right))),
-    Pos: lambda node, child: Join(child, Zero()),
-    NegPart: lambda node, child: Join(_negate(child), Zero()),
-    Abs: lambda node, child: Join(child, _negate(child)),
-}
-
-
-def desugar(e: Expr) -> Expr:
-    """Rewrite ``e`` using only the six core kinds, preserving semantics.
-
-    Meet becomes ``-((-a) \\/ (-b))``, ``pos(a)`` becomes ``a \\/ 0``,
-    ``neg(a)`` becomes ``(-a) \\/ 0`` and ``abs(a)`` becomes ``a \\/ (-a)``.
-    Arithmetic negation folds into an immediate scaling node, so printed
-    negative coefficients round-trip structurally.  A core term is returned
-    as it is.
-    """
-    return fold(e, _DESUGAR)
-
-
 _COMPLEXITY = {Zero: lambda node: 1, Var: lambda node: 1, Scale: lambda node, child: 1 + child,
                **dict.fromkeys(_BINARY, lambda node, left, right: 1 + max(left, right))}
 
 
 def complexity(e: Expr) -> int:
-    """Of the desugared term: 1 for leaves (0 and variables); otherwise one
-    more than the deepest child."""
-    return fold(desugar(e), _COMPLEXITY)
+    """1 for leaves (0 and variables); otherwise one more than the deepest child."""
+    return fold(e, _COMPLEXITY)
 
 
 _VARIABLES = {Zero: lambda node: frozenset(), Var: lambda node: frozenset((node.name,)),
@@ -275,13 +267,13 @@ _VARIABLES = {Zero: lambda node: frozenset(), Var: lambda node: frozenset((node.
 
 def variables(e: Expr) -> tuple[str, ...]:
     """Free variables of ``e``, sorted lexicographically."""
-    return tuple(sorted(fold(desugar(e), _VARIABLES)))
+    return tuple(sorted(fold(e, _VARIABLES)))
 
 
 def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:
-    """Replace variables by expressions (simultaneously) in the desugared ``e``."""
+    """Replace variables by expressions (simultaneously) in ``e``."""
     ops = {**_REBUILD, Var: lambda node: replacements.get(node.name, node)}
-    return fold(desugar(e), ops)
+    return fold(e, ops)
 
 
 _CONTAINS_PRODUCT = {Zero: lambda node: False, Var: lambda node: False,
@@ -291,7 +283,7 @@ _CONTAINS_PRODUCT = {Zero: lambda node: False, Var: lambda node: False,
 
 
 def contains_product(e: Expr) -> bool:
-    return fold(desugar(e), _CONTAINS_PRODUCT)
+    return fold(e, _CONTAINS_PRODUCT)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +328,7 @@ def eval_real(e: Expr, assignment: Assignment) -> float:
 
     Raises :class:`MissingVariableError` if a free variable is not covered.
     """
-    return fold(desugar(e), {**_REAL, Var: _lookup(assignment, float)})
+    return fold(e, {**_REAL, Var: _lookup(assignment, float)})
 
 
 def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"]):
@@ -346,7 +338,7 @@ def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"]):
     pointwise product.  Returns an array (or a scalar if every binding is
     scalar).
     """
-    return fold(desugar(e), {**_POINTWISE, Var: _lookup(env)})
+    return fold(e, {**_POINTWISE, Var: _lookup(env)})
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +484,8 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse ``text`` into a desugared expression."""
-    return desugar(_Parser(text).parse())
+    """Parse ``text`` into a term of the six core kinds."""
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +527,9 @@ _PRINT = {
 
 
 def print_expr(e: Expr) -> str:
-    """Render ``e`` so that ``parse(print_expr(e)) == desugar(e)`` structurally
-    (for terms whose printed nesting stays within :data:`MAX_NESTING`)."""
-    return fold(desugar(e), _PRINT)[0]
+    """Render ``e`` so that ``parse(print_expr(e)) == e`` structurally (for
+    terms whose printed nesting stays within :data:`MAX_NESTING`)."""
+    return fold(e, _PRINT)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ exceeds the free norm.  Candidates are drawn from three sources:
 * discretized cylinder generators, one operator per mesh parameter;
 * a seeded best-so-far random search with coordinate-wise resampling.
 
-Each search prepares its term once: desugared, with its variables bound to
-their generator vectors; an evaluation folds the term's post-order tape with
+Each search prepares its term once, with its variables bound to their
+generator vectors; an evaluation folds the term's post-order tape with
 array ops over the generator images.  Candidates are then plain
 ``(weights, columns)`` arrays.  The sign operators, and the random draws
 of every fifth iteration (which do not depend on the search state), are
@@ -41,10 +41,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ball import generator_vectors
+from .ball import generator_norms, generator_vectors
 from .cylinder import CylinderGrid, generator
 from .discretize import atomize, build_partition, discrete_weight, discretize_function
-from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, contains_product, desugar, eval_pointwise, fold
+from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, contains_product, eval_pointwise, fold
 from .models import DiagonalAlgebra
 from .rewrite import Polynomial, polynomial_majorant
 from .seeding import seeded_rng
@@ -147,15 +147,15 @@ class _CompiledTerm:
     """
 
     def __init__(self, e: Expr, gens: Mapping[str, Sequence[float]]):
-        self.core = desugar(e)
+        self.term = e
         self.dimension = _gen_dimension(gens)
-        self.vectors = generator_vectors(self.core, gens, self.dimension)
+        self.vectors = generator_vectors(e, gens, self.dimension)
 
     def _sup_norms(self, weights: np.ndarray, images: Mapping[str, np.ndarray]) -> np.ndarray:
         ops = {**ARRAY_OPS, Zero: lambda node: np.zeros(weights.shape),
                Var: lambda node: images[node.name],
                Mul: lambda node, a, b: weights * a * b}
-        return np.max(np.abs(fold(self.core, ops)), axis=-1, initial=0.0)
+        return np.max(np.abs(fold(self.term, ops)), axis=-1, initial=0.0)
 
     def value(self, candidate) -> float:
         """Sup norm of the term's image through one ``(weights, columns)`` candidate."""
@@ -307,13 +307,9 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     return evaluate_operator(e, gens, op), op
 
 
-def _majorant_value(majorant: Polynomial, gen_norms: Mapping[str, float]) -> float:
-    return float(majorant.evaluate({k: float(v) for k, v in gen_norms.items()}))
-
-
 def majorant_upper_bound(e: Expr, gen_norms: Mapping[str, float]) -> float:
     """Majorant polynomial evaluated at the generator norms."""
-    return _majorant_value(polynomial_majorant(e), gen_norms)
+    return float(polynomial_majorant(e).evaluate({k: float(v) for k, v in gen_norms.items()}))
 
 
 @dataclass
@@ -334,10 +330,8 @@ def norm_sandwich(e: Expr, gens: Mapping[str, Sequence[float]],
                   config: SearchConfig | None = None) -> NormSandwich:
     """Certified lower bound and majorant upper bound for the free norm."""
     lower, witness = operator_lower_bound(e, gens, config)
-    norms = {name: float(np.sum(np.abs(np.asarray(vec, dtype=float))))
-             for name, vec in gens.items()}
     majorant = polynomial_majorant(e)
-    upper = _majorant_value(majorant, norms)
+    upper = float(majorant.evaluate(generator_norms(gens)))
     if lower > upper + 1e-12 * (1.0 + upper):
         raise ContractionError(
             f"soundness violation: lower bound {lower} exceeds upper bound {upper}")
@@ -362,11 +356,10 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     the column-wise feasibility ``max_j sum_i |x*_i(b_j)| <= 1`` (projected
     random search seeded with basis-functional tuples and cube corners).
     """
-    core = desugar(e)
-    if contains_product(core):
+    if contains_product(e):
         raise ValueError("the lattice-part bound applies to product-free terms only")
     n = _gen_dimension(gens)
-    vectors = generator_vectors(core, gens, n)
+    vectors = generator_vectors(e, gens, n)
     k = tuple_size
     if k < 1:
         raise ValueError("tuple_size must be >= 1")
@@ -376,7 +369,7 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     def consider(tuples: np.ndarray) -> float:
         nonlocal best
         env = {name: tuples @ vec for name, vec in vectors.items()}
-        vals = np.broadcast_to(np.asarray(eval_pointwise(core, env), dtype=float),
+        vals = np.broadcast_to(np.asarray(eval_pointwise(e, env), dtype=float),
                                (tuples.shape[0],))
         value = float(np.sum(np.abs(vals)))
         if value > best:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, desugar, fold
+from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, fold
 from .seeding import seeded_rng
 
 __all__ = [
@@ -94,7 +94,7 @@ class FiniteModel:
 
         ops = {**ARRAY_OPS, Zero: lambda node: np.zeros(self.size), Var: values,
                Mul: lambda node, a, b: self.product_values(a, b)}
-        return ModelElement(self, fold(desugar(e), ops))
+        return ModelElement(self, fold(e, ops))
 
 
 class WeightedGridModel(FiniteModel):

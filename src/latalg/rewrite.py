@@ -32,14 +32,13 @@ from typing import Mapping
 import numpy as np
 
 from .expr import (
-    _REBUILD, Add, Expr, Join, Mul, Scale, Var, Zero,
-    _negate, desugar, eval_real, fold,
+    _REBUILD, Add, Expr, Join, Mul, Neg, NegPart, Pos, Scale, Var, Zero, eval_real, fold,
 )
 
 __all__ = [
     "Polynomial", "NormalForm", "NormalFormBudgetError",
     "product_kill", "zero_simplify", "normal_form", "normal_form_to_expr",
-    "polynomial_majorant", "majorant_bound", "check_normal_form",
+    "polynomial_majorant", "check_normal_form",
     "split_pos", "split_neg",
 ]
 
@@ -215,7 +214,7 @@ def product_kill(e: Expr) -> Expr:
     The output is product-free, hence positively homogeneous, and equals
     the scaled limit ``e(eps*a)/eps`` as ``eps`` decreases to 0.
     """
-    return fold(desugar(e), _PRODUCT_KILL)
+    return fold(e, _PRODUCT_KILL)
 
 
 def _simplify_scale(node: Scale, child: Expr) -> Expr:
@@ -247,7 +246,7 @@ def zero_simplify(e: Expr) -> Expr:
     No lattice identities beyond neutral elements are used; in particular
     ``e \\/ 0`` is left alone.
     """
-    return fold(desugar(e), _ZERO_SIMPLIFY)
+    return fold(e, _ZERO_SIMPLIFY)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def normal_form(e: Expr, budget: int = 1_000_000) -> NormalForm:
     inherently exponential in the worst case and raises
     :class:`NormalFormBudgetError` rather than truncating.
     """
-    return _Builder(budget).build(desugar(e))
+    return _Builder(budget).build(e)
 
 
 def normal_form_to_expr(nf: NormalForm) -> Expr:
@@ -389,9 +388,7 @@ def normal_form_to_expr(nf: NormalForm) -> Expr:
 
     def symbol_expr(token: str) -> Expr:
         name, sign = token[:-1], token[-1]
-        if sign == "+":
-            return Join(Var(name), Zero())
-        return Join(Scale(-1.0, Var(name)), Zero())
+        return Pos(Var(name)) if sign == "+" else NegPart(Var(name))
 
     def monomial_expr(mono: Monomial) -> Expr:
         factors = [symbol_expr(tok) for tok in mono]
@@ -419,7 +416,7 @@ def _majorant_join(node: Join, left: Polynomial, right: Polynomial) -> Polynomia
         return left
     if isinstance(node.left, Zero):
         return right
-    if node.right == _negate(node.left) or node.left == _negate(node.right):
+    if node.right == Neg(node.left) or node.left == Neg(node.right):
         return left
     return left + right
 
@@ -445,12 +442,7 @@ def polynomial_majorant(e: Expr) -> Polynomial:
     positive part, negative part or absolute value are bounded tightly by
     the child's majorant (``|a \\/ 0| <= |a|`` and ``|a \\/ -a| = |a|``).
     """
-    return fold(desugar(e), _MAJORANT)
-
-
-def majorant_bound(e: Expr, magnitudes: Mapping[str, float]) -> float:
-    """Evaluate the majorant of ``e`` at the given per-variable magnitudes."""
-    return float(polynomial_majorant(e).evaluate(dict(magnitudes)))
+    return fold(e, _MAJORANT)
 
 
 def check_normal_form(e: Expr, nf: NormalForm, points: int = 100, seed: int = 0,

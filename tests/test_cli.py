@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -135,6 +136,7 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["kernel", "--expr", "x", "--grid-sphere", "2"],
     ["kernel", "--expr", "(" * 400 + "x" + ")" * 400],
     ["check-identity", "--expr=" + "-" * 3000 + "x"],
+    ["discretize", "--expr", "v", "--gens", "v=2,0", "--n", "2"],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     try:
@@ -158,3 +160,52 @@ def test_kernel_even_grid_rounds_up(capsys):
         del report["params"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def test_large_sum_against_its_negation(capsys):
+    # (S) \/ -(S) parses S twice; the majorant compares the copies node by node.
+    s = "+".join(["x"] * 450)
+    uppers = []
+    for text in (f"({s}) \\/ -({s})", f"abs({s})"):
+        for command in ("kernel", "check-identity", "norm"):
+            code, out, _ = run_cli(capsys, command, "--expr", text)
+            assert code == 0
+        uppers.append(json.loads(out)["upper"])
+    assert uppers == [450.0, 450.0]
+
+
+# sha256 of the stdout of the five README commands, and of the CSVs the
+# surface command writes, recorded from known-good reports: the reports
+# must stay byte-identical.
+README_REPORTS = [
+    (["check-identity", "--expr", "pos(x)*neg(x)"],
+     "79b502fff7bd8ec3a1c6a9e3094570580070c044ba58cc5146bb13f6ed2df5cf"),
+    (["kernel", "--expr", "pos(pos(x)*pos(x)-pos(x))", "--grid-sphere", "101"],
+     "c7eec5538460b5165b84328cf9591b3d8dfd0aa4bb84f0cb6b78c17a535ac77c"),
+    (["surface", "--n", "2", "--out", "surfaces", "--expr", "v*w"],
+     "5ebfa0b10aa62f3c90c7933b6b046d1a5bd43b242355071e6055beb3cad75531"),
+    (["norm", "--expr", "x1*x1", "--iters", "10000"],
+     "b286e2940f30fca25c1c66f17e8e2794207a8fc1f9b8e2ade19b978e3d822526"),
+    (["discretize", "--expr", "v*v + (v \\/ w)", "--n", "2", "--delta", "0.03125"],
+     "cab5bbdda78e4cb2eefd5ea03dd2dfad85ab979cfbd6a89040b9791cb086b779"),
+]
+SURFACE_CSVS = {
+    "expression.csv": "443cececea43b7562acedcbb214619dc24b7b3a1d8588b5edadae72b6df1f9d7",
+    "generator_e1.csv": "4f8a6213a55956ce8e6e9c3eeb718fc9a1c2a2c7b0a3834e01b5c61aac84d5db",
+    "generator_e2.csv": "ac3469871ca63fb2dd5f5fa93b6134af9a9dc3941595f53f0385de0828830def",
+    "unit_star_unit.csv": "449b088d786f43bc66d9996f891414ef9c5c17783766bd7f7389b938dea31a02",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_readme_reports_are_byte_identical(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in README_REPORTS:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert _sha256(out.encode()) == digest, argv[0]
+    for name, digest in SURFACE_CSVS.items():
+        assert _sha256((tmp_path / "surfaces" / name).read_bytes()) == digest, name

@@ -249,13 +249,13 @@ def test_error_budget_recursion():
 
 
 def test_atomize_accepts_star_functions():
-    from latalg.cylinder import constant_one
+    from latalg.cylinder import StarFunction, constant_one
 
     grid = CylinderGrid.regular(1, r_levels=5, face_points=4)
     one = constant_one(grid)
-    w = generator([1.0], grid)
+    w = StarFunction(grid, np.abs(generator([1.0], grid).values))
     p = build_partition(0.25)
-    atoms = atomize([one], abs(w), p)
+    atoms = atomize([one], w, p)
     assert atoms.grid_size == grid.size
     coeffs = discretize_function(one, atoms, p)
     assert np.all(coeffs == 1.0)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latalg.expr import (
-    MAX_NESTING, Abs, Add, Join, Meet, MissingVariableError, Mul, Neg, NegPart,
-    ParseError, Pos, Scale, Var, Zero, complexity, contains_product, desugar,
+    MAX_NESTING, Abs, Add, Expr, Join, Meet, MissingVariableError, Mul, Neg, NegPart,
+    ParseError, Pos, Scale, Var, Zero, complexity, contains_product,
     eval_real, parse, print_expr, random_expr, substitute, variables,
 )
 
@@ -37,7 +37,7 @@ def test_parse_expr_times_expr_is_product():
 
 
 def test_parse_meet_abs_neg():
-    assert parse("x /\\ y") == desugar(Meet(Var("x"), Var("y")))
+    assert parse("x /\\ y") == Meet(Var("x"), Var("y"))
     assert parse("abs(x)") == Join(Var("x"), Scale(-1.0, Var("x")))
     assert parse("neg(x)") == Join(Scale(-1.0, Var("x")), Zero())
 
@@ -104,28 +104,38 @@ def test_eval_missing_variable():
         eval_real(Var("x"), {})
 
 
-def test_desugar_examples():
+def test_constructors_build_core_terms():
     x, y = Var("x"), Var("y")
-    assert desugar(Meet(x, y)) == Scale(-1.0, Join(Scale(-1.0, x), Scale(-1.0, y)))
-    assert desugar(Abs(x)) == Join(x, Scale(-1.0, x))
-    assert desugar(Pos(x)) == Join(x, Zero())
-    assert desugar(NegPart(x)) == Join(Scale(-1.0, x), Zero())
-    assert desugar(Neg(Scale(2.0, x))) == Scale(-2.0, x)
+    assert Meet(x, y) == Scale(-1.0, Join(Scale(-1.0, x), Scale(-1.0, y)))
+    assert Abs(x) == Join(x, Scale(-1.0, x))
+    assert Pos(x) == Join(x, Zero())
+    assert NegPart(x) == Join(Scale(-1.0, x), Zero())
+    assert Neg(Scale(2.0, x)) == Scale(-2.0, x)
+    assert Neg(Neg(x)) == Scale(1.0, x)
+    e = parse("x*y + 2*(x \\/ 0)")
+    assert Abs(e).left is e and Abs(e).right.child is e
+    assert set(Expr.__subclasses__()) == {Zero, Var, Scale, Add, Join, Mul}
 
 
 def test_round_trip_1000_random_expressions():
     rng = random.Random(20240)
     for _ in range(1000):
         e = random_expr(rng, ("x", "y", "z"), 12)
-        assert parse(print_expr(e)) == desugar(e)
+        assert parse(print_expr(e)) == e
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 10**9), x=st.floats(-5, 5), y=st.floats(-5, 5))
-def test_desugar_preserves_semantics(seed, x, y):
-    e = random_expr(random.Random(seed), ("x", "y"), 7)
-    a = {"x": x, "y": y}
-    assert eval_real(e, a) == eval_real(desugar(e), a)
+def test_notation_has_its_real_meaning(seed, x, y):
+    rng = random.Random(seed)
+    a, b = random_expr(rng, ("x", "y"), 5), random_expr(rng, ("x", "y"), 5)
+    env = {"x": x, "y": y}
+    va, vb = eval_real(a, env), eval_real(b, env)
+    assert eval_real(Meet(a, b), env) == min(va, vb)
+    assert eval_real(Abs(a), env) == abs(va)
+    assert eval_real(Pos(a), env) == max(va, 0.0)
+    assert eval_real(NegPart(a), env) == max(-va, 0.0)
+    assert eval_real(Neg(a), env) == -va
 
 
 def _eval_fraction(e, a):
@@ -154,7 +164,7 @@ def test_dyadic_exactness_product_free():
         e = random_expr(rng, ("x", "y"), 8, allow_product=False)
         e = _dyadicize(e, rng)
         a = {"x": dyadic(), "y": dyadic()}
-        exact = _eval_fraction(desugar(e), {k: Fraction(v) for k, v in a.items()})
+        exact = _eval_fraction(e, {k: Fraction(v) for k, v in a.items()})
         assert eval_real(e, a) == float(exact)
 
 
@@ -197,7 +207,7 @@ def test_reserved_words_need_parentheses():
 
 def test_print_accepts_sugar():
     e = Abs(Var("x"))
-    assert parse(print_expr(e)) == desugar(e)
+    assert parse(print_expr(e)) == e
     assert print_expr(Pos(Var("x"))) == "x \\/ 0"
 
 
