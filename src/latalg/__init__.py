@@ -43,6 +43,7 @@ from .discretize import (
     build_partition,
     discrete_weight,
     discretize_function,
+    discretize_generators,
     error_budget,
     lift_to_grid,
     verify_bounds,
@@ -133,7 +134,7 @@ __all__ = [
     "unit_norm", "check_star_axioms", "transport_to_cube",
     # discretizer
     "PartitionSpec", "AtomDecomposition", "build_partition", "atomize",
-    "discretize_function", "discrete_weight", "build_diagonal_algebra",
+    "discretize_function", "discrete_weight", "discretize_generators", "build_diagonal_algebra",
     "lift_to_grid", "verify_bounds", "error_budget",
     # norm estimation
     "OperatorIntoAlgebra", "NormSandwich", "SearchConfig",

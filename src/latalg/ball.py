@@ -152,9 +152,10 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
                       tol: float = 1e-9) -> RealLineReport:
     """Check whether ``e`` vanishes identically on the reals (surrogate).
 
-    Evaluates on a dense product grid of ``[-scale, scale]^k`` plus random
-    samples; residuals are scaled by ``1 + p(|a|)`` with ``p`` the majorant,
-    so the verdict is uniform across magnitudes.
+    Evaluates on a dense product grid of ``[-scale, scale]^k`` plus
+    ``samples`` random points (none when it is 0); residuals are scaled by
+    ``1 + p(|a|)`` with ``p`` the majorant, so the verdict is uniform across
+    magnitudes.
     """
     names = variables(e)
     k = len(names)
@@ -190,9 +191,9 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
                 for i, name in enumerate(names[1:]):
                     env[name] = rest_flat[i]
                 consider(env)
-        rng = seeded_rng(seed, 11)
-        pts = rng.uniform(-scale, scale, (samples, k))
-        consider({name: pts[:, i] for i, name in enumerate(names)})
+        if samples > 0:
+            pts = seeded_rng(seed, 11).uniform(-scale, scale, (samples, k))
+            consider({name: pts[:, i] for i, name in enumerate(names)})
 
     return RealLineReport(worst <= tol, worst, tol, None if worst <= tol else witness)
 

@@ -18,9 +18,7 @@ import numpy as np
 from . import __version__
 from .ball import BallGrid, vanishes_on_ball, vanishes_on_reals
 from .cylinder import CylinderGrid, constant_one, cylinder_extension, generator, star_product
-from .discretize import (
-    atomize, build_partition, discrete_weight, discretize_function, verify_bounds,
-)
+from .discretize import discretize_generators, verify_bounds
 from .expr import ExprError, parse, variables
 from .freenorm import SearchConfig, norm_sandwich
 from .models import model_suite, model_to_json
@@ -45,6 +43,13 @@ def _emit(report: dict, summary: str) -> None:
 def _usage_error(message: str) -> NoReturn:
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(USAGE_ERROR)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports its own errors (bad values, unknown options) as usage errors."""
+
+    def error(self, message: str) -> NoReturn:
+        _usage_error(message)
 
 
 def _parse_expr_or_exit(text: str):
@@ -227,36 +232,24 @@ def cmd_discretize(args: argparse.Namespace) -> int:
     e = _parse_expr_or_exit(args.expr)
     names = variables(e)
     n = args.n or max(len(names), 1)
-    deltas = args.delta or [2.0 ** -5]
     gens = _parse_gens(args.gens, names, n)
     grid = _cylinder_grid(n, args)
     w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
-    originals = {name: generator(vec, grid).values for name, vec in gens.items()}
+    keys = sorted(gens)
+    originals = [generator(gens[name], grid).values for name in keys]
     runs = []
-    all_ok = True
-    for delta in deltas:
-        partition = build_partition(delta)
-        splits, keys = [], []
-        for name in sorted(originals):
-            values = originals[name]
-            splits.extend([np.maximum(values, 0.0), np.maximum(-values, 0.0)])
-            keys.append(name)
+    for delta in args.delta or [2.0 ** -5]:
         try:
-            atoms = atomize(splits, w, partition)
+            discrete = discretize_generators(originals, w, delta)
         except ValueError as exc:
             _usage_error(f"generator absolute-sum norms must stay below 1 + delta = "
-                         f"{float(partition.cuts[-1])} to discretize ({exc})")
-        weights = discrete_weight(w, atoms, partition)
-        discretes = [discretize_function(s, atoms, partition) for s in splits]
-        composite_gens = {}
-        for i, name in enumerate(keys):
-            coeffs = discretes[2 * i] - discretes[2 * i + 1]
-            composite_gens[name] = (originals[name], coeffs)
-        bounds = verify_bounds(splits, discretes, w, weights, atoms, delta,
-                               pair_trials=args.iters, seed=args.seed,
+                         f"{1.0 + delta} to discretize ({exc})")
+        composite_gens = dict(zip(keys, zip(originals, discrete.coefficients)))
+        bounds = verify_bounds(discrete.splits, discrete.discretes, w, discrete.weights,
+                               discrete.atoms, delta, pair_trials=args.iters, seed=args.seed,
                                composite=e, composite_gens=composite_gens)
         runs.append(bounds.to_json())
-        all_ok = all_ok and bounds.ok
+    all_ok = all(run["ok"] for run in runs)
     report = _echo(args)
     report["runs"] = runs
     _emit(report, f"{len(runs)} discretization runs, ok={all_ok}")
@@ -280,7 +273,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="latalg",
         description="Lattice-algebra expression toolkit: identity checks, "
                     "kernel classification, cylinder surfaces, norm sandwiches "

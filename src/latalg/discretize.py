@@ -17,6 +17,12 @@ function, the pipeline is:
    semiprime diagonal f-algebra whose product tracks the sampled one up to
    ``delta``:  ``|x . y| <= |x * y| + delta`` for unit-sup x, y.
 
+For sampled generators steps 1-4 are one call,
+``discretize_generators(values, w, delta)``: it splits each generator into
+its positive and negative parts, atomizes once, and reads the discretes, the
+weights and each generator's row ``pos_d - neg_d`` from the fingerprints.
+The ``discretize`` command and :mod:`latalg.freenorm` both use it.
+
 On a finite grid every sampled function is simple, which is exactly why the
 construction is exact here.
 """
@@ -35,8 +41,8 @@ from .seeding import seeded_rng
 
 __all__ = [
     "PartitionSpec", "AtomDecomposition", "build_partition", "atomize",
-    "discretize_function", "discrete_weight", "build_diagonal_algebra",
-    "lift_to_grid", "verify_bounds", "BoundsReport", "error_budget",
+    "discretize_function", "discrete_weight", "DiscreteGenerators", "discretize_generators",
+    "build_diagonal_algebra", "lift_to_grid", "verify_bounds", "BoundsReport", "error_budget",
 ]
 
 
@@ -158,6 +164,37 @@ def discrete_weight(w, atoms: AtomDecomposition, partition: PartitionSpec) -> np
     return np.where(atom_cell == 0, partition.cuts[1], coeffs)
 
 
+@dataclass(eq=False)
+class DiscreteGenerators:
+    """Sampled generators discretized for one mesh parameter: ``splits`` are
+    the positive and negative part of each generator in turn, ``discretes``
+    their per-atom lower cell endpoints, ``coefficients[i]`` is ``pos_d - neg_d``
+    of the i-th generator."""
+
+    atoms: AtomDecomposition
+    splits: list[np.ndarray]
+    discretes: list[np.ndarray]
+    weights: np.ndarray
+    coefficients: np.ndarray  # shape (generators, atoms)
+
+
+def discretize_generators(values: Sequence[np.ndarray], w, delta: float) -> DiscreteGenerators:
+    """Split, atomize and discretize sampled generators against the weight ``w``.
+
+    The result equals :func:`atomize` of the splits followed by
+    :func:`discrete_weight` and :func:`discretize_function`, but everything
+    after the atomization is read from the fingerprints.  Raises
+    :class:`ValueError` when a split or the weight leaves ``[0, 1 + delta)``.
+    """
+    partition = build_partition(delta)
+    splits = [part for v in values for part in (np.maximum(v, 0.0), np.maximum(-v, 0.0))]
+    atoms = atomize(splits, w, partition)
+    lower = partition.lower(atoms.fingerprints)  # one column per function, weight last
+    weights = np.where(atoms.fingerprints[:, -1] == 0, partition.cuts[1], lower[:, -1])
+    coefficients = np.ascontiguousarray((lower[:, 0:-1:2] - lower[:, 1:-1:2]).T)
+    return DiscreteGenerators(atoms, splits, list(lower[:, :-1].T), weights, coefficients)
+
+
 def build_diagonal_algebra(atoms: AtomDecomposition, weights: np.ndarray) -> DiagonalAlgebra:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (atoms.atom_count,):
@@ -270,8 +307,7 @@ def verify_bounds(originals: Sequence, discretes: Sequence[np.ndarray], w, weigh
 
     observed = budget = None
     if composite is not None:
-        if not composite_gens:
-            raise ValueError("composite check needs generator data")
+        composite_gens = composite_gens or {}
         grid_model = WeightedGridModel(w_vals)
         algebra = build_diagonal_algebra(atoms, weights)
         grid_assignment = {v: grid_model.element(_values(orig))

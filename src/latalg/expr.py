@@ -12,10 +12,11 @@ Every traversal of a term runs over its post-order tape,
 :attr:`Expr.postorder`: one ``(node, arity)`` pair per node occurrence,
 children before parents and left before right.  The tape is built without
 recursion on first use and cached on the node, so no traversal is limited
-by the interpreter's recursion limit (``==`` and ``hash`` do not recurse
-either; only the dataclasses' ``repr`` does), and a term evaluated many
-times is flattened once.  Repeated subterms are not shared: work counted
-per subterm (the normal-form budget) is counted per occurrence.
+by the interpreter's recursion limit (``==``, ``hash`` and ``repr`` do not
+recurse either), and a term evaluated many times is flattened once.
+Repeated subterms are not shared: work counted per subterm (the normal-form
+budget) is counted per occurrence, and :func:`parse` rejects terms with
+more than :data:`MAX_TERM_SIZE` occurrences.
 
 :func:`fold` runs a tape with a value stack.  A backend is an op table that
 maps each of the six node classes to ``f(node, *child_values)``; an op
@@ -52,7 +53,7 @@ import numpy as np
 __all__ = [
     "Expr", "Zero", "Var", "Scale", "Add", "Join", "Mul",
     "Meet", "Pos", "NegPart", "Abs", "Neg",
-    "Assignment", "ParseError", "MissingVariableError", "MAX_NESTING",
+    "Assignment", "ParseError", "MissingVariableError", "MAX_NESTING", "MAX_TERM_SIZE",
     "fold", "ARRAY_OPS",
     "parse", "print_expr", "complexity", "variables",
     "eval_real", "eval_pointwise", "substitute", "contains_product",
@@ -116,6 +117,10 @@ class Expr:
     def __hash__(self):
         return hash(tuple((type(node), node.label) for node, _ in self.postorder))
 
+    def __repr__(self):
+        """The dataclass text, e.g. ``Add(left=Var(name='x'), right=Zero())``, by a fold."""
+        return fold(self, _REPR)
+
     @cached_property
     def postorder(self) -> list[tuple["Expr", int]]:
         """``(node, arity)`` for every node occurrence, children first, left to right.
@@ -137,12 +142,12 @@ class Expr:
         return tape
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Zero(Expr):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
     label = property(lambda self: self.name)
@@ -154,7 +159,7 @@ class Var(Expr):
             raise ExprError(f"{self.name!r} is a reserved word")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Scale(Expr):
     coeff: float
     child: Expr
@@ -166,21 +171,21 @@ class Scale(Expr):
             raise ExprError(f"scaling coefficient must be finite, got {self.coeff!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
     arity = 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Join(Expr):
     left: Expr
     right: Expr
     arity = 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
@@ -188,6 +193,11 @@ class Mul(Expr):
 
 
 _BINARY = (Add, Join, Mul)
+
+_REPR = {Zero: lambda node: "Zero()", Var: lambda node: f"Var(name={node.name!r})",
+         Scale: lambda node, child: f"Scale(coeff={node.coeff!r}, child={child})",
+         **dict.fromkeys(_BINARY, lambda node, left, right:
+                         f"{type(node).__name__}(left={left}, right={right})")}
 
 
 # Notation: each function builds the core term that spells it.
@@ -350,6 +360,11 @@ def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"]):
 #: inside the default recursion limit of 1000.
 MAX_NESTING = 100
 
+#: Most node occurrences (the length of the post-order tape) a term returned
+#: by :func:`parse` may have.  Shared subterms count once per occurrence, so
+#: nested ``abs`` doubles the count at every level.
+MAX_TERM_SIZE = 10 ** 6
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
@@ -483,9 +498,41 @@ class _Parser:
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
 
+def _occurrences(e: Expr) -> int:
+    """Length of the post-order tape of ``e``, counted once per distinct node object."""
+    counts: dict[int, int] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node.arity == 0:
+            counts[id(node)] = 1
+        elif node.arity == 1:
+            child = counts.get(id(node.child))
+            if child is None:
+                stack.append(node.child)
+                continue
+            counts[id(node)] = 1 + child
+        else:
+            left, right = counts.get(id(node.left)), counts.get(id(node.right))
+            if left is None or right is None:
+                if right is None:
+                    stack.append(node.right)
+                if left is None:
+                    stack.append(node.left)
+                continue
+            counts[id(node)] = 1 + left + right
+        stack.pop()
+    return counts[id(e)]
+
+
 def parse(text: str) -> Expr:
-    """Parse ``text`` into a term of the six core kinds."""
-    return _Parser(text).parse()
+    """Parse ``text`` into a term of the six core kinds, with at most
+    :data:`MAX_TERM_SIZE` node occurrences."""
+    e = _Parser(text).parse()
+    size = _occurrences(e)
+    if size > MAX_TERM_SIZE:
+        raise ParseError(f"term has {size} node occurrences, more than {MAX_TERM_SIZE}", 0)
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ exceeds the free norm.  Candidates are drawn from three sources:
 
 * single-atom sign operators (weight 1, columns +-1), which attain the
   analytic optimum on simple terms;
-* discretized cylinder generators, one operator per mesh parameter;
+* discretized cylinder generators, one operator per mesh parameter: the
+  basis generators scaled by ``1/(1 + delta)`` go through
+  :func:`~latalg.discretize.discretize_generators`, whose weights and
+  coefficient rows are the candidate;
 * a seeded best-so-far random search with coordinate-wise resampling.
 
 Each search prepares its term once, with its variables bound to their
@@ -43,7 +46,7 @@ import numpy as np
 
 from .ball import generator_norms, generator_vectors
 from .cylinder import CylinderGrid, generator
-from .discretize import atomize, build_partition, discrete_weight, discretize_function
+from .discretize import discretize_generators
 from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, contains_product, eval_pointwise, fold
 from .models import DiagonalAlgebra
 from .rewrite import Polynomial, polynomial_majorant
@@ -86,9 +89,6 @@ class OperatorIntoAlgebra:
     @property
     def domain_dimension(self) -> int:
         return self.columns.shape[0]
-
-    def operator_norm(self) -> float:
-        return float(np.max(np.abs(self.columns), initial=0.0))
 
     def certify(self, tol: float = 1e-9) -> None:
         _check_contraction(self.columns, tol)
@@ -184,54 +184,18 @@ class _CompiledTerm:
         return self._sup_norms(weights, dict(zip(self.vectors, images))).tolist()
 
 
+def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
+    """The ``2**n`` rows of +-1 entries in binary order, or ``cap`` seeded
+    random ones (stream ``key``) when there are more."""
+    if 2 ** n <= cap:
+        return 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) - 1.0
+    return seeded_rng(seed, key).choice([-1.0, 1.0], size=(cap, n))
+
+
 def _sign_operators(n: int, cap: int, seed: int) -> list[tuple]:
     """Single-atom candidates with weight 1 and +-1 columns."""
-    if 2 ** n <= cap:
-        rows = 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) - 1.0
-    else:
-        rows = seeded_rng(seed, 41).choice([-1.0, 1.0], size=(cap, n))
     ones = np.ones(1)
-    return [(ones, row.reshape(n, 1)) for row in rows]
-
-
-def _generator_splits(n: int, r_levels: int, face_points: int):
-    """Positive and negative parts of the basis generators on the regular
-    cylinder grid, and the radial weight function."""
-    grid = CylinderGrid.regular(n, r_levels=r_levels, face_points=face_points)
-    splits = []
-    for basis in np.eye(n):
-        values = generator(basis, grid).values
-        splits.append((np.maximum(values, 0.0), np.maximum(-values, 0.0)))
-    return splits, np.broadcast_to(grid.r_levels[:, None], grid.shape)
-
-
-def _discretized_candidate(splits, w, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(weights, columns)`` of the discretized operator for one mesh parameter.
-
-    Scaling commutes with taking positive and negative parts, so the splits
-    of the scaled generators are the scaled splits.
-    """
-    scale = 1.0 / (1.0 + delta)
-    scaled = [(scale * pos, scale * neg) for pos, neg in splits]
-    partition = build_partition(delta)
-    atoms = atomize([part for pair in scaled for part in pair], w, partition)
-    weights = discrete_weight(w, atoms, partition)
-    columns = [discretize_function(pos, atoms, partition) - discretize_function(neg, atoms, partition)
-               for pos, neg in scaled]
-    return weights, np.stack(columns)
-
-
-def discretized_operator(n: int, delta: float, r_levels: int = 17,
-                         face_points: int = 6) -> OperatorIntoAlgebra:
-    """Operator built by discretizing the scaled cylinder generators.
-
-    Basis images are the level-set discretizations of the generators scaled
-    by ``1/(1 + delta)``; the weight function is the radial coordinate.
-    """
-    weights, columns = _discretized_candidate(*_generator_splits(n, r_levels, face_points), delta)
-    op = OperatorIntoAlgebra(DiagonalAlgebra(weights), columns)
-    op.certify()
-    return op
+    return [(ones, row.reshape(n, 1)) for row in _sign_rows(n, cap, seed, 41)]
 
 
 def _random_operator(rng: np.random.Generator, n: int, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,9 +246,14 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     for value, candidate in zip(term.values(signs), signs):
         consider(value, candidate)
     if config.delta_list:
-        splits, w = _generator_splits(n, config.r_levels, config.face_points)
+        grid = CylinderGrid.regular(n, r_levels=config.r_levels, face_points=config.face_points)
+        values = [generator(basis, grid).values for basis in np.eye(n)]
+        w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
         for delta in config.delta_list:
-            candidate = _discretized_candidate(splits, w, delta)
+            scale = 1.0 / (1.0 + delta)
+            discrete = discretize_generators([scale * v for v in values], w, delta)
+            candidate = (discrete.weights, discrete.coefficients)
+            del discrete  # frees the atoms and splits before the next mesh parameter
             consider(term.value(candidate), candidate)
     for start in range(0, config.search_iters, _BLOCK_ITERS):
         stop = min(start + _BLOCK_ITERS, config.search_iters)
@@ -380,12 +349,7 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     for i in range(min(k, n)):
         identity[i, i] = 1.0
     consider(identity)
-    corner_count = 2 ** n if 2 ** n <= 1024 else 1024
-    if 2 ** n <= 1024:
-        corners = (2.0 * ((i >> np.arange(n)) & 1) - 1.0 for i in range(corner_count))
-    else:
-        corners = iter(seeded_rng(seed, 51).choice([-1.0, 1.0], size=(corner_count, n)))
-    for corner in corners:
+    for corner in _sign_rows(n, 1024, seed, 51):
         tuples = np.zeros((k, n))
         tuples[0] = corner
         consider(tuples)

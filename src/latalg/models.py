@@ -131,10 +131,6 @@ class DiagonalAlgebra(WeightedGridModel):
             raise ModelError("diagonal weights must be strictly positive")
         super().__init__(weights)
 
-    @property
-    def atom_count(self) -> int:
-        return self.size
-
 
 class ZeroProductModel(FiniteModel):
     """Coordinate lattice with the identically zero product."""

@@ -137,6 +137,9 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["kernel", "--expr", "(" * 400 + "x" + ")" * 400],
     ["check-identity", "--expr=" + "-" * 3000 + "x"],
     ["discretize", "--expr", "v", "--gens", "v=2,0", "--n", "2"],
+    ["norm", "--expr", "x", "--iters", "abc"],
+    ["norm", "--expr", "x", "--bogus", "1"],
+    ["kernel", "--expr", "abs(" * 25 + "x" + ")" * 25],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     try:
@@ -148,6 +151,17 @@ def test_input_errors_exit_2_with_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["discretize", "--expr", "0"],
+    ["check-identity", "--expr", "x", "--iters", "0"],
+])
+def test_edge_inputs_report(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["command"] == argv[0]
+    assert "Traceback" not in err
 
 
 def test_kernel_even_grid_rounds_up(capsys):

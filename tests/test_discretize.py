@@ -4,7 +4,7 @@ import pytest
 from latalg.cylinder import CylinderGrid, generator
 from latalg.discretize import (
     atomize, build_diagonal_algebra, build_partition, discrete_weight,
-    discretize_function, error_budget, lift_to_grid, verify_bounds,
+    discretize_function, discretize_generators, error_budget, lift_to_grid, verify_bounds,
 )
 from latalg.expr import Mul, Var, parse
 from latalg.models import check_f_algebra_condition, check_semiprime
@@ -277,3 +277,33 @@ def test_random_composites_stay_within_budget():
         report = verify_bounds(splits, discretes, w, weights, atoms, delta,
                                pair_trials=10, composite=e, composite_gens=gens)
         assert report.composite_observed <= report.composite_budget, (i, report.to_json())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("delta", [2.0 ** -4, 2.0 ** -5, 0.1])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_discretize_generators_matches_pipeline(n, delta, scaled):
+    # One call equals atomize + discrete_weight + discretize_function bit for
+    # bit.  Scaled generators are passed scaled; the reference scales their
+    # splits instead, which is the same because scale > 0.
+    grid = CylinderGrid.regular(max(n, 1), r_levels=9, face_points=4)
+    w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
+    vectors = list(np.eye(n))
+    if n > 1:
+        vectors[-1] = np.linspace(-1.0, 0.5, n) / np.sum(np.abs(np.linspace(-1.0, 0.5, n)))
+    values = [generator(vec, grid).values for vec in vectors]
+    scale = 1.0 / (1.0 + delta) if scaled else 1.0
+    discrete = discretize_generators([scale * v for v in values], w, delta)
+
+    partition = build_partition(delta)
+    splits = [scale * part for v in values for part in (np.maximum(v, 0.0), np.maximum(-v, 0.0))]
+    atoms = atomize(splits, w, partition)
+    discretes = [discretize_function(s, atoms, partition) for s in splits]
+    assert np.array_equal(discrete.atoms.atom_of_point, atoms.atom_of_point)
+    assert np.array_equal(discrete.atoms.fingerprints, atoms.fingerprints)
+    assert all(np.array_equal(a, b) for a, b in zip(discrete.splits, splits, strict=True))
+    assert all(np.array_equal(a, b) for a, b in zip(discrete.discretes, discretes, strict=True))
+    assert np.array_equal(discrete.weights, discrete_weight(w, atoms, partition))
+    expected = np.array([discretes[2 * i] - discretes[2 * i + 1] for i in range(n)])
+    assert np.array_equal(discrete.coefficients, expected.reshape(n, atoms.atom_count))
+    assert discrete.coefficients.flags.c_contiguous

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latalg.expr import (
-    MAX_NESTING, Abs, Add, Expr, Join, Meet, MissingVariableError, Mul, Neg, NegPart,
+    MAX_NESTING, MAX_TERM_SIZE, Abs, Add, Expr, Join, Meet, MissingVariableError, Mul, Neg, NegPart,
     ParseError, Pos, Scale, Var, Zero, complexity, contains_product,
     eval_real, parse, print_expr, random_expr, substitute, variables,
 )
@@ -223,6 +223,15 @@ def test_nesting_budget(nest):
     assert variables(parse(nest(MAX_NESTING))) == ("x",)
     with pytest.raises(ParseError, match="nesting deeper than"):
         parse(nest(MAX_NESTING + 1))
+
+
+def test_term_size_budget():
+    # abs(a) is a \/ -a with a shared, so k nested abs have about 3 * 2**k
+    # occurrences: k = 10 has 3,070, k = 25 about 100M.
+    assert len(parse("abs(" * 10 + "x" + ")" * 10).postorder) == 3070
+    with pytest.raises(ParseError, match=f"more than {MAX_TERM_SIZE}"):
+        parse("abs(" * 25 + "x" + ")" * 25)
+    assert len(parse("+".join(["x"] * 2000)).postorder) == 3999
 
 
 def test_deep_input_is_a_parse_error():

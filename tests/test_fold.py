@@ -44,6 +44,10 @@ def test_equality_and_hash_without_recursion():
     assert polynomial_majorant(parse(f"({text}) \\/ -({text})")).terms == {("x",): 450.0}
     wide = Abs(parse("+".join(["x"] * 400)))
     assert polynomial_majorant(parse(print_expr(wide))).terms == {("x",): 400.0}
+    # repr is the dataclass text, built without recursion.
+    assert repr(a) == "Add(left=" * 449 + "Var(name='x')" + ", right=Var(name='x'))" * 449
+    assert repr(Scale(-1.5, Join(Var("y"), Zero()))) == (
+        "Scale(coeff=-1.5, child=Join(left=Var(name='y'), right=Zero()))")
 
 
 def _deep_sum(rng, terms):

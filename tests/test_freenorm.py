@@ -7,7 +7,7 @@ import pytest
 
 from latalg.expr import Mul, Scale, Var, Zero, parse, random_expr
 from latalg.freenorm import (
-    ContractionError, OperatorIntoAlgebra, SearchConfig, _CompiledTerm, discretized_operator,
+    ContractionError, OperatorIntoAlgebra, SearchConfig, _CompiledTerm,
     evaluate_operator, majorant_upper_bound, norm_sandwich,
     operator_lower_bound, product_free_lower_bound,
 )
@@ -84,9 +84,16 @@ def test_compiled_term_matches_evaluate_operator():
 
 
 def test_discretized_operator_certified():
+    # With no sign patterns and no search iterations the only candidates are
+    # the discretized generators, so the witness is the discretized operator.
+    gens = {"v": [1.0, 0.0], "w": [0.0, 1.0]}
     for delta in (2.0 ** -4, 2.0 ** -5):
-        op = discretized_operator(2, delta, r_levels=9, face_points=6)
-        assert op.operator_norm() <= 1.0
+        config = SearchConfig(search_iters=0, sign_pattern_cap=0, delta_list=(delta,),
+                              r_levels=9, face_points=6)
+        _, op = operator_lower_bound(parse("v \\/ w"), gens, config)
+        assert op.algebra.size > 1
+        assert np.max(np.abs(op.columns)) <= 1.0
+        op.certify()
         assert np.all(op.algebra.weights > 0.0)
 
 
