@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -36,7 +37,11 @@ def _echo(args: argparse.Namespace, **extra) -> dict:
 
 
 def _emit(report: dict, summary: str) -> None:
-    print(json.dumps(report, sort_keys=True))
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError:
+        _usage_error("the report holds a non-finite number: the input overflows double precision")
+    print(text)
     print(summary, file=sys.stderr)
 
 
@@ -123,13 +128,23 @@ def _parse_gens(text: str | None, names: tuple[str, ...], n: int | None) -> dict
     return gens
 
 
+def _real_line_check(e, args: argparse.Namespace, report: dict, **kwargs):
+    """``vanishes_on_reals`` at the CLI's scale, seed and tol, recorded in ``report``."""
+    real = vanishes_on_reals(e, scale=3.0, seed=args.seed, tol=args.tol, **kwargs)
+    if not math.isfinite(real.max_scaled_residual):
+        _usage_error(f"the term or its majorant is not finite at {real.witness}: "
+                     f"the input overflows double precision")
+    report["real_residual"] = real.max_scaled_residual
+    if real.grid_capped:
+        report["real_grid_per_axis"] = real.grid_per_axis
+    return real
+
+
 def cmd_check_identity(args: argparse.Namespace) -> int:
     e = _parse_expr_or_exit(args.expr)
-    real = vanishes_on_reals(e, scale=3.0, samples=args.iters * 100,
-                             seed=args.seed, tol=args.tol)
     report = _echo(args)
+    real = _real_line_check(e, args, report, samples=args.iters * 100)
     report["vanishes_on_reals"] = real.vanishes
-    report["real_residual"] = real.max_scaled_residual
     if not real.vanishes:
         report["witness"] = real.witness
         report["verdict"] = "non-identity"
@@ -147,6 +162,11 @@ def cmd_check_identity(args: argparse.Namespace) -> int:
             value = model.evaluate(e, assignment).sup_norm()
             bound = float(majorant.evaluate(
                 {name: el.sup_norm() for name, el in assignment.items()}))
+            if not (math.isfinite(value) and math.isfinite(bound)):
+                point = {name: el.values.tolist() for name, el in assignment.items()}
+                _usage_error(f"the term or its majorant is not finite in model "
+                             f"{model_to_json(model)} at {point}: "
+                             f"the input overflows double precision")
             scaled = value / (1.0 + bound)
             if scaled > worst:
                 worst, worst_model = scaled, model_to_json(model)
@@ -169,19 +189,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     points = args.grid_sphere if args.grid_sphere % 2 == 1 else args.grid_sphere + 1
     grid = BallGrid(dim, points)
     ball = vanishes_on_ball(e, gens, grid, tol=args.tol)
-    real = vanishes_on_reals(e, scale=3.0, seed=args.seed, tol=args.tol)
+    report = _echo(args)
+    real = _real_line_check(e, args, report)
     if not ball.vanishes:
         verdict = "nonzero on ball"
     elif real.vanishes:
         verdict = "identity"
     else:
         verdict = "ball-kernel witness"
-    report = _echo(args)
-    report.update({
-        "verdict": verdict,
-        "ball_residual": ball.max_residual,
-        "real_residual": real.max_scaled_residual,
-    })
+    report.update({"verdict": verdict, "ball_residual": ball.max_residual})
     _emit(report, f"{verdict} (ball residual {ball.max_residual:.3e})")
     return 0
 
@@ -298,11 +314,20 @@ def main(argv=None) -> int:
     if args.iters < 0:
         print(f"error: --iters must be >= 0, got {args.iters}", file=sys.stderr)
         return USAGE_ERROR
+    if args.n is not None and args.n < 1:
+        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
+        return USAGE_ERROR
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
+        return USAGE_ERROR
     for delta in args.delta or ():
         if not (0.0 < delta < 1.0):
             print(f"error: delta must lie in (0, 1), got {delta}", file=sys.stderr)
             return USAGE_ERROR
-    return args.func(args)
+    # Overflow surfaces as a non-finite residual or report value, which the
+    # commands turn into usage errors; numpy's warnings would only add lines.
+    with np.errstate(all="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ of different model instances must not be mixed.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, fold
@@ -44,7 +46,7 @@ class ModelElement:
         self.values = values
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values), initial=0.0))
+        return float(np.maximum.reduce(np.abs(self.values), initial=0.0))
 
     def __repr__(self) -> str:
         return f"ModelElement({self.model.kind}, {self.values!r})"
@@ -82,17 +84,23 @@ class FiniteModel:
         return ModelElement(self, rng.uniform(low, high, self.size))
 
     def evaluate(self, e: Expr, assignment) -> ModelElement:
-        """Evaluate ``e`` with the model's operations (join = coordinatewise max)."""
-        def values(node: Var) -> np.ndarray:
-            name = node.name
-            if name not in assignment:
-                raise ModelError(f"no element assigned to variable {name!r}")
-            el = assignment[name]
+        """Evaluate ``e`` with the model's operations (join = coordinatewise max).
+
+        Every element of ``assignment`` must belong to this model.
+        """
+        values = {}
+        for name, el in assignment.items():
             if not isinstance(el, ModelElement) or el.model is not self:
                 raise ModelError(f"variable {name!r} is bound to an element of another model")
-            return el.values
+            values[name] = el.values
 
-        ops = {**ARRAY_OPS, Zero: lambda node: np.zeros(self.size), Var: values,
+        def value(node: Var) -> np.ndarray:
+            try:
+                return values[node.name]
+            except KeyError:
+                raise ModelError(f"no element assigned to variable {node.name!r}") from None
+
+        ops = {**ARRAY_OPS, Zero: lambda node: np.zeros(self.size), Var: value,
                Mul: lambda node, a, b: self.product_values(a, b)}
         return ModelElement(self, fold(e, ops))
 
@@ -308,7 +316,14 @@ def random_diagonal(rng: np.random.Generator, size: int) -> DiagonalAlgebra:
 
 def model_suite(seed: int = 0, weighted: int = 20, diagonal: int = 20,
                 zero_points: int = 7, max_size: int = 12) -> list[FiniteModel]:
-    """Deterministic collection of models used for identity transport."""
+    """Deterministic collection of models used for identity transport, built once
+    per argument tuple (models are immutable); each call returns a new list."""
+    return list(_suite(seed, weighted, diagonal, zero_points, max_size))
+
+
+@lru_cache(maxsize=16)
+def _suite(seed: int, weighted: int, diagonal: int, zero_points: int,
+           max_size: int) -> tuple[FiniteModel, ...]:
     rng = seeded_rng(seed, 5)
     suite: list[FiniteModel] = []
     for _ in range(weighted):
@@ -316,4 +331,4 @@ def model_suite(seed: int = 0, weighted: int = 20, diagonal: int = 20,
     for _ in range(diagonal):
         suite.append(random_diagonal(rng, int(rng.integers(1, max_size + 1))))
     suite.append(ZeroProductModel(zero_points))
-    return suite
+    return tuple(suite)

@@ -1,15 +1,17 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from latalg.ball import (
-    BallGrid, GridFunction, eval_on_ball, lattice_projection, limit_profile,
+    REAL_GRID_CAP, BallGrid, GridFunction, eval_on_ball, lattice_projection, limit_profile,
     vanishes_on_ball, vanishes_on_reals,
 )
 from latalg.cylinder import CylinderGrid, cylinder_extension
 from latalg.expr import (
-    Add, Join, Mul, Var, Zero, cosh_sinh_witness, eval_real, parse, random_expr,
+    Add, Join, Mul, Scale, Var, Zero, cosh_sinh_witness, eval_real, parse, print_expr,
+    random_expr, variables,
 )
 from latalg.freenorm import (
     OperatorIntoAlgebra, SearchConfig, evaluate_operator, operator_lower_bound,
@@ -83,6 +85,72 @@ def test_kernel_witness_separates_ball_and_reals():
     g = BallGrid(1, 1001)
     assert vanishes_on_ball(WITNESS, {"x": [1.0]}, g).vanishes
     assert not vanishes_on_reals(WITNESS, samples=2000).vanishes
+
+
+def _real_line_corpus():
+    """(term, keyword arguments) pairs with 0 to 5 variables for the pinned digest."""
+    names = ("x", "y", "z", "u", "w")
+    cases = [(e, {}) for e in (Zero(), Scale(2.0, Zero()), parse("0 \\/ -1.5*0"), parse("0*0"))]
+    rng = random.Random(606)
+    for k in range(1, 6):
+        found = 0
+        while found < 4:
+            e = random_expr(rng, names[:k], 9)
+            if len(variables(e)) == k:
+                cases.append((e, {}))
+                found += 1
+    identities = ("pos({x})*neg({x})", "({x} \\/ {y}) + ({x} /\\ {y}) - {x} - {y}",
+                  "abs({x}*{y}) - abs({x})*abs({y})",
+                  "(({x} \\/ {y})*pos({z})) - (({x}*pos({z})) \\/ ({y}*pos({z})))")
+    for i, text in enumerate(identities):
+        cases.append((parse(text.format(x="x", y="y", z="z")), {}))
+        sub_rng = random.Random(800 + i)
+        subs = {v: f"({print_expr(random_expr(sub_rng, names, 3))})" for v in "xyz"}
+        cases.append((parse(text.format(**subs)), {}))
+    # The scaled maximum is attained at several grid points, in different
+    # chunks: the first in C order is the witness.
+    for text in ("x \\/ y", "abs(x) + 0*y", "pos(x) \\/ pos(y) \\/ pos(z)"):
+        cases.append((parse(text), {}))
+    # Residual-0 terms under a negative tol: only a strictly larger residual
+    # replaces the witness, so it stays None.
+    for text in ("x - x", "pos(x)*neg(x) + 0*y", "0", "(x \\/ y) + (x /\\ y) - x - y + 0*z"):
+        cases.append((parse(text), {"tol": -1.0}))
+    return cases
+
+
+# sha256 of (vanishes, max_scaled_residual, witness) over the corpus above,
+# recorded from known-good reports: verdicts, residuals and witnesses must
+# stay bit-identical.
+REAL_LINE_DIGEST = "d4cc83d88b282a7232045bb1a9d08b43266f7cab9ba0cf55cb8bafbeb93a1214"
+
+
+def test_real_line_reports_are_bit_identical():
+    lines = []
+    for e, kwargs in _real_line_corpus():
+        report = vanishes_on_reals(e, **kwargs)
+        witness = None if report.witness is None else sorted(report.witness.items())
+        lines.append(repr((report.vanishes, report.max_scaled_residual, witness)))
+    assert sorted({len(variables(e)) for e, _ in _real_line_corpus()}) == [0, 1, 2, 3, 4, 5]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REAL_LINE_DIGEST
+
+
+def test_real_grid_cap():
+    for k, per_axis in ((1, 1001), (3, 41), (6, 11), (7, 7), (8, 5), (10, 3)):
+        e = parse(" + ".join(f"x{i}" for i in range(k)))
+        report = vanishes_on_reals(e, samples=0)
+        assert report.grid_per_axis == per_axis and per_axis ** k <= REAL_GRID_CAP
+        assert report.grid_capped == (k >= 7)
+        assert not report.vanishes and report.witness == {f"x{i}": -3.0 for i in range(k)}
+    explicit = vanishes_on_reals(parse(" + ".join(f"x{i}" for i in range(7))),
+                                 grid_per_axis=3, samples=0)
+    assert explicit.grid_per_axis == 3 and not explicit.grid_capped
+
+
+def test_non_finite_points_are_violations():
+    for text in ("(1e200*x)*(1e200*x) - (1e200*x)*(1e200*x)", "(1e300*x)*(1e300*x)*0"):
+        report = vanishes_on_reals(parse(text))
+        assert not report.vanishes and report.max_scaled_residual == np.inf
+        assert report.witness == {"x": -3.0}
 
 
 def test_lattice_projection_examples():

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from latalg import cli
 from latalg.cli import main
+from latalg.models import WeightedGridModel
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +142,15 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["norm", "--expr", "x", "--iters", "abc"],
     ["norm", "--expr", "x", "--bogus", "1"],
     ["kernel", "--expr", "abs(" * 25 + "x" + ")" * 25],
+    ["check-identity", "--expr", "(1e200*x)*(1e200*x)-(1e200*x)*(1e200*x)+x"],
+    ["kernel", "--expr", "(1e200*x)*(1e200*x)-(1e200*x)*(1e200*x)+x"],
+    ["check-identity", "--expr", "x", "--tol", "nan"],
+    ["check-identity", "--expr", "x", "--tol", "inf"],
+    ["check-identity", "--expr", "x", "--tol", "-1"],
+    ["norm", "--expr", "x", "--gens", "x=1e308,1e308", "--iters", "5"],
+    ["norm", "--expr", "x", "--n", "0"],
+    ["kernel", "--expr", "x", "--n", "0"],
+    ["discretize", "--expr", "x", "--n", "0"],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     try:
@@ -162,6 +173,38 @@ def test_edge_inputs_report(capsys, argv):
     assert code == 0
     assert json.loads(out)["command"] == argv[0]
     assert "Traceback" not in err
+
+
+def test_non_finite_real_line_point_is_named(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check-identity", "--expr", "(1e200*x)*(1e200*x)-(1e200*x)*(1e200*x)+x"])
+    assert err.value.code == 2
+    assert "not finite at {'x': -3.0}" in capsys.readouterr().err
+
+
+def test_non_finite_transport_value_exits_2(capsys, monkeypatch):
+    class Overflowing(WeightedGridModel):
+        def product_values(self, a, b):
+            return np.full(self.size, np.inf)
+
+    monkeypatch.setattr(cli, "model_suite", lambda seed: [Overflowing([1.0])])
+    with pytest.raises(SystemExit) as err:
+        main(["check-identity", "--expr", "pos(x)*neg(x)"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "not finite in model" in lines[0]
+
+
+def test_capped_real_grid_is_reported(capsys):
+    names = [f"x{i}" for i in range(10)]
+    for command in ("check-identity", "kernel"):
+        code, out, _ = run_cli(capsys, command, "--expr", " \\/ ".join(names), "--iters", "1",
+                               "--grid-sphere", "3")
+        assert code == 0
+        assert json.loads(out)["real_grid_per_axis"] == 3
+    code, out, _ = run_cli(capsys, "check-identity", "--expr", "x \\/ y")
+    assert "real_grid_per_axis" not in json.loads(out)
 
 
 def test_kernel_even_grid_rounds_up(capsys):

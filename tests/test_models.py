@@ -152,6 +152,15 @@ def test_identity_transport_suite():
                 assert value <= 1e-9 * (1.0 + bound)
 
 
+def test_model_suite_returns_a_fresh_list():
+    first = model_suite(seed=4)
+    kinds = [model.kind for model in first]
+    first.clear()
+    second = model_suite(seed=4)
+    assert [model.kind for model in second] == kinds and len(second) == 41
+    assert second is not model_suite(seed=4)
+
+
 def test_model_json_round_trip():
     for model in (DiagonalAlgebra([0.25, 0.75]), WeightedGridModel([0.0, 1.0]),
                   ZeroProductModel(7)):
