@@ -10,6 +10,7 @@ surrogate for kernel membership, not a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -27,12 +28,18 @@ __all__ = [
 ]
 
 
+#: The grid budget: most points of the default real-line product grid (11 per
+#: axis up to 6 variables), of a :class:`BallGrid` and of a regular cylinder grid.
+REAL_GRID_CAP = 11 ** 6
+
+
 @dataclass(frozen=True, eq=False)
 class BallGrid:
     """Uniform product grid on the cube [-1,1]^n.
 
     ``points_per_axis`` must be odd and at least 3 so that 0 and the
-    endpoints are grid points.
+    endpoints are grid points, and the grid may hold at most
+    :data:`REAL_GRID_CAP` points.
     """
 
     dimension: int
@@ -43,6 +50,9 @@ class BallGrid:
             raise ValueError("dimension must be >= 1")
         if self.points_per_axis < 3 or self.points_per_axis % 2 == 0:
             raise ValueError("points_per_axis must be odd and >= 3")
+        if self.size > REAL_GRID_CAP:
+            raise ValueError(f"the ball grid would hold {self.size} points, "
+                             f"more than the budget of {REAL_GRID_CAP}")
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -125,15 +135,17 @@ def vanishes_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGri
     """Grid surrogate for vanishing on the dual ball.
 
     The residual is compared against ``tol * (1 + B)`` where ``B`` is the
-    majorant bound at the absolute-sum norms of the generators.
+    majorant bound at the absolute-sum norms of the generators.  A
+    non-finite residual or threshold does not vanish; the witness is then
+    the point of the largest residual (the first NaN, if there is one).
     """
     f = eval_on_ball(e, gens, grid)
     bound = float(polynomial_majorant(e).evaluate(generator_norms(gens)))
     threshold = tol * (1.0 + bound)
     idx = int(np.argmax(np.abs(f.values)))
     residual = float(abs(f.values[idx]))
-    witness = None if residual <= threshold else tuple(grid.points[idx])
-    return BallReport(residual <= threshold, residual, threshold, witness)
+    vanishes = math.isfinite(residual) and math.isfinite(threshold) and residual <= threshold
+    return BallReport(vanishes, residual, threshold, None if vanishes else tuple(grid.points[idx]))
 
 
 @dataclass
@@ -147,9 +159,6 @@ class RealLineReport:
 
 
 _DEFAULT_AXIS_POINTS = {0: 1, 1: 1001, 2: 101, 3: 41}
-
-#: Most points of the default real-line product grid (11 per axis up to 6 variables).
-REAL_GRID_CAP = 11 ** 6
 
 #: Most grid points evaluated at once.  Each array then takes at most 48 KB,
 #: about an L1 data cache: on a Xeon with 48 KB of L1d per core, chunks of
@@ -180,9 +189,10 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
     ``samples`` random points (none when it is 0); residuals are scaled by
     ``1 + p(|a|)`` with ``p`` the majorant, so the verdict is uniform across
     magnitudes.  A point where the value or the majorant is not finite
-    scores ``inf``.  The grid runs in C order (first variable slowest) in
-    chunks of at most 6,000 points; the witness is the first point, in
-    that order and then the random points, of the largest scaled residual.
+    scores ``inf``.  The grid runs in C order (first variable slowest) and
+    the random points are drawn from one stream, both in chunks of at most
+    6,000 points; the witness is the first point, in that order and then
+    the random points, of the largest scaled residual.
     By default the grid has at most :data:`REAL_GRID_CAP` points: from 7
     variables on, the per-axis count is the largest odd one within the cap
     (``grid_capped``).
@@ -221,8 +231,9 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
     else:
         consider(_grid_chunks(np.linspace(-scale, scale, g), k))
         if samples > 0:
-            pts = seeded_rng(seed, 11).uniform(-scale, scale, (samples, k))
-            consider([list(pts.T)])
+            rng = seeded_rng(seed, 11)
+            consider(list(rng.uniform(-scale, scale, (min(_CHUNK, samples - start), k)).T)
+                     for start in range(0, samples, _CHUNK))
 
     return RealLineReport(worst <= tol, worst, tol, None if worst <= tol else witness, g, capped)
 

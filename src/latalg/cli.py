@@ -187,7 +187,10 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if args.grid_sphere < 3:
         _usage_error(f"--grid-sphere must be >= 3 for the ball grid, got {args.grid_sphere}")
     points = args.grid_sphere if args.grid_sphere % 2 == 1 else args.grid_sphere + 1
-    grid = BallGrid(dim, points)
+    try:
+        grid = BallGrid(dim, points)
+    except ValueError as exc:
+        _usage_error(str(exc))
     ball = vanishes_on_ball(e, gens, grid, tol=args.tol)
     report = _echo(args)
     real = _real_line_check(e, args, report)

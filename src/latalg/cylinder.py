@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ball import generator_vectors
+from .ball import REAL_GRID_CAP, generator_vectors
 from .expr import Expr, eval_pointwise
 from .rewrite import product_kill
 from .seeding import seeded_rng
@@ -68,14 +68,28 @@ class CylinderGrid:
             raise ValueError("sphere points must have max-coordinate magnitude exactly 1")
         return cls(r, pts)
 
+    @staticmethod
+    def regular_size(dimension: int, r_levels: int, face_points: int) -> int:
+        """Points of :meth:`regular`: the boundary of the ``face_points^n`` cube
+        lattice, times the radial levels (for ``face_points >= 2``)."""
+        return r_levels * (face_points ** dimension - (face_points - 2) ** dimension)
+
     @classmethod
     def regular(cls, dimension: int, r_levels: int = 33, face_points: int = 8) -> "CylinderGrid":
         """Uniform grid: per-face lattices on the 2n cube faces, shared edge
-        points deduplicated in canonical face order (axis 0 +, axis 0 -, ...)."""
+        points deduplicated in canonical face order (axis 0 +, axis 0 -, ...).
+
+        Raises ValueError, before building anything, for a grid of more than
+        :data:`~latalg.ball.REAL_GRID_CAP` points.
+        """
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         if r_levels < 2 or face_points < 2:
             raise ValueError("need at least two radial levels and two points per face axis")
+        size = cls.regular_size(dimension, r_levels, face_points)
+        if size > REAL_GRID_CAP:
+            raise ValueError(f"the cylinder grid would hold {size} points, "
+                             f"more than the budget of {REAL_GRID_CAP}")
         r = np.linspace(0.0, 1.0, r_levels)
         seen: set[tuple] = set()
         rows: list[tuple] = []

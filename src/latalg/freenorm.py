@@ -3,31 +3,37 @@
 Lower bounds come from certified contractive operators into semiprime
 diagonal f-algebras: every such operator extends to a contractive
 lattice-algebra homomorphism, so the sup norm of the evaluated image never
-exceeds the free norm.  Candidates are drawn from three sources:
+exceeds the free norm.
 
-* single-atom sign operators (weight 1, columns +-1), which attain the
-  analytic optimum on simple terms;
-* discretized cylinder generators, one operator per mesh parameter: the
-  basis generators scaled by ``1/(1 + delta)`` go through
+One atom suffices.  The atoms of a diagonal algebra never interact (join is
+coordinatewise and atom i multiplies as ``w_i a_i b_i``), and the
+contraction certificate bounds every column entry on its own, so a k-atom
+operator is worth exactly its best atom.  A candidate is therefore one row
+``(w, c)`` with ``w`` in (0, 1] and ``c`` in [-1, 1]^n, worth ``|e_w(c)|``:
+the term on the reals with product ``w a b``, each generator ``v`` read as
+``c . v``.  Candidates form one stream of rows, in this order:
+
+* the sign atoms (weight 1, entries +-1), the corners of the box, which
+  attain the analytic optimum on simple terms;
+* the atoms of the discretized cylinder generators, one operator per mesh
+  parameter: the basis generators scaled by ``1/(1 + delta)`` go through
   :func:`~latalg.discretize.discretize_generators`, whose weights and
-  coefficient rows are the candidate;
-* a seeded best-so-far random search with coordinate-wise resampling.
+  coefficient rows are the atoms.  This source is skipped when its cylinder
+  grid would hold more than :data:`~latalg.ball.REAL_GRID_CAP` points (from
+  7 variables on at the default grid);
+* ``search_iters`` atoms of a seeded ascent, in rounds: 2(n + 1) coordinate
+  moves of the best atom so far by +-step (weight clipped to [2^-52, 1],
+  entries to [-1, 1]), then 3(n + 1) atoms drawn from the stream
+  ``(seed, 42, round)``.  The step starts at 1/4 and halves after a round
+  that did not raise the best value.
 
-Each search prepares its term once, with its variables bound to their
-generator vectors; an evaluation folds the term's post-order tape with
-array ops over the generator images.  Candidates are then plain
-``(weights, columns)`` arrays.  The sign operators, and the random draws
-of every fifth iteration (which do not depend on the search state), are
-evaluated together in one masked ``(batch, atoms)`` pass: shorter
-candidates are padded with zero atoms, which evaluate to 0 and so leave
-every sup norm unchanged.  Mutations of
-the best-so-far operator are evaluated one at a time.  Every candidate
-passes the contraction check on its columns, and only the winner is built
-as an :class:`OperatorIntoAlgebra`; the reported bound is its value replayed
-by :func:`evaluate_operator`.  The arithmetic is that of
-:func:`evaluate_operator` operation for operation (generator images come
-from the same matrix-vector products, stacked per atom count), so values
-and witnesses do not depend on how the candidates were grouped.
+The budget cuts this stream and every atom depends only on those before
+it, so a larger budget never lowers the bound; the first atom attaining
+the best value wins.  The sign atoms, each discretized operator and each
+round are evaluated in one fold of the term's tape over arrays with one
+entry per atom.  Only the winner is
+built as an :class:`OperatorIntoAlgebra`, and the reported bound is its
+value replayed by :func:`evaluate_operator`.
 
 Upper bounds evaluate the polynomial majorant at the generator norms.  For
 product-free terms a second lower bound is available from tuples of
@@ -44,7 +50,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ball import generator_norms, generator_vectors
+from .ball import REAL_GRID_CAP, generator_norms, generator_vectors
 from .cylinder import CylinderGrid, generator
 from .discretize import discretize_generators
 from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, contains_product, eval_pointwise, fold
@@ -115,10 +121,21 @@ def evaluate_operator(e: Expr, gens: Mapping[str, Sequence[float]],
 
 @dataclass
 class SearchConfig:
+    """Sources and budget of :func:`operator_lower_bound`.
+
+    * ``search_iters``: atoms of the seeded ascent, after the fixed sources.
+    * ``delta_list``: mesh parameters of the discretized source, one
+      operator each; empty skips the source.
+    * ``seed``: keys the ascent's random draws and sampled sign rows.
+    * ``r_levels``, ``face_points``: radial levels and points per face axis
+      of the discretized source's cylinder grid.
+    * ``sign_pattern_cap``: most sign atoms; when ``2**n`` exceeds it, that
+      many seeded random rows are drawn instead.
+    """
+
     search_iters: int = 10_000
     delta_list: tuple[float, ...] = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
     seed: int = 0
-    max_atoms: int = 8
     r_levels: int = 17
     face_points: int = 6
     sign_pattern_cap: int = 1024
@@ -133,55 +150,22 @@ def _gen_dimension(gens: Mapping[str, Sequence[float]]) -> int:
     return dims.pop()
 
 
-# Search iterations whose random draws are evaluated in one batch; bounds the
-# memory of a long search.  A multiple of 5, so every block starts on a draw.
-_BLOCK_ITERS = 1000
-
-
-class _CompiledTerm:
-    """A term prepared once for evaluation through many candidate operators.
+def _atom_values(e: Expr, vectors: Mapping[str, np.ndarray], atoms: np.ndarray) -> np.ndarray:
+    """Sup norm of ``e`` through the one-atom operator of each row
+    ``(weight, column...)`` of ``atoms``, after checking the contraction.
 
     The ops are those of :meth:`FiniteModel.evaluate` on a diagonal algebra
-    (join = maximum, product ``weights * a * b``), applied to arrays whose
-    last axis runs over atoms.
+    (join = maximum, product ``weights * a * b``) over arrays with one entry
+    per atom.
     """
-
-    def __init__(self, e: Expr, gens: Mapping[str, Sequence[float]]):
-        self.term = e
-        self.dimension = _gen_dimension(gens)
-        self.vectors = generator_vectors(e, gens, self.dimension)
-
-    def _sup_norms(self, weights: np.ndarray, images: Mapping[str, np.ndarray]) -> np.ndarray:
-        ops = {**ARRAY_OPS, Zero: lambda node: np.zeros(weights.shape),
-               Var: lambda node: images[node.name],
-               Mul: lambda node, a, b: weights * a * b}
-        return np.max(np.abs(fold(self.term, ops)), axis=-1, initial=0.0)
-
-    def value(self, candidate) -> float:
-        """Sup norm of the term's image through one ``(weights, columns)`` candidate."""
-        weights, columns = candidate
-        _check_contraction(columns)
-        images = {name: vec @ columns for name, vec in self.vectors.items()}
-        return float(self._sup_norms(weights, images))
-
-    def values(self, candidates) -> list[float]:
-        """:meth:`value` of many candidates, in one ``(batch, atoms)`` pass.
-
-        Candidates with the same atom count share one stacked product per
-        generator, which computes for each of them the product that
-        :meth:`value` computes.
-        """
-        sizes = np.array([weights.shape[0] for weights, _ in candidates], dtype=int)
-        weights = np.zeros((len(candidates), sizes.max(initial=1)))
-        images = np.zeros((len(self.vectors),) + weights.shape)
-        for size in np.unique(sizes):
-            rows = np.flatnonzero(sizes == size)
-            columns = np.stack([candidates[r][1] for r in rows])
-            _check_contraction(columns)
-            weights[rows, :size] = [candidates[r][0] for r in rows]
-            for image, vec in zip(images, self.vectors.values()):
-                image[rows, :size] = np.matmul(vec, columns)
-        return self._sup_norms(weights, dict(zip(self.vectors, images))).tolist()
+    weights, columns = atoms[:, 0], atoms[:, 1:]
+    _check_contraction(columns)
+    # The product evaluate_operator computes for one atom, (n,) @ (n, 1), stacked.
+    images = {name: np.matmul(vec, columns[:, :, None])[:, 0] for name, vec in vectors.items()}
+    ops = {**ARRAY_OPS, Zero: lambda node: np.zeros(len(atoms)),
+           Var: lambda node: images[node.name],
+           Mul: lambda node, a, b: weights * a * b}
+    return np.abs(fold(e, ops))
 
 
 def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
@@ -192,87 +176,63 @@ def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
     return seeded_rng(seed, key).choice([-1.0, 1.0], size=(cap, n))
 
 
-def _sign_operators(n: int, cap: int, seed: int) -> list[tuple]:
-    """Single-atom candidates with weight 1 and +-1 columns."""
-    ones = np.ones(1)
-    return [(ones, row.reshape(n, 1)) for row in _sign_rows(n, cap, seed, 41)]
-
-
-def _random_operator(rng: np.random.Generator, n: int, max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    atoms = int(rng.integers(1, max_atoms + 1))
-    weights = 1.0 - rng.random(atoms)  # (0, 1]
-    return weights, rng.uniform(-1.0, 1.0, (n, atoms))
-
-
-def _mutate_operator(rng: np.random.Generator, weights: np.ndarray,
-                     columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    weights, columns = weights.copy(), columns.copy()
-    n, atoms = columns.shape
-    slot = int(rng.integers(0, atoms + n * atoms))
-    if slot < atoms:
-        weights[slot] = 1.0 - rng.random()
-    else:
-        slot -= atoms
-        columns[slot // atoms, slot % atoms] = rng.uniform(-1.0, 1.0)
-    return weights, columns
-
-
 def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
                          config: SearchConfig | None = None) -> tuple[float, OperatorIntoAlgebra]:
     """Best certified lower bound for the free norm of ``e`` along ``gens``.
 
-    Deterministic under the seed; the per-iteration randomness is derived
-    from (seed, iteration), so enlarging the budget or the mesh list never
-    decreases the result.  Candidates are considered in a fixed order (sign
-    operators, discretized operators, then one per iteration) and the first
-    one attaining the best value wins.  The returned bound is the winner
-    certified and replayed by :func:`evaluate_operator`, so it is the value
-    of the returned operator under the model evaluator whatever the batched
-    evaluation computed.
+    Deterministic under the seed.  Atoms are considered in the fixed order
+    of the module docstring (sign atoms, discretized atoms, then the ascent
+    cut at ``search_iters`` atoms), so enlarging the budget never decreases
+    the result, and the first atom attaining the best value wins.  The
+    returned bound is that one-atom operator certified and replayed by
+    :func:`evaluate_operator`.
     """
     config = config or SearchConfig()
-    term = _CompiledTerm(e, gens)
-    n = term.dimension
+    n = _gen_dimension(gens)
+    vectors = generator_vectors(e, gens, n)
+    best_value, best = -1.0, None
 
-    best_value = -1.0
-    best = None
-
-    def consider(value: float, candidate) -> None:
+    def consider(atoms: np.ndarray) -> bool:
+        """Keep the first atom beating the best value; True when one did."""
         nonlocal best_value, best
-        if value > best_value:
-            best_value, best = value, candidate
+        if not len(atoms):
+            return False
+        values = _atom_values(e, vectors, atoms)
+        i = int(np.argmax(np.where(np.isnan(values), -1.0, values)))  # NaN never wins
+        if values[i] > best_value:
+            best_value, best = float(values[i]), atoms[i].copy()
+            return True
+        return False
 
-    signs = _sign_operators(n, config.sign_pattern_cap, config.seed)
-    for value, candidate in zip(term.values(signs), signs):
-        consider(value, candidate)
-    if config.delta_list:
+    signs = _sign_rows(n, config.sign_pattern_cap, config.seed, 41)
+    consider(np.column_stack([np.ones(len(signs)), signs]))
+    if config.delta_list and (CylinderGrid.regular_size(n, config.r_levels, config.face_points)
+                              <= REAL_GRID_CAP):
         grid = CylinderGrid.regular(n, r_levels=config.r_levels, face_points=config.face_points)
         values = [generator(basis, grid).values for basis in np.eye(n)]
         w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
         for delta in config.delta_list:
             scale = 1.0 / (1.0 + delta)
             discrete = discretize_generators([scale * v for v in values], w, delta)
-            candidate = (discrete.weights, discrete.coefficients)
+            consider(np.column_stack([discrete.weights, discrete.coefficients.T]))
             del discrete  # frees the atoms and splits before the next mesh parameter
-            consider(term.value(candidate), candidate)
-    for start in range(0, config.search_iters, _BLOCK_ITERS):
-        stop = min(start + _BLOCK_ITERS, config.search_iters)
-        draws = [_random_operator(seeded_rng(config.seed, 42, iteration), n, config.max_atoms)
-                 for iteration in range(start, stop, 5)]
-        draw_values = term.values(draws)
-        for iteration in range(start, stop):
-            if iteration % 5 == 0:
-                index = (iteration - start) // 5
-                consider(draw_values[index], draws[index])
-                continue
-            rng = seeded_rng(config.seed, 42, iteration)
-            candidate = (_random_operator(rng, n, config.max_atoms) if best is None
-                         else _mutate_operator(rng, *best))
-            consider(term.value(candidate), candidate)
+
+    moves = np.kron(np.eye(n + 1), [[1.0], [-1.0]])  # +-1 on each coordinate in turn
+    low = np.r_[2.0 ** -52, -np.ones(n)]
+    step, left, round_ = 0.25, config.search_iters, 0
+    while left > 0:
+        rng = seeded_rng(config.seed, 42, round_)
+        draws = np.column_stack([1.0 - rng.random(3 * (n + 1)),  # weights in (0, 1]
+                                 rng.uniform(-1.0, 1.0, (3 * (n + 1), n))])
+        atoms = draws if best is None else np.vstack([np.clip(best + step * moves, low, 1.0), draws])
+        if not consider(atoms[:left]):
+            step /= 2
+        left -= len(atoms)
+        round_ += 1
 
     if best is None:
         raise ValueError("the search produced no candidate operator")
-    op = OperatorIntoAlgebra(DiagonalAlgebra(best[0]), best[1])
+    op = OperatorIntoAlgebra(DiagonalAlgebra(best[:1]), best[1:, None])
     return evaluate_operator(e, gens, op), op
 
 

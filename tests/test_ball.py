@@ -4,14 +4,15 @@ import random
 import numpy as np
 import pytest
 
+from latalg import ball
 from latalg.ball import (
     REAL_GRID_CAP, BallGrid, GridFunction, eval_on_ball, lattice_projection, limit_profile,
     vanishes_on_ball, vanishes_on_reals,
 )
 from latalg.cylinder import CylinderGrid, cylinder_extension
 from latalg.expr import (
-    Add, Join, Mul, Scale, Var, Zero, cosh_sinh_witness, eval_real, parse, print_expr,
-    random_expr, variables,
+    Add, Join, Mul, Scale, Var, Zero, cosh_sinh_witness, eval_pointwise, eval_real, parse,
+    print_expr, random_expr, variables,
 )
 from latalg.freenorm import (
     OperatorIntoAlgebra, SearchConfig, evaluate_operator, operator_lower_bound,
@@ -144,6 +145,33 @@ def test_real_grid_cap():
     explicit = vanishes_on_reals(parse(" + ".join(f"x{i}" for i in range(7))),
                                  grid_per_axis=3, samples=0)
     assert explicit.grid_per_axis == 3 and not explicit.grid_capped
+
+
+def test_random_samples_are_drawn_in_chunks(monkeypatch):
+    sizes = []
+
+    def counting(e, env):
+        sizes.append(len(next(iter(env.values()))))
+        return eval_pointwise(e, env)
+
+    monkeypatch.setattr(ball, "eval_pointwise", counting)
+    vanishes_on_reals(parse("x*y*z - pos(x)"), grid_per_axis=3, samples=20_000)
+    assert sum(sizes) == 27 + 20_000 and max(sizes) <= ball._CHUNK
+
+
+def test_grid_budget_checked_before_allocation():
+    assert BallGrid(6, 11).size == REAL_GRID_CAP
+    with pytest.raises(ValueError, match="budget"):
+        BallGrid(10, 9)
+
+
+def test_non_finite_ball_residual_does_not_vanish():
+    # An overflowing square (inf, against an infinite threshold) and a
+    # difference of two (NaN): neither vanishes, and the witness is x = -1.
+    for text in ("(1e200*x)*(1e200*x)", "(1e200*x)*(1e200*x) - (1e200*x)*(1e200*x)"):
+        with np.errstate(all="ignore"):
+            report = vanishes_on_ball(parse(text), {"x": [1.0]}, BallGrid(1, 3))
+        assert not report.vanishes and report.witness == (-1.0,)
 
 
 def test_non_finite_points_are_violations():

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from latalg import cli
+from latalg import cli, freenorm
 from latalg.cli import main
 from latalg.models import WeightedGridModel
+
+TEN_VARIABLES = " \\/ ".join(f"x{i}" for i in range(10))
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +153,8 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["norm", "--expr", "x", "--n", "0"],
     ["kernel", "--expr", "x", "--n", "0"],
     ["discretize", "--expr", "x", "--n", "0"],
+    ["kernel", "--expr", TEN_VARIABLES],
+    ["discretize", "--expr", "x", "--n", "10"],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     try:
@@ -194,6 +198,15 @@ def test_non_finite_transport_value_exits_2(capsys, monkeypatch):
     assert err.value.code == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "not finite in model" in lines[0]
+
+
+def test_norm_on_ten_variables_skips_the_discretized_source(capsys, monkeypatch):
+    # Its cylinder grid would exceed the grid budget, so it is never built.
+    monkeypatch.setattr(freenorm, "discretize_generators", lambda *args: pytest.fail("discretized"))
+    code, out, _ = run_cli(capsys, "norm", "--expr", TEN_VARIABLES, "--iters", "10000")
+    report = json.loads(out)
+    assert code == 0 and report["lower"] == 1.0 and report["upper"] == 10.0
+    assert len(report["witness"]["weights"]) == 1
 
 
 def test_capped_real_grid_is_reported(capsys):

@@ -32,6 +32,14 @@ def test_regular_grid_shapes():
         CylinderGrid.from_points([0.0, 0.5], [[1.0]])  # missing r=1
 
 
+def test_regular_grid_budget():
+    for n, r, p in ((1, 5, 8), (2, 3, 4), (3, 2, 5), (5, 2, 4), (6, 2, 4), (7, 2, 4)):
+        assert CylinderGrid.regular(n, r, p).size == CylinderGrid.regular_size(n, r, p)
+    # 10 variables at the CLI's default grid: raised before any face is meshed.
+    with pytest.raises(ValueError, match="budget"):
+        CylinderGrid.regular(10, r_levels=33, face_points=8)
+
+
 def test_star_product_examples(grid2):
     one = constant_one(grid2)
     assert np.array_equal(star_product(one, one).values, r_column(grid2))

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from latalg.expr import Mul, Scale, Var, Zero, parse, random_expr
+from latalg.ball import generator_vectors
+from latalg.cylinder import CylinderGrid, generator
+from latalg.discretize import discretize_generators
 from latalg.freenorm import (
-    ContractionError, OperatorIntoAlgebra, SearchConfig, _CompiledTerm,
+    ContractionError, OperatorIntoAlgebra, SearchConfig, _atom_values,
     evaluate_operator, majorant_upper_bound, norm_sandwich,
     operator_lower_bound, product_free_lower_bound,
 )
@@ -65,43 +68,49 @@ def test_contraction_certificate_enforced():
 
 
 def test_compiled_term_matches_evaluate_operator():
-    # Batched and single evaluation reproduce evaluate_operator bit for bit,
-    # also for non-basis generators, whose images are rounded sums.
+    # The term folded once over a batch of atoms gives, for every atom, the
+    # value evaluate_operator gives its one-atom operator, bit for bit, also
+    # for non-basis generators, whose images are rounded sums.
     rng = np.random.default_rng(17)
     for i in range(30):
         n = 1 + i % 4
         e = random_expr(random.Random(600 + i), ("v", "w"), 7)
         gens = {name: rng.uniform(-1.0, 1.0, n) for name in ("v", "w")}
-        term = _CompiledTerm(e, gens)
-        candidates = [(1.0 - rng.random(a), rng.uniform(-1.0, 1.0, (n, a)))
-                      for a in rng.integers(1, 9, 12)]
-        expected = [evaluate_operator(e, gens, OperatorIntoAlgebra(DiagonalAlgebra(w), c))
-                    for w, c in candidates]
-        assert term.values(candidates) == expected
-        assert [term.value(c) for c in candidates] == expected
+        atoms = np.column_stack([1.0 - rng.random(12), rng.uniform(-1.0, 1.0, (12, n))])
+        expected = [evaluate_operator(e, gens, OperatorIntoAlgebra(DiagonalAlgebra(a[:1]), a[1:, None]))
+                    for a in atoms]
+        assert _atom_values(e, generator_vectors(e, gens, n), atoms).tolist() == expected
+    atoms[3, 1] = 1.5
     with pytest.raises(ContractionError):
-        term.values([(np.ones(1), np.full((n, 1), 1.5))])
+        _atom_values(e, generator_vectors(e, gens, n), atoms)
 
 
 def test_discretized_operator_certified():
-    # With no sign patterns and no search iterations the only candidates are
-    # the discretized generators, so the witness is the discretized operator.
+    # discretize_generators gives a contractive many-atom operator; with no
+    # sign atoms and no search atoms the witness is its best atom.
     gens = {"v": [1.0, 0.0], "w": [0.0, 1.0]}
+    grid = CylinderGrid.regular(2, r_levels=9, face_points=6)
+    w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
     for delta in (2.0 ** -4, 2.0 ** -5):
+        discrete = discretize_generators(
+            [generator(basis, grid).values / (1.0 + delta) for basis in np.eye(2)], w, delta)
+        op = OperatorIntoAlgebra(DiagonalAlgebra(discrete.weights), discrete.coefficients)
+        op.certify()
+        assert op.algebra.size > 1 and np.all(op.algebra.weights > 0.0)
         config = SearchConfig(search_iters=0, sign_pattern_cap=0, delta_list=(delta,),
                               r_levels=9, face_points=6)
-        _, op = operator_lower_bound(parse("v \\/ w"), gens, config)
-        assert op.algebra.size > 1
-        assert np.max(np.abs(op.columns)) <= 1.0
-        op.certify()
-        assert np.all(op.algebra.weights > 0.0)
+        _, best = operator_lower_bound(parse("v \\/ w"), gens, config)
+        atoms = np.column_stack([discrete.weights, discrete.coefficients.T])
+        assert best.algebra.size == 1
+        assert (atoms == np.r_[best.algebra.weights, best.columns[:, 0]]).all(axis=1).any()
 
 
 def test_monotone_in_iterations():
+    # Budgets that end inside a round (15 atoms per round at n = 2) as well.
     e = parse("v*w + (v \\/ w)")
     gens = {"v": [1, 0], "w": [0, 1]}
     values = [operator_lower_bound(e, gens, SearchConfig(search_iters=n, seed=3))[0]
-              for n in (0, 50, 200, 400)]
+              for n in (0, 7, 50, 123, 400)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -181,12 +190,12 @@ def test_operator_apply_shape_checked():
 
 EYE4 = {f"x{i + 1}": np.eye(4)[i] for i in range(4)}
 
-# (term, generators, search config, lower bound, witness atoms, sha256 prefix
-# of the witness JSON), recorded with the search that built one
-# DiagonalAlgebra per candidate and evaluated it with evaluate_operator.
-# The cases cover n = 1..4, non-basis generators, 2**n > sign_pattern_cap,
-# no sign patterns at all, single-atom draws, zero leaves, products, and
-# winners from every source (sign, discretized, random and mutated).
+# (term, generators, search config, floor, witness atoms, sha256 prefix of
+# the witness JSON).  The floor is the bound of the search that drew
+# operators of up to 8 atoms; the one-atom search must reach it.  The cases
+# cover n = 1..4, non-basis generators, 2**n > sign_pattern_cap, no sign
+# atoms at all, zero leaves, products, and sign, moved and drawn winners
+# (test_discretized_operator_certified has a discretized one).
 GOLDEN = [
     ('x1*x1',
      {'x1': [1.0]},
@@ -215,7 +224,7 @@ GOLDEN = [
     ('x*y + neg(z) - 0.75*x',
      {'x': [0.4, -0.6, 0.0], 'y': [0.1, 0.2, 0.7], 'z': [-0.3, 0.3, 0.4]},
      dict(search_iters=200, seed=9, sign_pattern_cap=4, delta_list=(0.0625,), r_levels=9, face_points=4),
-     1.23046875, 504, 'adb16023ead4a491'),
+     1.23046875, 1, 'f749761b5780463e'),
     ('x*(0) + (0) \\/ y + 0*y',
      {'x': [1, 0], 'y': [0.25, -0.75]},
      dict(search_iters=120, seed=6),
@@ -226,48 +235,48 @@ GOLDEN = [
      0.0, 1, 'c1d1f111ea052316'),
     ('v*v*v - w',
      {'v': [0.6, -0.2, 0.2], 'w': [0.1, 0.1, -0.8]},
-     dict(search_iters=300, seed=-3, max_atoms=1, delta_list=()),
+     dict(search_iters=300, seed=-3, delta_list=()),
      1.8, 1, 'f749761b5780463e'),
     ('v*w \\/ (v + w)',
      {'v': [0.5, -0.5], 'w': [0.25, 0.75]},
      dict(search_iters=60, seed=4294967304, sign_pattern_cap=0, delta_list=()),
-     0.933262570360213, 6, 'b13038a95878aca4'),
+     0.933262570360213, 1, '6d438224a06b5fa2'),
     ('(w \\/ (w \\/ v) \\/ w * (v * v)) + w * v',
      {'v': [0.2739233746429086], 'w': [-0.4604265724722594]},
      dict(search_iters=200, seed=0, delta_list=()),
-     0.45860999916358947, 1, 'd82fc43eefdb0004'),
+     0.45860999916358947, 1, '74c99b4b98874ca8'),
     ('w + w + w + (w + v * v) + (w \\/ w) + (-1.4684907630962236*(v \\/ w) + (w \\/ w))',
      {'v': [-0.17613413012497814, -0.047262000889459234, -0.2718179889644719], 'w': [0.06173517130314021, 0.18846578666979238, 0.24505199805408817]},
      dict(search_iters=200, seed=30, delta_list=()),
-     3.6982488501148927, 1, '4dbd4e21f044e03a'),
+     3.6982488501148927, 1, '06927a47eaa7745e'),
     ('(0 + w \\/ -1.0696309208926817*(w \\/ w)) * (0 + (0 \\/ v)) * (v * -0.9214777657641968*w)',
      {'v': [0.45415110296200456, 0.2679320906355993], 'w': [-0.3740292532117979, 0.3269880859307448]},
      dict(search_iters=200, seed=41, delta_list=()),
-     0.030711114176074892, 1, 'a91d9993ac16f7b3'),
+     0.030711114176074892, 1, 'a916f0af388885c4'),
     ('w * (0 \\/ v)',
      {'v': [0.19161512792441573, 0.22244622305572168, 0.03193630678948334], 'w': [0.31563273076007525, -0.17544429472509346, 0.09794889550014492]},
      dict(search_iters=200, seed=50),
-     0.1083518746126132, 2584, '02a24de7b810a145'),
+     0.1083518746126132, 1, 'c2ddc9b72807a940'),
     ('(-1.771489136924004*(v \\/ v) \\/ w + v \\/ 0 + v) + 0.5744812753840596*(-0.4635444223995897*w * (w * w))',
      {'v': [-0.007363810711807139, -0.19663246213856977], 'w': [-0.23143221879620413, 0.48515714634220275]},
      dict(search_iters=200, seed=73, delta_list=()),
-     0.5272442841282304, 1, '752f32012467844b'),
+     0.5272442841282304, 1, 'be19d179ccca5c7c'),
     ('w * v * (w \\/ w)',
      {'v': [-0.1433541592369011, -0.17343547658502367, 0.08212522626206348, 0.09216587936382215], 'w': [0.2165822011576018, 0.12574499791341937, 0.2134311847343508, 0.22364172162207263]},
      dict(search_iters=200, seed=75, delta_list=()),
-     0.08696805513163941, 1, '4e9f8297fcf4908b'),
+     0.08696805513163941, 1, '92bbb62098e704dc'),
     ('(v + w * v) * (w \\/ v * v)',
      {'v': [0.06254773330233349, 0.19860690048478774, 0.13784284512259676, -0.13739640500470407], 'w': [-0.09991685754438728, 0.18677672269813095, -0.24736734771721264, 0.16061420919138314]},
      dict(search_iters=30, seed=7, delta_list=(), sign_pattern_cap=1),
-     0.07382837591385012, 5, '0ad79e7e99fb3dfc'),
+     0.07382837591385012, 1, '91bdeb073dbf1291'),
 ]
 
 
-@pytest.mark.parametrize("text, gens, config, value, atoms, digest", GOLDEN)
-def test_lower_bound_golden(text, gens, config, value, atoms, digest):
+@pytest.mark.parametrize("text, gens, config, floor, atoms, digest", GOLDEN)
+def test_lower_bound_golden(text, gens, config, floor, atoms, digest):
     found, op = operator_lower_bound(parse(text), gens, SearchConfig(**config))
     blob = json.dumps(op.to_json(), sort_keys=True).encode()
-    assert found == value
+    assert found >= floor
     assert op.algebra.size == atoms
     assert hashlib.sha256(blob).hexdigest()[:16] == digest
-    assert evaluate_operator(parse(text), gens, op) == value
+    assert evaluate_operator(parse(text), gens, op) == found
