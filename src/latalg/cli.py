@@ -89,8 +89,11 @@ def _parse_vector(name: str, value: str) -> np.ndarray:
     return vec
 
 
-def _parse_gens(text: str | None, names: tuple[str, ...], n: int | None) -> dict:
-    """Parse ``"v=e1;w=0.5,0.5"`` into vectors; default: basis in name order."""
+def _parse_gens(text: str | None, names: tuple[str, ...],
+                n: int | None) -> tuple[dict, int]:
+    """Parse ``"v=e1;w=0.5,0.5"`` into vectors of one dimension, returned with
+    it: ``n`` when given, else the longest generator.  Default: the basis in
+    name order, of dimension ``n`` or the number of names."""
     if text:
         gens = {}
         for part in text.split(";"):
@@ -101,22 +104,20 @@ def _parse_gens(text: str | None, names: tuple[str, ...], n: int | None) -> dict
                 _usage_error(f"generator assignment {part!r} is not of the form name=vector")
             name, value = part.split("=", 1)
             gens[name.strip()] = value.strip()
-        parsed: dict[str, np.ndarray] = {}
-        dim = n or 0
-        for name, value in gens.items():
-            parsed[name] = _parse_vector(name, value)
-            dim = max(dim, parsed[name].shape[0])
+        parsed = {name: _parse_vector(name, value) for name, value in gens.items()}
+        dim = n or max((vec.shape[0] for vec in parsed.values()), default=1)
         out = {}
         for name, vec in parsed.items():
             if vec.shape[0] > dim:
-                _usage_error(f"generator for {name!r} exceeds dimension {dim}")
+                _usage_error(f"generator for {name!r} has {vec.shape[0]} coordinates, "
+                             f"more than --n {dim}")
             full = np.zeros(dim)
             full[: vec.shape[0]] = vec
             out[name] = full
         missing = [name for name in names if name not in out]
         if missing:
             _usage_error(f"no generators for variables {missing}")
-        return out
+        return out, dim
     dim = n or max(len(names), 1)
     if len(names) > dim:
         _usage_error(f"{len(names)} variables but dimension {dim}")
@@ -125,7 +126,7 @@ def _parse_gens(text: str | None, names: tuple[str, ...], n: int | None) -> dict
         vec = np.zeros(dim)
         vec[i] = 1.0
         gens[name] = vec
-    return gens
+    return gens, dim
 
 
 def _real_line_check(e, args: argparse.Namespace, report: dict, **kwargs):
@@ -181,9 +182,7 @@ def cmd_check_identity(args: argparse.Namespace) -> int:
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     e = _parse_expr_or_exit(args.expr)
-    names = variables(e)
-    gens = _parse_gens(args.gens, names, args.n)
-    dim = max((v.shape[0] for v in gens.values()), default=args.n or 1)
+    gens, dim = _parse_gens(args.gens, variables(e), args.n)
     if args.grid_sphere < 3:
         _usage_error(f"--grid-sphere must be >= 3 for the ball grid, got {args.grid_sphere}")
     points = args.grid_sphere if args.grid_sphere % 2 == 1 else args.grid_sphere + 1
@@ -210,8 +209,6 @@ def cmd_surface(args: argparse.Namespace) -> int:
         print("error: surfaces are emitted for dimension 2 only", file=sys.stderr)
         return USAGE_ERROR
     grid = _cylinder_grid(2, args)
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     one = constant_one(grid)
     surfaces = {
         "generator_e1.csv": generator([1.0, 0.0], grid),
@@ -220,13 +217,16 @@ def cmd_surface(args: argparse.Namespace) -> int:
     }
     if args.expr:
         e = _parse_expr_or_exit(args.expr)
-        gens = _parse_gens(args.gens, variables(e), 2)
+        gens, _ = _parse_gens(args.gens, variables(e), 2)
         surfaces["expression.csv"] = cylinder_extension(e, gens, grid)
-    files = []
-    for name, surface in surfaces.items():
-        path = out_dir / name
-        surface.to_csv(path)
-        files.append(str(path))
+    out_dir = Path(args.out or ".")
+    files = [str(out_dir / name) for name in surfaces]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, surface in zip(files, surfaces.values()):
+            surface.to_csv(path)
+    except OSError as exc:
+        _usage_error(f"cannot write the surfaces to {str(out_dir)!r}: {exc}")
     report = _echo(args)
     report["files"] = sorted(files)
     _emit(report, f"wrote {len(files)} surfaces to {out_dir}")
@@ -235,8 +235,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 def cmd_norm(args: argparse.Namespace) -> int:
     e = _parse_expr_or_exit(args.expr)
-    names = variables(e)
-    gens = _parse_gens(args.gens, names, args.n)
+    gens, _ = _parse_gens(args.gens, variables(e), args.n)
     config = SearchConfig(search_iters=args.iters, seed=args.seed,
                           delta_list=tuple(args.delta or (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)))
     sandwich = norm_sandwich(e, gens, config)
@@ -249,9 +248,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
 
 def cmd_discretize(args: argparse.Namespace) -> int:
     e = _parse_expr_or_exit(args.expr)
-    names = variables(e)
-    n = args.n or max(len(names), 1)
-    gens = _parse_gens(args.gens, names, n)
+    gens, n = _parse_gens(args.gens, variables(e), args.n)
     grid = _cylinder_grid(n, args)
     w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
     keys = sorted(gens)

@@ -7,9 +7,9 @@ Continuous functions on the cylinder, ordered pointwise and multiplied by
 form a Banach f-algebra under the sup norm; the canonical generators are
 ``(r, u) -> u . x``.  This module samples that model on finite grids: the
 sphere is gridded per cube face, the radial coordinate by explicit levels.
-The extension of a term along generators divides out one power of r, with
-the r = 0 row computed symbolically through the product-kill transform
-(avoiding 0/0 and matching the radial limit exactly).
+The extension of a term along generators evaluates it with the cylinder
+product directly on the rows with r > 0; the r = 0 row, where that product
+vanishes, is computed symbolically through the product-kill transform.
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ def cylinder_extension(e: Expr, gens: Mapping[str, Sequence[float]],
                        grid: CylinderGrid) -> StarFunction:
     """Image of a term under the extension homomorphism along ``gens``.
 
-    For r > 0 the value is the real evaluation at the functional ``r*u``
-    divided by r; the r = 0 row is the product-killed term evaluated at
-    ``u`` itself, which equals the radial limit.
+    The rows with r > 0 evaluate the term once at the sphere points with the
+    cylinder product ``r * a * b``; the r = 0 row is the product-killed term
+    evaluated at ``u`` itself, the paper's symbolic row.
     """
     dots = {name: grid.sphere_points @ vec
             for name, vec in generator_vectors(e, gens, grid.dimension).items()}
@@ -179,16 +179,9 @@ def cylinder_extension(e: Expr, gens: Mapping[str, Sequence[float]],
     out = np.zeros(grid.shape)
     if np.any(positive):
         r_pos = r[positive][:, None]
-        env = {name: r_pos * row[None, :] for name, row in dots.items()}
-        vals = np.broadcast_to(
-            np.asarray(eval_pointwise(e, env), dtype=float),
-            (int(np.sum(positive)), grid.shape[1]))
-        out[positive] = vals / r_pos
+        out[positive] = eval_pointwise(e, dots, lambda a, b: r_pos * a * b)
     if np.any(~positive):
-        killed = product_kill(e)
-        vals0 = np.broadcast_to(
-            np.asarray(eval_pointwise(killed, dots), dtype=float), (grid.shape[1],))
-        out[~positive] = vals0
+        out[~positive] = eval_pointwise(product_kill(e), dots)
     return StarFunction(grid, out)
 
 

@@ -20,8 +20,11 @@ more than :data:`MAX_TERM_SIZE` occurrences.
 
 :func:`fold` runs a tape with a value stack.  A backend is an op table that
 maps each of the six node classes to ``f(node, *child_values)``; an op
-reads only the fields of its own node.  :data:`ARRAY_OPS` holds the
-scaling, addition and join shared by the numpy backends.
+reads only the fields of its own node.  :func:`eval_pointwise` is the one
+fold over numpy arrays: every array model (the reals, weighted grids,
+diagonal algebras, the zero-product lattice, the cylinder and the norm
+search's one-atom algebras) multiplies pointwise with a weight, so each
+passes its product to it.
 
 Concrete syntax (see :func:`parse`)::
 
@@ -42,6 +45,7 @@ and ``c*`` prefixes may nest at most :data:`MAX_NESTING` levels deep.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -54,7 +58,7 @@ __all__ = [
     "Expr", "Zero", "Var", "Scale", "Add", "Join", "Mul",
     "Meet", "Pos", "NegPart", "Abs", "Neg",
     "Assignment", "ParseError", "MissingVariableError", "MAX_NESTING", "MAX_TERM_SIZE",
-    "fold", "ARRAY_OPS",
+    "fold",
     "parse", "print_expr", "complexity", "variables",
     "eval_real", "eval_pointwise", "substitute", "contains_product",
     "random_expr", "cosh_sinh_witness",
@@ -311,24 +315,23 @@ def _multiply(node: Mul, left, right):
     return left * right
 
 
-#: Scaling, addition and join of numpy values.  A numpy backend adds its own
-#: ops for 0, variables and the product.
-ARRAY_OPS = {Scale: _scale, Add: _add, Join: lambda node, left, right: np.maximum(left, right)}
-
 _REAL = {Zero: lambda node: 0.0, Scale: _scale, Add: _add,
          Join: lambda node, left, right: max(left, right), Mul: _multiply}
 
-_POINTWISE = {**ARRAY_OPS, Zero: lambda node: 0.0, Mul: _multiply}
+_POINTWISE = {Zero: lambda node: 0.0, Scale: _scale, Add: _add,
+              Join: lambda node, left, right: np.maximum(left, right)}
 
 
-def _lookup(env: Mapping, convert=lambda value: value):
-    """Op for variables: the converted value bound to the name in ``env``."""
+def _lookup(env: Mapping, convert=None):
+    """Op for variables: the value bound to the name in ``env``, passed
+    through ``convert`` when one is given."""
 
     def value(node: Var):
         try:
-            return convert(env[node.name])
+            bound = env[node.name]
         except KeyError:
             raise MissingVariableError(f"no value for variable {node.name!r}") from None
+        return bound if convert is None else convert(bound)
 
     return value
 
@@ -341,14 +344,17 @@ def eval_real(e: Expr, assignment: Assignment) -> float:
     return fold(e, {**_REAL, Var: _lookup(assignment, float)})
 
 
-def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"]):
-    """Vectorized real evaluation: variables may be bound to numpy arrays.
+def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"],
+                   product: Callable = operator.mul):
+    """Vectorized evaluation: variables may be bound to numpy arrays.
 
-    All arrays must broadcast against each other; the product is the plain
-    pointwise product.  Returns an array (or a scalar if every binding is
-    scalar).
+    Join is the pointwise maximum and ``product(a, b)`` the model's product
+    of two values, by default the plain pointwise product.  All arrays must
+    broadcast against each other, and 0 is the scalar ``0.0``.  Returns an
+    array (or a scalar if every binding is scalar, or ``e`` has no variable).
+    Raises :class:`MissingVariableError` if a free variable is not bound.
     """
-    return fold(e, {**_POINTWISE, Var: _lookup(env)})
+    return fold(e, {**_POINTWISE, Var: _lookup(env), Mul: lambda node, a, b: product(a, b)})
 
 
 # ---------------------------------------------------------------------------

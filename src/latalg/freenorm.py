@@ -53,7 +53,7 @@ import numpy as np
 from .ball import REAL_GRID_CAP, generator_norms, generator_vectors
 from .cylinder import CylinderGrid, generator
 from .discretize import discretize_generators
-from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, contains_product, eval_pointwise, fold
+from .expr import Expr, contains_product, eval_pointwise
 from .models import DiagonalAlgebra
 from .rewrite import Polynomial, polynomial_majorant
 from .seeding import seeded_rng
@@ -154,18 +154,15 @@ def _atom_values(e: Expr, vectors: Mapping[str, np.ndarray], atoms: np.ndarray) 
     """Sup norm of ``e`` through the one-atom operator of each row
     ``(weight, column...)`` of ``atoms``, after checking the contraction.
 
-    The ops are those of :meth:`FiniteModel.evaluate` on a diagonal algebra
-    (join = maximum, product ``weights * a * b``) over arrays with one entry
-    per atom.
+    This is :meth:`FiniteModel.evaluate` on a diagonal algebra (product
+    ``weights * a * b``) over arrays with one entry per atom.
     """
     weights, columns = atoms[:, 0], atoms[:, 1:]
     _check_contraction(columns)
     # The product evaluate_operator computes for one atom, (n,) @ (n, 1), stacked.
     images = {name: np.matmul(vec, columns[:, :, None])[:, 0] for name, vec in vectors.items()}
-    ops = {**ARRAY_OPS, Zero: lambda node: np.zeros(len(atoms)),
-           Var: lambda node: images[node.name],
-           Mul: lambda node, a, b: weights * a * b}
-    return np.abs(fold(e, ops))
+    values = eval_pointwise(e, images, lambda a, b: weights * a * b)
+    return np.abs(np.broadcast_to(values, (len(atoms),)))
 
 
 def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:

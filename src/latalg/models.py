@@ -7,7 +7,8 @@ operations and the sup norm; what varies is the product:
   in [0, 1] (so the sup norm is automatically submultiplicative);
 * :class:`DiagonalAlgebra` -- the same product with strictly positive
   weights, which makes it semiprime;
-* :class:`ZeroProductModel` -- the product is identically zero.
+* :class:`ZeroProductModel` -- the same product with every weight 0, so
+  the product is identically zero.
 
 Models are immutable after construction and evaluation is pure.  Elements
 of different model instances must not be mixed.
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expr import ARRAY_OPS, Expr, Mul, Var, Zero, fold
+from .expr import Expr, MissingVariableError, eval_pointwise
 from .seeding import seeded_rng
 
 __all__ = [
@@ -93,16 +94,13 @@ class FiniteModel:
             if not isinstance(el, ModelElement) or el.model is not self:
                 raise ModelError(f"variable {name!r} is bound to an element of another model")
             values[name] = el.values
-
-        def value(node: Var) -> np.ndarray:
-            try:
-                return values[node.name]
-            except KeyError:
-                raise ModelError(f"no element assigned to variable {node.name!r}") from None
-
-        ops = {**ARRAY_OPS, Zero: lambda node: np.zeros(self.size), Var: value,
-               Mul: lambda node, a, b: self.product_values(a, b)}
-        return ModelElement(self, fold(e, ops))
+        try:
+            out = eval_pointwise(e, values, self.product_values)
+        except MissingVariableError as exc:
+            raise ModelError(str(exc)) from None
+        if not isinstance(out, np.ndarray):  # a term without variables
+            out = np.full(self.size, out)
+        return ModelElement(self, out)
 
 
 class WeightedGridModel(FiniteModel):
@@ -140,16 +138,13 @@ class DiagonalAlgebra(WeightedGridModel):
         super().__init__(weights)
 
 
-class ZeroProductModel(FiniteModel):
-    """Coordinate lattice with the identically zero product."""
+class ZeroProductModel(WeightedGridModel):
+    """Coordinate lattice with the identically zero product: every weight is 0."""
 
     kind = "zero_product"
 
     def __init__(self, points: int):
-        super().__init__(points)
-
-    def product_values(self, a, b):
-        return np.zeros(self.size)
+        super().__init__(np.zeros(max(int(points), 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +204,6 @@ def square_zero_witness(model: FiniteModel) -> ModelElement | None:
         if zero_points.size == 0:
             return None
         return model.basis(int(zero_points[0]))
-    if isinstance(model, ZeroProductModel):
-        return model.basis(0)
     for j in range(model.size):
         e = model.basis(j)
         if np.all(model.product_values(e.values, e.values) == 0.0):
@@ -226,8 +219,6 @@ def check_semiprime(model: FiniteModel, trials: int = 100, seed: int = 0) -> boo
     """
     if isinstance(model, WeightedGridModel):
         return bool(np.all(model.weights > 0.0))
-    if isinstance(model, ZeroProductModel):
-        return False
     if square_zero_witness(model) is not None:
         return False
     rng = seeded_rng(seed, 2)
@@ -285,12 +276,12 @@ def check_submultiplicative(model: FiniteModel, trials: int = 100, seed: int = 0
 # Serialization and random model factories
 
 def model_to_json(model: FiniteModel) -> dict:
+    if isinstance(model, ZeroProductModel):
+        return {"kind": "zero_product", "points": model.size}
     if isinstance(model, DiagonalAlgebra):
         return {"kind": "diagonal", "weights": model.weights.tolist()}
     if isinstance(model, WeightedGridModel):
         return {"kind": "weighted_grid", "weights": model.weights.tolist()}
-    if isinstance(model, ZeroProductModel):
-        return {"kind": "zero_product", "points": model.size}
     raise ModelError(f"cannot serialize model kind {model.kind!r}")
 
 

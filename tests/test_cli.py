@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latalg import cli, freenorm
 from latalg.cli import main
@@ -119,6 +125,11 @@ def test_gens_parsing_forms(capsys):
                            "--gens", "v=e1", "--n", "2", "--grid-sphere", "5")
     assert code == 0 and json.loads(out)["verdict"] == "nonzero on ball"
 
+    # Without --n the dimension is that of the longest generator.
+    code, _, _ = run_cli(capsys, "discretize", "--expr", "v", "--gens", "v=0.5,0.5",
+                         "--grid-r", "5", "--grid-sphere", "4", "--iters", "5")
+    assert code == 0
+
 
 def test_gens_missing_variable_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
@@ -155,6 +166,9 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["discretize", "--expr", "x", "--n", "0"],
     ["kernel", "--expr", TEN_VARIABLES],
     ["discretize", "--expr", "x", "--n", "10"],
+    ["surface", "--n", "2", "--expr", "v", "--gens", "v=1,0,0"],
+    ["discretize", "--expr", "v", "--gens", "v=0.5,0.5", "--n", "1"],
+    ["kernel", "--expr", "x", "--gens", "x=1,0", "--n", "1"],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     try:
@@ -166,6 +180,65 @@ def test_input_errors_exit_2_with_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_unwritable_surface_out_exits_2(capsys, tmp_path):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        with pytest.raises(SystemExit) as err:
+            main(["surface", "--n", "2", "--grid-r", "3", "--grid-sphere", "3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write the surfaces")
+
+
+# Option values for the exit-code fuzz: each argv takes one good value per
+# option (None leaves the option out), then up to two bad ones.  "dir",
+# "file" and "file/sub" name a fresh directory, an existing file and a path
+# below that file.
+FUZZ_GOOD = {
+    "--expr": ["x", "pos(x)*neg(x)", "x*y - y*x", "v \\/ w", "0"],
+    "--n": [None, "2"],
+    "--gens": [None, "x=e1;y=e2", "v=0.5,0.5;w=e2"],
+    "--grid-r": [None, "3"],
+    "--grid-sphere": [None, "3", "4"],
+    "--delta": [None, "0.25"],
+    "--iters": ["0", "3"],
+    "--out": ["dir"],
+}
+FUZZ_BAD = [("--expr", None), ("--expr", "x +* y"), ("--n", "0"), ("--n", "1"),
+            ("--gens", "x=1,0,0"), ("--gens", "x=e0"), ("--grid-r", "1"),
+            ("--grid-sphere", "1"), ("--delta", "1"), ("--iters", "-1"),
+            ("--out", "file"), ("--out", "file/sub")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["check-identity", "kernel", "surface", "norm", "discretize"]),
+       options=st.fixed_dictionaries({flag: st.sampled_from(values)
+                                      for flag, values in FUZZ_GOOD.items()}),
+       bad=st.lists(st.sampled_from(FUZZ_BAD), max_size=2))
+def test_fuzzed_argv_keeps_the_exit_code_contract(command, options, bad):
+    options.update(bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "file").write_text("")
+        options["--out"] = str(Path(tmp) / options["--out"])
+        argv = [command]
+        for flag, value in options.items():
+            if value is not None:
+                argv += [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -260,7 +333,7 @@ README_REPORTS = [
      "cab5bbdda78e4cb2eefd5ea03dd2dfad85ab979cfbd6a89040b9791cb086b779"),
 ]
 SURFACE_CSVS = {
-    "expression.csv": "443cececea43b7562acedcbb214619dc24b7b3a1d8588b5edadae72b6df1f9d7",
+    "expression.csv": "bfc28a7991d9839b08fe1652e0e04a2c5d44fc0f5b4d1cf84569329364c1ebab",
     "generator_e1.csv": "4f8a6213a55956ce8e6e9c3eeb718fc9a1c2a2c7b0a3834e01b5c61aac84d5db",
     "generator_e2.csv": "ac3469871ca63fb2dd5f5fa93b6134af9a9dc3941595f53f0385de0828830def",
     "unit_star_unit.csv": "449b088d786f43bc66d9996f891414ef9c5c17783766bd7f7389b938dea31a02",

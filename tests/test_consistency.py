@@ -71,7 +71,7 @@ def test_cylinder_extension_at_full_radius():
         direct = np.broadcast_to(
             np.asarray(eval_pointwise(e, {"v": u1, "w": u2}), dtype=float),
             (grid.sphere_points.shape[0],))
-        assert np.allclose(ext.values[full][0], direct, atol=1e-12)
+        assert np.array_equal(ext.values[full][0], direct)
 
 
 @settings(max_examples=100, deadline=None)

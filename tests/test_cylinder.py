@@ -8,8 +8,9 @@ from latalg.cylinder import (
     cylinder_extension, generator, star_product, strong_unit_candidate,
     transport_to_cube, unit_norm,
 )
-from latalg.expr import Join, Mul, Var, random_expr
+from latalg.expr import Join, Mul, Var, eval_pointwise, random_expr
 from latalg.freenorm import majorant_upper_bound
+from latalg.rewrite import product_kill
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +84,7 @@ def test_extension_multiplicative(grid2):
         lhs = cylinder_extension(Mul(f, g), gens, grid2)
         rhs = star_product(cylinder_extension(f, gens, grid2),
                            cylinder_extension(g, gens, grid2))
-        assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-9
+        assert np.array_equal(lhs.values, rhs.values)
 
 
 def test_extension_lattice_homomorphism(grid2):
@@ -98,18 +99,20 @@ def test_extension_lattice_homomorphism(grid2):
 
 
 def test_extension_zero_row_matches_radial_limit(grid2):
-    # The symbolic r=0 row must agree with the numeric quotient at tiny r.
+    # The r=0 row is the product-killed term at u, and it must agree with the
+    # numeric quotient at tiny r.
     gens = {"v": [1.0, 0.0], "w": [0.0, 1.0]}
+    dots = {name: grid2.sphere_points @ np.asarray(vec) for name, vec in gens.items()}
     tiny = 2.0 ** -20
     rng = random.Random(62)
-    from latalg.expr import eval_pointwise
 
     for _ in range(20):
         e = random_expr(rng, ("v", "w"), 7)
         ext = cylinder_extension(e, gens, grid2)
         row0 = ext.values[0]
-        env = {name: tiny * (grid2.sphere_points @ np.asarray(vec, dtype=float))
-               for name, vec in gens.items()}
+        assert np.array_equal(row0, np.broadcast_to(eval_pointwise(product_kill(e), dots),
+                                                    row0.shape))
+        env = {name: tiny * dot for name, dot in dots.items()}
         numeric = np.broadcast_to(
             np.asarray(eval_pointwise(e, env), dtype=float) / tiny,
             row0.shape)
