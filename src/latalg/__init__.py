@@ -20,6 +20,7 @@ from .ball import (
     eval_on_ball,
     lattice_projection,
     limit_profile,
+    transport_residual,
     vanishes_on_ball,
     vanishes_on_reals,
 )
@@ -127,7 +128,7 @@ __all__ = [
     "model_to_json", "model_from_json", "model_suite",
     # dual ball
     "BallGrid", "GridFunction", "eval_on_ball", "vanishes_on_ball",
-    "vanishes_on_reals", "lattice_projection", "limit_profile",
+    "vanishes_on_reals", "transport_residual", "lattice_projection", "limit_profile",
     # cylinder
     "CylinderGrid", "StarFunction", "star_product", "generator",
     "constant_one", "cylinder_extension", "strong_unit_candidate",

@@ -1,15 +1,22 @@
-"""Dual-ball grids: restriction of terms to the cube [-1,1]^n, and the
-positively homogeneous projection.
+"""Dual-ball grids, the three vanishing checks, and the positively
+homogeneous projection.
 
 For generators living in the n-dimensional absolute-sum-normed space, the
 dual unit ball is the cube.  :func:`eval_on_ball` samples the function
 ``x* -> e(x*(x_1), ..., x*(x_k))`` on a uniform cube grid, which is the
 concrete face of the restriction representation; grid vanishing is a
 surrogate for kernel membership, not a proof.
+
+The verdicts rest on three vanishing checks, :func:`vanishes_on_ball`,
+:func:`vanishes_on_reals` and :func:`transport_residual` (to the finite
+models), and all three are one chunked scan: the first point of the
+strictly largest ``|value| / (1 + bound)`` is the witness, and a point whose
+value or bound is not finite scores ``inf``.  No grid is ever built whole.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,13 +25,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import Expr, eval_pointwise, eval_real, variables
+from .models import model_suite
 from .rewrite import polynomial_majorant, product_kill, zero_simplify
 from .seeding import seeded_rng
 
 __all__ = [
     "BallGrid", "GridFunction", "generator_vectors", "generator_norms", "eval_on_ball",
-    "vanishes_on_ball", "vanishes_on_reals", "lattice_projection", "limit_profile",
-    "BallReport", "RealLineReport", "REAL_GRID_CAP",
+    "vanishes_on_ball", "vanishes_on_reals", "transport_residual", "lattice_projection",
+    "limit_profile", "BallReport", "RealLineReport", "REAL_GRID_CAP",
 ]
 
 
@@ -137,15 +145,23 @@ def vanishes_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGri
     The residual is compared against ``tol * (1 + B)`` where ``B`` is the
     majorant bound at the absolute-sum norms of the generators.  A
     non-finite residual or threshold does not vanish; the witness is then
-    the point of the largest residual (the first NaN, if there is one).
+    the first grid point (C order) of the largest residual, ``inf`` for a
+    non-finite value.
     """
-    f = eval_on_ball(e, gens, grid)
+    vectors = generator_vectors(e, gens, grid.dimension)
     bound = float(polynomial_majorant(e).evaluate(generator_norms(gens)))
     threshold = tol * (1.0 + bound)
-    idx = int(np.argmax(np.abs(f.values)))
-    residual = float(abs(f.values[idx]))
-    vanishes = math.isfinite(residual) and math.isfinite(threshold) and residual <= threshold
-    return BallReport(vanishes, residual, threshold, None if vanishes else tuple(grid.points[idx]))
+
+    def chunks():
+        for columns in _grid_chunks(np.linspace(-1.0, 1.0, grid.points_per_axis), grid.dimension):
+            points = np.column_stack(columns)
+            values = eval_pointwise(e, {name: points @ vec for name, vec in vectors.items()})
+            yield values, 0.0, lambda i: tuple(points[i])
+
+    # Below every score: the first point is the witness even when all are 0.
+    residual, witness = _worst_point(chunks(), worst=-1.0)
+    vanishes = math.isfinite(threshold) and residual <= threshold
+    return BallReport(vanishes, residual, threshold, None if vanishes else witness)
 
 
 @dataclass
@@ -180,6 +196,24 @@ def _grid_chunks(axis: np.ndarray, k: int):
         yield [np.repeat(axis[i], block) for i in lead] + [c[:size] for c in tiled]
 
 
+def _worst_point(chunks, worst: float = 0.0) -> tuple[float, object]:
+    """The one worst-point rule: ``chunks`` yields ``(values, bound,
+    witness_at)``, each point scoring ``|value| / (1 + bound)`` (``inf`` if
+    either is not finite) and ``witness_at`` mapping a point's index in its
+    chunk to its witness.  Returns the largest score above ``worst`` and the
+    witness of its first point, or ``(worst, None)``."""
+    witness = None
+    with np.errstate(all="ignore"):
+        for values, bound, witness_at in chunks:
+            scores = np.ravel(np.abs(values) / (1.0 + bound))
+            if not (np.isfinite(scores).all() and np.isfinite(bound).all()):
+                scores = np.where(np.isfinite(values) & np.isfinite(bound), scores, np.inf)
+            idx = int(np.argmax(scores))
+            if scores[idx] > worst:
+                worst, witness = float(scores[idx]), witness_at(idx)
+    return worst, witness
+
+
 def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = None,
                       samples: int = 10_000, seed: int = 0,
                       tol: float = 1e-9) -> RealLineReport:
@@ -207,35 +241,44 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
         while g > 1 and g ** k > REAL_GRID_CAP:
             g -= 2
 
-    worst = 0.0
-    witness: dict | None = None
-
-    def consider(chunks) -> None:
-        nonlocal worst, witness
-        for columns in chunks:
+    def chunks(column_chunks):
+        for columns in column_chunks:
             env = dict(zip(names, columns))
-            with np.errstate(all="ignore"):
-                vals = eval_pointwise(e, env)
-                bound = majorant.evaluate({n: np.abs(c) for n, c in env.items()})
-                scaled = np.abs(vals) / (1.0 + bound)
-            if not (np.isfinite(scaled).all() and np.isfinite(bound).all()):
-                scaled = np.where(np.isfinite(vals) & np.isfinite(bound), scaled, np.inf)
-            scaled = np.broadcast_to(scaled, (len(columns[0]) if columns else 1,))
-            idx = int(np.argmax(scaled))
-            if scaled[idx] > worst:
-                worst = float(scaled[idx])
-                witness = {n: float(c[idx]) for n, c in env.items()}
+            values = eval_pointwise(e, env)
+            bound = majorant.evaluate({n: np.abs(c) for n, c in env.items()})
+            yield values, bound, lambda i: {n: float(c[i]) for n, c in env.items()}
 
     if k == 0:
-        consider([[]])
+        column_chunks = [[]]
     else:
-        consider(_grid_chunks(np.linspace(-scale, scale, g), k))
-        if samples > 0:
-            rng = seeded_rng(seed, 11)
-            consider(list(rng.uniform(-scale, scale, (min(_CHUNK, samples - start), k)).T)
-                     for start in range(0, samples, _CHUNK))
-
+        rng = seeded_rng(seed, 11)
+        draws = (list(rng.uniform(-scale, scale, (min(_CHUNK, samples - start), k)).T)
+                 for start in range(0, samples, _CHUNK))
+        column_chunks = itertools.chain(_grid_chunks(np.linspace(-scale, scale, g), k), draws)
+    worst, witness = _worst_point(chunks(column_chunks))
     return RealLineReport(worst <= tol, worst, tol, None if worst <= tol else witness, g, capped)
+
+
+def transport_residual(e: Expr, seed: int = 0) -> tuple[float, tuple | None]:
+    """The identity transport: ``e`` in each model of ``model_suite(seed)``,
+    evaluated once over five assignments (coordinates uniform in [-1, 1],
+    one stream).  The residual is the sup norm of the value scaled by
+    ``1 + p(sup|a|)``; returns the largest and its ``(model, {name:
+    coordinates})`` witness, or ``(0.0, None)`` when every residual is 0."""
+    names = variables(e)
+    majorant = polynomial_majorant(e)
+    rng = seeded_rng(seed, 61)
+
+    def chunks():  # sup norms are maxima over the last axis, the model's points
+        for model in model_suite(seed):
+            draws = rng.uniform(-1.0, 1.0, (5, len(names), model.size))  # assignment, name, point
+            env = dict(zip(names, draws.swapaxes(0, 1)))
+            values = np.broadcast_to(eval_pointwise(e, env, model.product_values), (5, model.size))
+            bound = majorant.evaluate({n: np.abs(a).max(-1, initial=0.0) for n, a in env.items()})
+            yield (np.abs(values).max(-1, initial=0.0), bound,
+                   lambda i: (model, {n: a[i].tolist() for n, a in env.items()}))
+
+    return _worst_point(chunks())
 
 
 def lattice_projection(e: Expr) -> Expr:

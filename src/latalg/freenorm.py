@@ -25,7 +25,8 @@ the term on the reals with product ``w a b``, each generator ``v`` read as
   moves of the best atom so far by +-step (weight clipped to [2^-52, 1],
   entries to [-1, 1]), then 3(n + 1) atoms drawn from the stream
   ``(seed, 42, round)``.  The step starts at 1/4 and halves after a round
-  that did not raise the best value.
+  that did not raise the best value.  A round of 5(n + 1) atoms of n + 1
+  entries must fit the grid budget, so the search refuses n above 594.
 
 The budget cuts this stream and every atom depends only on those before
 it, so a larger budget never lowers the bound; the first atom attaining
@@ -182,10 +183,14 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     cut at ``search_iters`` atoms), so enlarging the budget never decreases
     the result, and the first atom attaining the best value wins.  The
     returned bound is that one-atom operator certified and replayed by
-    :func:`evaluate_operator`.
+    :func:`evaluate_operator`.  Raises ValueError, before allocating any
+    search array, when a round would exceed :data:`REAL_GRID_CAP` entries.
     """
     config = config or SearchConfig()
     n = _gen_dimension(gens)
+    if 5 * (n + 1) ** 2 > REAL_GRID_CAP:
+        raise ValueError(f"a search round in dimension {n} would hold {5 * (n + 1)} x {n + 1} "
+                         f"entries, more than the grid budget of {REAL_GRID_CAP}")
     vectors = generator_vectors(e, gens, n)
     best_value, best = -1.0, None
 
@@ -214,9 +219,10 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
             consider(np.column_stack([discrete.weights, discrete.coefficients.T]))
             del discrete  # frees the atoms and splits before the next mesh parameter
 
-    moves = np.kron(np.eye(n + 1), [[1.0], [-1.0]])  # +-1 on each coordinate in turn
-    low = np.r_[2.0 ** -52, -np.ones(n)]
     step, left, round_ = 0.25, config.search_iters, 0
+    if left > 0:
+        moves = np.kron(np.eye(n + 1), [[1.0], [-1.0]])  # +-1 on each coordinate in turn
+        low = np.r_[2.0 ** -52, -np.ones(n)]
     while left > 0:
         rng = seeded_rng(config.seed, 42, round_)
         draws = np.column_stack([1.0 - rng.random(3 * (n + 1)),  # weights in (0, 1]

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from latalg import ball
 from latalg.ball import (
     REAL_GRID_CAP, BallGrid, GridFunction, eval_on_ball, lattice_projection, limit_profile,
-    vanishes_on_ball, vanishes_on_reals,
+    transport_residual, vanishes_on_ball, vanishes_on_reals,
 )
 from latalg.cylinder import CylinderGrid, cylinder_extension
 from latalg.expr import (
@@ -18,7 +19,7 @@ from latalg.freenorm import (
     OperatorIntoAlgebra, SearchConfig, evaluate_operator, operator_lower_bound,
     product_free_lower_bound,
 )
-from latalg.models import DiagonalAlgebra
+from latalg.models import DiagonalAlgebra, model_to_json
 from latalg.rewrite import product_kill
 
 WITNESS = parse("pos(pos(x)*pos(x) - pos(x))")
@@ -135,6 +136,82 @@ def test_real_line_reports_are_bit_identical():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REAL_LINE_DIGEST
 
 
+def _ball_corpus():
+    """(term, generators, grid, tol) cases in dimensions 1 to 4 for the pinned digest."""
+    names = ("x", "y", "z", "u")
+    rng, vec_rng = random.Random(909), np.random.default_rng(909)
+    # One chunk (n = 1, 101 and 1001 points; 5^4 points) and many (101^2, 41^3, 15^4).
+    grids = {1: (101, 1001), 2: (101,), 3: (41,), 4: (5, 15)}
+    cases = []
+    for n, sizes in grids.items():
+        for points in sizes:
+            grid = BallGrid(n, points)
+            basis = {v: np.eye(n)[i % n] for i, v in enumerate(names)}
+            other = {v: vec_rng.uniform(-0.6, 0.6, n) for v in names}
+            for gens in (basis, other):
+                for _ in range(3):
+                    e = random_expr(rng, names[:n], 8)
+                    cases.append((e, {v: gens[v] for v in variables(e)}, grid, 1e-9))
+                # The maximum recurs in every later chunk; the first point is the witness.
+                e = parse(" \\/ ".join(f"pos({v})" for v in names[:n]))
+                cases.append((e, {v: gens[v] for v in variables(e)}, grid, 1e-9))
+            for e in (WITNESS, parse("pos(x)*neg(x)")):
+                cases.append((e, {"x": basis["x"]}, grid, 1e-9))
+            # Zero terms: they vanish, and under a negative tol the witness is the first point.
+            for text in ("0", "x - x", "0*0"):
+                gens = {v: basis[v] for v in variables(parse(text))}
+                cases.extend((parse(text), gens, grid, tol) for tol in (1e-9, -1.0))
+    return cases
+
+
+# sha256 of (vanishes, max_residual, threshold, witness) over the corpus
+# above, recorded from known-good reports.
+BALL_DIGEST = "4f533c582ab71e346d59784b16aa764d1ebcfa828229768b37bb2b08505f6457"
+
+
+def test_ball_reports_are_bit_identical():
+    lines = []
+    for e, gens, grid, tol in _ball_corpus():
+        report = vanishes_on_ball(e, gens, grid, tol=tol)
+        witness = None if report.witness is None else [float(c) for c in report.witness]
+        lines.append(repr((report.vanishes, report.max_residual, report.threshold, witness)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BALL_DIGEST
+
+
+def _transport_corpus():
+    """(term text, seed) cases for the pinned transport digest: identities with
+    random subterms, random non-identities and zero terms, at four seeds."""
+    names = ("x", "y", "z")
+    identities = ("pos({x})*neg({x})", "({x} \\/ {y}) + ({x} /\\ {y}) - {x} - {y}",
+                  "abs({x}*{y}) - abs({x})*abs({y})",
+                  "(({x} \\/ {y})*pos({z})) - (({x}*pos({z})) \\/ ({y}*pos({z})))")
+    cases = []
+    for seed in (0, 3, 17, 101):
+        rng = random.Random(1700 + seed)
+        for text in identities:
+            cases.append((text.format(x="x", y="y", z="z"), seed))
+            for _ in range(2):
+                subs = {v: f"({print_expr(random_expr(rng, names, 4))})" for v in "xyz"}
+                cases.append((text.format(**subs), seed))
+        cases.extend((print_expr(random_expr(rng, names[:k], 7)), seed) for k in (1, 2, 3))
+        cases.extend((text, seed) for text in ("0", "x - x", "0*0"))
+    return cases
+
+
+# sha256 of (max_scaled_residual, worst model as JSON) over the corpus above,
+# recorded from known-good reports of the check-identity model transport.
+TRANSPORT_DIGEST = "4d2d17e3cb3bfb550acdc127d013018ebe32fce496c446aab93c9c9a08a588b2"
+
+
+def test_transport_reports_are_bit_identical():
+    lines = []
+    for text, seed in _transport_corpus():
+        worst, witness = transport_residual(parse(text), seed)
+        model = None if witness is None else model_to_json(witness[0])
+        lines.append(repr((worst, json.dumps(model, sort_keys=True))))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRANSPORT_DIGEST
+
+
 def test_real_grid_cap():
     for k, per_axis in ((1, 1001), (3, 41), (6, 11), (7, 7), (8, 5), (10, 3)):
         e = parse(" + ".join(f"x{i}" for i in range(k)))
@@ -172,6 +249,18 @@ def test_non_finite_ball_residual_does_not_vanish():
         with np.errstate(all="ignore"):
             report = vanishes_on_ball(parse(text), {"x": [1.0]}, BallGrid(1, 3))
         assert not report.vanishes and report.witness == (-1.0,)
+        assert report.max_residual == np.inf
+    # NaN from x = 0.5 on: the residual reads inf, the witness is the first such point.
+    big = "(1e200*pos(x))*(1e200*pos(x))"
+    report = vanishes_on_ball(parse(f"{big} - {big}"), {"x": [1.0]}, BallGrid(1, 5))
+    assert not report.vanishes and report.max_residual == np.inf and report.witness == (0.5,)
+
+
+def test_vanishes_on_ball_never_builds_the_grid(monkeypatch):
+    monkeypatch.setattr(BallGrid, "points", property(lambda self: pytest.fail("built the grid")))
+    gens = {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1]}
+    report = vanishes_on_ball(parse("x*y - pos(z)"), gens, BallGrid(3, 41))
+    assert not report.vanishes and report.max_residual == 2.0 and report.witness == (-1.0, 1.0, 1.0)
 
 
 def test_non_finite_points_are_violations():

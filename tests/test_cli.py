@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latalg import cli, freenorm
+from latalg import ball, freenorm
 from latalg.cli import main
 from latalg.models import WeightedGridModel
 
@@ -169,6 +169,7 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["surface", "--n", "2", "--expr", "v", "--gens", "v=1,0,0"],
     ["discretize", "--expr", "v", "--gens", "v=0.5,0.5", "--n", "1"],
     ["kernel", "--expr", "x", "--gens", "x=1,0", "--n", "1"],
+    ["norm", "--expr", "x", "--n", "5000", "--iters", "0"],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     try:
@@ -264,7 +265,7 @@ def test_non_finite_transport_value_exits_2(capsys, monkeypatch):
         def product_values(self, a, b):
             return np.full(self.size, np.inf)
 
-    monkeypatch.setattr(cli, "model_suite", lambda seed: [Overflowing([1.0])])
+    monkeypatch.setattr(ball, "model_suite", lambda seed: [Overflowing([1.0])])
     with pytest.raises(SystemExit) as err:
         main(["check-identity", "--expr", "pos(x)*neg(x)"])
     captured = capsys.readouterr()

@@ -280,3 +280,13 @@ def test_lower_bound_golden(text, gens, config, floor, atoms, digest):
     assert op.algebra.size == atoms
     assert hashlib.sha256(blob).hexdigest()[:16] == digest
     assert evaluate_operator(parse(text), gens, op) == found
+
+
+def test_search_dimension_budget():
+    # A round holds 5(n + 1) atoms of n + 1 entries: n = 594 fits the grid
+    # budget, n = 595 is refused before any search array is built.
+    config = SearchConfig(search_iters=1, delta_list=())
+    value, _ = operator_lower_bound(Var("x"), {"x": np.eye(594)[0]}, config)
+    assert value == 1.0
+    with pytest.raises(ValueError, match="budget"):
+        operator_lower_bound(Var("x"), {"x": np.eye(595)[0]}, config)
