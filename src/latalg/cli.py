@@ -220,11 +220,11 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 def cmd_norm(args: argparse.Namespace) -> int:
     e = _parse_expr_or_exit(args.expr)
-    gens, _ = _parse_gens(args.gens, variables(e), args.n)
+    gens, n = _parse_gens(args.gens, variables(e), args.n)
     config = SearchConfig(search_iters=args.iters, seed=args.seed,
                           delta_list=tuple(args.delta or (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)))
     try:
-        sandwich = norm_sandwich(e, gens, config)
+        sandwich = norm_sandwich(e, gens, config, n)
     except ValueError as exc:
         _usage_error(str(exc))
     report = _echo(args)

@@ -8,23 +8,23 @@ build the core term that spells them, so every term holds the six kinds
 only.  Terms are immutable and hashable, so they may be shared freely
 across threads; every operation in this module is pure.
 
-Every traversal of a term runs over its post-order tape,
-:attr:`Expr.postorder`: one ``(node, arity)`` pair per node occurrence,
-children before parents and left before right.  The tape is built without
-recursion on first use and cached on the node, so no traversal is limited
-by the interpreter's recursion limit (``==``, ``hash`` and ``repr`` do not
-recurse either), and a term evaluated many times is flattened once.
-Repeated subterms are not shared: work counted per subterm (the normal-form
-budget) is counted per occurrence, and :func:`parse` rejects terms with
-more than :data:`MAX_TERM_SIZE` occurrences.
+Every traversal of a term runs over its tape, :attr:`Expr.tape`: one entry
+per structurally distinct subterm, children before parents, left before
+right.  It is built without recursion on first use and cached on the node,
+so no traversal is limited by the recursion limit (``==``, ``hash`` and
+``repr`` do not recurse either), a term evaluated many times is flattened
+once, and a repeated subterm is evaluated once per traversal.  Printed
+text grows with every occurrence, so :func:`parse` rejects terms with more
+than :data:`MAX_TERM_SIZE` node occurrences.
 
-:func:`fold` runs a tape with a value stack.  A backend is an op table that
-maps each of the six node classes to ``f(node, *child_values)``; an op
-reads only the fields of its own node.  :func:`eval_pointwise` is the one
-fold over numpy arrays: every array model (the reals, weighted grids,
-diagonal algebras, the zero-product lattice, the cylinder and the norm
-search's one-atom algebras) multiplies pointwise with a weight, so each
-passes its product to it.
+:func:`fold` runs a tape, dropping each value after its last consumer.  A
+backend is an op table that maps each of the six node classes to
+``f(node, *child_values)``; ``node`` stands for every occurrence of its
+subterm, so an op's value depends on its fields, not on the occurrence.
+:func:`eval_pointwise` is the one fold over numpy arrays: every array model
+(the reals, weighted grids, diagonal algebras, the zero-product lattice,
+the cylinder and the norm search's one-atom algebras) multiplies pointwise
+with a weight, so each passes its product to it.
 
 Concrete syntax (see :func:`parse`)::
 
@@ -111,39 +111,52 @@ class Expr:
                 continue
             if type(a) is not type(b) or a.label != b.label:
                 return False
-            if a.arity == 1:
-                pairs.append((a.child, b.child))
-            elif a.arity == 2:
-                pairs.append((a.right, b.right))
-                pairs.append((a.left, b.left))
+            pairs += zip(_children(a), _children(b))
         return True
 
     def __hash__(self):
-        return hash(tuple((type(node), node.label) for node, _ in self.postorder))
+        return fold(self, _HASH)
 
     def __repr__(self):
         """The dataclass text, e.g. ``Add(left=Var(name='x'), right=Zero())``, by a fold."""
         return fold(self, _REPR)
 
     @cached_property
-    def postorder(self) -> list[tuple["Expr", int]]:
-        """``(node, arity)`` for every node occurrence, children first, left to right.
+    def tape(self) -> list[tuple["Expr", tuple[int, ...], tuple[int, ...]]]:
+        """``(node, children, last_uses)`` per distinct subterm, children first.
 
-        Built once, without recursion, and not a dataclass field.
+        ``children`` are the entry indices of the node's children, and
+        ``last_uses`` those whose last consumer it is.  Subterms share an entry
+        when kind, label and children's entries agree; a scaling's label is
+        keyed with its type and sign, so ``0.0`` and ``-0.0`` keep theirs.
         """
-        tape = []
+        entries, index, keys = [], {}, {}
         stack = [self]
-        while stack:
-            node = stack.pop()
-            arity = node.arity
-            tape.append((node, arity))
-            if arity == 1:
-                stack.append(node.child)
-            elif arity == 2:
-                stack.append(node.left)
-                stack.append(node.right)
-        tape.reverse()
-        return tape
+        while stack:  # children first, left before right
+            node = stack[-1]
+            kids = _children(node)
+            args = tuple([index.get(id(kid)) for kid in kids])
+            if None in args:  # an indexed child pushed again finds its entry again
+                stack += kids[::-1]
+                continue
+            stack.pop()
+            key = (type(node), node.label, args)
+            if node.arity == 1:
+                key += (type(node.coeff), math.copysign(1.0, node.coeff))
+            i = index[id(node)] = keys.setdefault(key, len(entries))
+            if i == len(entries):
+                entries.append((node, args))
+        tape, used = [], set()
+        for node, args in reversed(entries):
+            tape.append((node, args, tuple(set(args) - used)))
+            used.update(args)
+        return tape[::-1]
+
+
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if node.arity == 1:
+        return (node.child,)
+    return (node.left, node.right) if node.arity == 2 else ()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -198,6 +211,10 @@ class Mul(Expr):
 
 _BINARY = (Add, Join, Mul)
 
+_KINDS = (Zero, Var, Scale, *_BINARY)
+_HASH = dict.fromkeys(_KINDS, lambda node, *hashes: hash((type(node), node.label, *hashes)))
+_SIZE = dict.fromkeys(_KINDS, lambda node, *sizes: 1 + sum(sizes))  # node occurrences
+
 _REPR = {Zero: lambda node: "Zero()", Var: lambda node: f"Var(name={node.name!r})",
          Scale: lambda node, child: f"Scale(coeff={node.coeff!r}, child={child})",
          **dict.fromkeys(_BINARY, lambda node, left, right:
@@ -235,19 +252,21 @@ def Abs(a: Expr) -> Expr:
 
 
 def fold(e: Expr, ops: Mapping[type, Callable]):
-    """Value of ``e``: ``ops[type(node)](node, *child_values)`` at every node, bottom up."""
-    stack = []
-    for node, arity in e.postorder:
+    """Value of ``e``: ``ops[type(node)](node, *child_values)`` once per tape entry, each
+    value dropped after its last consumer, where a tree walk's value stack drops it."""
+    values = {}
+    for i, (node, args, last_uses) in enumerate(e.tape):
         op = ops[type(node)]
-        if arity == 0:
-            stack.append(op(node))
-        elif arity == 1:
-            stack[-1] = op(node, stack[-1])
+        arity = len(args)
+        if arity == 2:
+            values[i] = op(node, values[args[0]], values[args[1]])
+        elif arity:
+            values[i] = op(node, values[args[0]])
         else:
-            right = stack.pop()
-            stack[-1] = op(node, stack[-1], right)
-            del right  # frees an array value as soon as it is used
-    return stack[0]
+            values[i] = op(node)
+        for k in last_uses:
+            del values[k]  # frees an array value as soon as it is used
+    return values[i]
 
 
 def _rebuild_scale(node: Scale, child: Expr) -> Expr:
@@ -366,9 +385,9 @@ def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"],
 #: inside the default recursion limit of 1000.
 MAX_NESTING = 100
 
-#: Most node occurrences (the length of the post-order tape) a term returned
-#: by :func:`parse` may have.  Shared subterms count once per occurrence, so
-#: nested ``abs`` doubles the count at every level.
+#: Most node occurrences a term returned by :func:`parse` may have.  Shared
+#: subterms count once per occurrence, as its printed text grows, so nested
+#: ``abs`` doubles the count at every level.
 MAX_TERM_SIZE = 10 ** 6
 
 _TOKEN_RE = re.compile(
@@ -504,38 +523,11 @@ class _Parser:
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
 
-def _occurrences(e: Expr) -> int:
-    """Length of the post-order tape of ``e``, counted once per distinct node object."""
-    counts: dict[int, int] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if node.arity == 0:
-            counts[id(node)] = 1
-        elif node.arity == 1:
-            child = counts.get(id(node.child))
-            if child is None:
-                stack.append(node.child)
-                continue
-            counts[id(node)] = 1 + child
-        else:
-            left, right = counts.get(id(node.left)), counts.get(id(node.right))
-            if left is None or right is None:
-                if right is None:
-                    stack.append(node.right)
-                if left is None:
-                    stack.append(node.left)
-                continue
-            counts[id(node)] = 1 + left + right
-        stack.pop()
-    return counts[id(e)]
-
-
 def parse(text: str) -> Expr:
     """Parse ``text`` into a term of the six core kinds, with at most
     :data:`MAX_TERM_SIZE` node occurrences."""
     e = _Parser(text).parse()
-    size = _occurrences(e)
+    size = fold(e, _SIZE)
     if size > MAX_TERM_SIZE:
         raise ParseError(f"term has {size} node occurrences, more than {MAX_TERM_SIZE}", 0)
     return e

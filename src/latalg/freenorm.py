@@ -142,13 +142,12 @@ class SearchConfig:
     sign_pattern_cap: int = 1024
 
 
-def _gen_dimension(gens: Mapping[str, Sequence[float]]) -> int:
-    dims = {np.asarray(v, dtype=float).shape[0] for v in gens.values()}
-    if not dims:
-        return 1  # no free variables; any domain works
-    if len(dims) != 1:
+def _gen_dimension(gens: Mapping[str, Sequence[float]], dimension: int | None = None) -> int:
+    """The one dimension of the generator vectors and ``dimension``, or 1 when neither names one."""
+    dims = {np.asarray(v, dtype=float).shape[0] for v in gens.values()} | {dimension} - {None}
+    if len(dims) > 1:
         raise ValueError("all generator vectors must share one dimension")
-    return dims.pop()
+    return dims.pop() if dims else 1  # no free variables; any domain works
 
 
 def _atom_values(e: Expr, vectors: Mapping[str, np.ndarray], atoms: np.ndarray) -> np.ndarray:
@@ -175,7 +174,8 @@ def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
 
 
 def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
-                         config: SearchConfig | None = None) -> tuple[float, OperatorIntoAlgebra]:
+                         config: SearchConfig | None = None,
+                         dimension: int | None = None) -> tuple[float, OperatorIntoAlgebra]:
     """Best certified lower bound for the free norm of ``e`` along ``gens``.
 
     Deterministic under the seed.  Atoms are considered in the fixed order
@@ -183,11 +183,12 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     cut at ``search_iters`` atoms), so enlarging the budget never decreases
     the result, and the first atom attaining the best value wins.  The
     returned bound is that one-atom operator certified and replayed by
-    :func:`evaluate_operator`.  Raises ValueError, before allocating any
-    search array, when a round would exceed :data:`REAL_GRID_CAP` entries.
+    :func:`evaluate_operator`.  Operators act on the generators' dimension,
+    or ``dimension`` (for terms without variables).  Raises ValueError,
+    before allocating, when a round would exceed :data:`REAL_GRID_CAP` entries.
     """
     config = config or SearchConfig()
-    n = _gen_dimension(gens)
+    n = _gen_dimension(gens, dimension)
     if 5 * (n + 1) ** 2 > REAL_GRID_CAP:
         raise ValueError(f"a search round in dimension {n} would hold {5 * (n + 1)} x {n + 1} "
                          f"entries, more than the grid budget of {REAL_GRID_CAP}")
@@ -258,10 +259,10 @@ class NormSandwich:
                              for m, c in self.majorant.sorted_terms()]}
 
 
-def norm_sandwich(e: Expr, gens: Mapping[str, Sequence[float]],
-                  config: SearchConfig | None = None) -> NormSandwich:
-    """Certified lower bound and majorant upper bound for the free norm."""
-    lower, witness = operator_lower_bound(e, gens, config)
+def norm_sandwich(e: Expr, gens: Mapping[str, Sequence[float]], config: SearchConfig | None = None,
+                  dimension: int | None = None) -> NormSandwich:
+    """Certified lower and majorant upper bound for the free norm, in ``dimension``."""
+    lower, witness = operator_lower_bound(e, gens, config, dimension)
     majorant = polynomial_majorant(e)
     upper = float(majorant.evaluate(generator_norms(gens)))
     if lower > upper + 1e-12 * (1.0 + upper):

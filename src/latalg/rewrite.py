@@ -376,9 +376,11 @@ class _Builder:
 def normal_form(e: Expr, budget: int = 1_000_000) -> NormalForm:
     """Rewrite ``e`` as a difference of joins of split-variable polynomials.
 
-    ``budget`` caps the total number of stored terms; the construction is
-    inherently exponential in the worst case and raises
-    :class:`NormalFormBudgetError` rather than truncating.
+    ``budget`` caps the work of the construction, counted in emitted
+    terms: each polynomial added to a join list counts its monomials plus
+    one, cumulatively, and a subterm repeated in ``e`` is built, and
+    counted, once.  The construction is inherently exponential in the worst
+    case and raises :class:`NormalFormBudgetError` rather than truncating.
     """
     return _Builder(budget).build(e)
 

@@ -93,6 +93,12 @@ def test_norm_report(capsys):
     report = json.loads(out)
     assert report["lower"] == 0.0 and report["upper"] == 0.0
 
+    # A term without variables still acts on the dimension --n names.
+    code, out, _ = run_cli(capsys, "norm", "--expr", "0", "--n", "3", "--iters", "5")
+    report = json.loads(out)
+    assert code == 0 and report["lower"] == 0.0
+    assert len(report["witness"]["columns"]) == 3
+
 
 def test_discretize_report_and_usage_error(capsys):
     code, out, _ = run_cli(capsys, "discretize", "--expr", "v*v + (v \\/ w)",
@@ -170,6 +176,7 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["discretize", "--expr", "v", "--gens", "v=0.5,0.5", "--n", "1"],
     ["kernel", "--expr", "x", "--gens", "x=1,0", "--n", "1"],
     ["norm", "--expr", "x", "--n", "5000", "--iters", "0"],
+    ["norm", "--expr", "0", "--n", "5000", "--iters", "5"],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     try:

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latalg.expr import (
-    MAX_NESTING, MAX_TERM_SIZE, Abs, Add, Expr, Join, Meet, MissingVariableError, Mul, Neg, NegPart,
-    ParseError, Pos, Scale, Var, Zero, complexity, contains_product,
-    eval_real, parse, print_expr, random_expr, substitute, variables,
+    _SIZE, MAX_NESTING, MAX_TERM_SIZE, Abs, Add, Expr, Join, Meet, MissingVariableError, Mul, Neg,
+    NegPart, ParseError, Pos, Scale, Var, Zero, complexity, contains_product,
+    eval_real, fold, parse, print_expr, random_expr, substitute, variables,
 )
 
 
@@ -226,12 +226,16 @@ def test_nesting_budget(nest):
 
 
 def test_term_size_budget():
-    # abs(a) is a \/ -a with a shared, so k nested abs have about 3 * 2**k
-    # occurrences: k = 10 has 3,070, k = 25 about 100M.
-    assert len(parse("abs(" * 10 + "x" + ")" * 10).postorder) == 3070
+    # abs(a) is a \/ -a with a shared, so k nested abs have 2k + 1 distinct
+    # subterms but about 3 * 2**k occurrences (k = 10 has 3,070, k = 25 about
+    # 100M), and the printed text grows with the occurrences.
+    nested = parse("abs(" * 10 + "x" + ")" * 10)
+    assert fold(nested, _SIZE) == 3070 and len(nested.tape) == 21
+    assert print_expr(nested).count("x") == 2 ** 10
     with pytest.raises(ParseError, match=f"more than {MAX_TERM_SIZE}"):
         parse("abs(" * 25 + "x" + ")" * 25)
-    assert len(parse("+".join(["x"] * 2000)).postorder) == 3999
+    chain = parse("+".join(["x"] * 2000))
+    assert fold(chain, _SIZE) == 3999 and len(chain.tape) == 2000
 
 
 def test_deep_input_is_a_parse_error():

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,13 +18,47 @@ from latalg.rewrite import NormalFormBudgetError, normal_form, polynomial_majora
 def test_postorder_tape():
     x, y = Var("x"), Var("y")
     e = Add(Scale(2.0, x), Join(x, Zero()))
-    assert e.postorder == [(x, 0), (Scale(2.0, x), 1), (x, 0), (Zero(), 0),
-                           (Join(x, Zero()), 2), (e, 2)]
-    assert e.postorder is e.postorder
+    # (node, children's entries, children last used here), one per distinct subterm.
+    assert e.tape == [(x, (), ()), (Scale(2.0, x), (0,), ()), (Zero(), (), ()),
+                      (Join(x, Zero()), (0, 2), (0, 2)), (e, (1, 3), (1, 3))]
+    assert e.tape is e.tape
     assert e == Add(Scale(2.0, x), Join(x, Zero()))
     assert hash(e) == hash(Add(Scale(2.0, x), Join(x, Zero())))
-    shared = Mul(Add(x, y), Add(x, y))
-    assert len(shared.postorder) == 7  # one entry per occurrence
+    shared = Mul(Add(x, y), Add(Var("x"), Var("y")))
+    assert len(shared.tape) == 4
+    calls = Counter()
+    counting = dict.fromkeys((Zero, Var, Scale, Add, Join, Mul),
+                             lambda node, *values: calls.update([node]))
+    fold(shared, counting)
+    assert calls == {x: 1, y: 1, Add(x, y): 1, shared: 1}
+
+
+def test_signed_zero_scalings_keep_their_entries():
+    x = Var("x")
+    e = Add(Scale(0.0, x), Scale(-0.0, x))
+    assert len(e.tape) == 4
+    assert print_expr(e) == "0.0*x + -0.0*x"
+    assert repr(e).count("coeff=-0.0") == 1
+    back = parse(print_expr(e))
+    assert back == e and print_expr(back) == print_expr(e)
+    assert Scale(0.0, x) == Scale(-0.0, x) and hash(Scale(0.0, x)) == hash(Scale(-0.0, x))
+
+
+def test_fold_drops_values_after_last_use():
+    # A left-deep sum over 1e5 points needs two arrays at a time: the running
+    # sum and the next one.
+    points = np.linspace(-1.0, 1.0, 100_000)
+    e = parse(" + ".join("y" if i % 3 else "x" for i in range(2000)))
+    env = {"x": points, "y": points[::-1].copy()}
+    eval_pointwise(e, {"x": 0.0, "y": 0.0})  # builds the cached tape
+    tracemalloc.start()
+    try:
+        total = eval_pointwise(e, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total[0] == -667.0 + 1333.0
+    assert peak <= 2 * points.nbytes + 2 ** 14  # two arrays and a little bookkeeping
 
 
 def test_fold_runs_children_before_parents():
