@@ -5,8 +5,9 @@ product.  The package provides a parser/printer and evaluator for these
 terms (:mod:`latalg.expr`), symbolic rewrites including the product-kill
 transform, a split-variable normal form and polynomial majorants
 (:mod:`latalg.rewrite`), finite f-algebra models with axiom checkers
-(:mod:`latalg.models`), dual-ball and cylinder function models
-(:mod:`latalg.ball`, :mod:`latalg.cylinder`), a level-set discretizer that
+(:mod:`latalg.models`), the chunked vanishing checks on the dual ball, the
+reals and the models (:mod:`latalg.ball`), the cylinder function model
+(:mod:`latalg.cylinder`), a level-set discretizer that
 turns sampled functions into finite diagonal f-algebras
 (:mod:`latalg.discretize`), and a two-sided estimator of the free norm
 (:mod:`latalg.freenorm`).
@@ -16,8 +17,6 @@ __version__ = "0.1.0"
 
 from .ball import (
     BallGrid,
-    GridFunction,
-    eval_on_ball,
     lattice_projection,
     limit_profile,
     transport_residual,
@@ -127,7 +126,7 @@ __all__ = [
     "check_fstar", "check_submultiplicative",
     "model_to_json", "model_from_json", "model_suite",
     # dual ball
-    "BallGrid", "GridFunction", "eval_on_ball", "vanishes_on_ball",
+    "BallGrid", "vanishes_on_ball",
     "vanishes_on_reals", "transport_residual", "lattice_projection", "limit_profile",
     # cylinder
     "CylinderGrid", "StarFunction", "star_product", "generator",

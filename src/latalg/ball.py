@@ -2,7 +2,7 @@
 homogeneous projection.
 
 For generators living in the n-dimensional absolute-sum-normed space, the
-dual unit ball is the cube.  :func:`eval_on_ball` samples the function
+dual unit ball is the cube.  :func:`vanishes_on_ball` samples the function
 ``x* -> e(x*(x_1), ..., x*(x_k))`` on a uniform cube grid, which is the
 concrete face of the restriction representation; grid vanishing is a
 surrogate for kernel membership, not a proof.
@@ -30,15 +30,20 @@ from .rewrite import polynomial_majorant, product_kill, zero_simplify
 from .seeding import seeded_rng
 
 __all__ = [
-    "BallGrid", "GridFunction", "generator_vectors", "generator_norms", "eval_on_ball",
-    "vanishes_on_ball", "vanishes_on_reals", "transport_residual", "lattice_projection",
-    "limit_profile", "BallReport", "RealLineReport", "REAL_GRID_CAP",
+    "BallGrid", "generator_vectors", "generator_norms", "vanishes_on_ball", "vanishes_on_reals",
+    "transport_residual", "lattice_projection", "limit_profile", "BallReport", "RealLineReport",
+    "REAL_GRID_CAP",
 ]
 
 
 #: The grid budget: most points of the default real-line product grid (11 per
 #: axis up to 6 variables), of a :class:`BallGrid` and of a regular cylinder grid.
 REAL_GRID_CAP = 11 ** 6
+
+#: For a base ``b >= 2``, ``b ** min(k, _CAP_EXPONENT)`` exceeds the budget
+#: exactly when ``b ** k`` does (both do from ``k = _CAP_EXPONENT`` on), so a
+#: budget check never computes a power with a huge exponent.
+_CAP_EXPONENT = REAL_GRID_CAP.bit_length()
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +63,9 @@ class BallGrid:
             raise ValueError("dimension must be >= 1")
         if self.points_per_axis < 3 or self.points_per_axis % 2 == 0:
             raise ValueError("points_per_axis must be odd and >= 3")
-        if self.size > REAL_GRID_CAP:
-            raise ValueError(f"the ball grid would hold {self.size} points, "
-                             f"more than the budget of {REAL_GRID_CAP}")
+        if self.points_per_axis ** min(self.dimension, _CAP_EXPONENT) > REAL_GRID_CAP:
+            raise ValueError(f"the ball grid would hold {self.points_per_axis}^{self.dimension} "
+                             f"points, more than the budget of {REAL_GRID_CAP}")
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -71,28 +76,6 @@ class BallGrid:
     @property
     def size(self) -> int:
         return self.points_per_axis ** self.dimension
-
-
-@dataclass(eq=False)
-class GridFunction:
-    """Real values sampled over a :class:`BallGrid`."""
-
-    grid: BallGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.size,):
-            raise ValueError("value count must match the grid size")
-
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values), initial=0.0))
-
-    def to_csv(self, path) -> None:
-        n = self.grid.dimension
-        header = ",".join(f"x{i + 1}" for i in range(n)) + ",value"
-        table = np.column_stack([self.grid.points, self.values])
-        np.savetxt(path, table, delimiter=",", header=header, comments="")
 
 
 def generator_vectors(e: Expr, gens: Mapping[str, Sequence[float]],
@@ -117,17 +100,6 @@ def generator_vectors(e: Expr, gens: Mapping[str, Sequence[float]],
 def generator_norms(gens: Mapping[str, Sequence[float]]) -> dict[str, float]:
     """The absolute-sum norm of every generator vector in ``gens``."""
     return {name: float(np.sum(np.abs(np.asarray(vec, dtype=float)))) for name, vec in gens.items()}
-
-
-def eval_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGrid) -> GridFunction:
-    """Sample ``x* -> e(...)`` with each variable read through its generator.
-
-    At grid point ``x*`` the variable ``v`` takes the value ``x* . gens[v]``.
-    """
-    env = {name: grid.points @ vec
-           for name, vec in generator_vectors(e, gens, grid.dimension).items()}
-    values = eval_pointwise(e, env)
-    return GridFunction(grid, np.broadcast_to(np.asarray(values, dtype=float), (grid.size,)).copy())
 
 
 @dataclass

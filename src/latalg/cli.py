@@ -191,8 +191,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 def cmd_surface(args: argparse.Namespace) -> int:
     if args.n != 2:
-        print("error: surfaces are emitted for dimension 2 only", file=sys.stderr)
-        return USAGE_ERROR
+        _usage_error("surfaces are emitted for dimension 2 only")
     grid = _cylinder_grid(2, args)
     one = constant_one(grid)
     surfaces = {
@@ -297,21 +296,16 @@ def main(argv=None) -> int:
         sub.set_defaults(func=func)
     args = parser.parse_args(argv)
     if args.command != "surface" and not args.expr:
-        print("error: --expr is required", file=sys.stderr)
-        return USAGE_ERROR
+        _usage_error("--expr is required")
     if args.iters < 0:
-        print(f"error: --iters must be >= 0, got {args.iters}", file=sys.stderr)
-        return USAGE_ERROR
+        _usage_error(f"--iters must be >= 0, got {args.iters}")
     if args.n is not None and args.n < 1:
-        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
-        return USAGE_ERROR
+        _usage_error(f"--n must be >= 1, got {args.n}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
-        return USAGE_ERROR
+        _usage_error(f"--tol must be a finite number >= 0, got {args.tol}")
     for delta in args.delta or ():
         if not (0.0 < delta < 1.0):
-            print(f"error: delta must lie in (0, 1), got {delta}", file=sys.stderr)
-            return USAGE_ERROR
+            _usage_error(f"delta must lie in (0, 1), got {delta}")
     # Overflow surfaces as a non-finite residual or report value, which the
     # commands turn into usage errors; numpy's warnings would only add lines.
     with np.errstate(all="ignore"):

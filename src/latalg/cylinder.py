@@ -19,15 +19,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ball import REAL_GRID_CAP, generator_vectors
+from .ball import _CAP_EXPONENT, REAL_GRID_CAP, generator_vectors
 from .expr import Expr, eval_pointwise
+from .models import ConditionReport
 from .rewrite import product_kill
 from .seeding import seeded_rng
 
 __all__ = [
     "CylinderGrid", "StarFunction", "star_product", "generator", "constant_one",
     "cylinder_extension", "strong_unit_candidate", "UnitCandidate", "unit_norm",
-    "check_star_axioms", "StarAxiomReport", "transport_to_cube", "CubeTransport",
+    "check_star_axioms", "transport_to_cube", "CubeTransport",
 ]
 
 
@@ -71,8 +72,12 @@ class CylinderGrid:
     @staticmethod
     def regular_size(dimension: int, r_levels: int, face_points: int) -> int:
         """Points of :meth:`regular`: the boundary of the ``face_points^n`` cube
-        lattice, times the radial levels (for ``face_points >= 2``)."""
-        return r_levels * (face_points ** dimension - (face_points - 2) ** dimension)
+        lattice, times the radial levels (for ``face_points >= 2``).  Beyond
+        ``REAL_GRID_CAP.bit_length()`` dimensions it is the count at that
+        dimension instead, which is already above the cap (the boundary holds
+        at least ``2^n`` points), so no huge power is computed."""
+        k = min(dimension, _CAP_EXPONENT)
+        return r_levels * (face_points ** k - (face_points - 2) ** k)
 
     @classmethod
     def regular(cls, dimension: int, r_levels: int = 33, face_points: int = 8) -> "CylinderGrid":
@@ -86,10 +91,9 @@ class CylinderGrid:
             raise ValueError("dimension must be >= 1")
         if r_levels < 2 or face_points < 2:
             raise ValueError("need at least two radial levels and two points per face axis")
-        size = cls.regular_size(dimension, r_levels, face_points)
-        if size > REAL_GRID_CAP:
-            raise ValueError(f"the cylinder grid would hold {size} points, "
-                             f"more than the budget of {REAL_GRID_CAP}")
+        if cls.regular_size(dimension, r_levels, face_points) > REAL_GRID_CAP:
+            raise ValueError(f"the cylinder grid of dimension {dimension} would hold more "
+                             f"than the budget of {REAL_GRID_CAP} points")
         r = np.linspace(0.0, 1.0, r_levels)
         seen: set[tuple] = set()
         rows: list[tuple] = []
@@ -219,19 +223,9 @@ def unit_norm(f: StarFunction, e_unit: StarFunction) -> float:
     return float(np.max(np.abs(f.values) / e_unit.values, initial=0.0))
 
 
-@dataclass
-class StarAxiomReport:
-    trials: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def check_star_axioms(grid: CylinderGrid, trials: int = 100, seed: int = 0,
                       product: Callable[[StarFunction, StarFunction], StarFunction] = star_product,
-                      tol: float = 1e-12) -> StarAxiomReport:
+                      tol: float = 1e-12) -> ConditionReport:
     """Verify the product laws on random samples.
 
     Checked per trial: commutativity, associativity, the disjointness-
@@ -240,13 +234,13 @@ def check_star_axioms(grid: CylinderGrid, trials: int = 100, seed: int = 0,
     f = 0 there).  The weight row is pinned globally: 1*1 must equal r.
     """
     rng = seeded_rng(seed, 21)
-    report = StarAxiomReport(trials, [])
+    report = ConditionReport("star_axioms", trials)
     one = constant_one(grid)
     weight = product(one, one)
     expected = np.broadcast_to(grid.r_levels[:, None], grid.shape)
     if np.max(np.abs(weight.values - expected)) > tol:
-        report.violations.append({"law": "unit_weight_row",
-                                  "residual": float(np.max(np.abs(weight.values - expected)))})
+        report.record(law="unit_weight_row",
+                      residual=float(np.max(np.abs(weight.values - expected))))
 
     r_positive = grid.r_levels[:, None] > 0.0
     for trial in range(trials):
@@ -256,13 +250,11 @@ def check_star_axioms(grid: CylinderGrid, trials: int = 100, seed: int = 0,
 
         comm = np.max(np.abs(product(f, g).values - product(g, f).values))
         if comm > tol:
-            report.violations.append({"law": "commutativity", "trial": trial,
-                                      "residual": float(comm)})
+            report.record(law="commutativity", trial=trial, residual=float(comm))
         assoc = np.max(np.abs(product(product(f, g), h).values
                               - product(f, product(g, h)).values))
         if assoc > tol:
-            report.violations.append({"law": "associativity", "trial": trial,
-                                      "residual": float(assoc)})
+            report.record(law="associativity", trial=trial, residual=float(assoc))
 
         mask = rng.integers(0, 2, grid.shape).astype(float)
         x = StarFunction(grid, np.abs(rng.uniform(-1, 1, grid.shape)) * mask)
@@ -270,14 +262,12 @@ def check_star_axioms(grid: CylinderGrid, trials: int = 100, seed: int = 0,
         z = StarFunction(grid, np.abs(rng.uniform(-1, 1, grid.shape)))
         disj = np.max(np.minimum(product(z, x).values, y.values))
         if disj > tol:
-            report.violations.append({"law": "f_algebra_condition", "trial": trial,
-                                      "residual": float(disj)})
+            report.record(law="f_algebra_condition", trial=trial, residual=float(disj))
 
         square = product(f, f)
         bad = r_positive & (square.values == 0.0) & (f.values != 0.0)
         if np.any(bad):
-            report.violations.append({"law": "semiprime_positive_r", "trial": trial,
-                                      "points": int(np.sum(bad))})
+            report.record(law="semiprime_positive_r", trial=trial, points=int(np.sum(bad)))
     return report
 
 

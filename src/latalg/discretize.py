@@ -60,7 +60,7 @@ class PartitionSpec:
     def cell_index(self, values) -> np.ndarray:
         """Index i with ``c_i <= v < c_{i+1}`` per value; raises outside range."""
         v = np.asarray(values, dtype=float)
-        if np.any(v < 0.0) or np.any(v >= self.cuts[-1]):
+        if not np.all((v >= 0.0) & (v < self.cuts[-1])):  # NaN fails both
             raise ValueError(f"values must lie in [0, {self.cuts[-1]})")
         return np.searchsorted(self.cuts, v, side="right") - 1
 

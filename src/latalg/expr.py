@@ -381,7 +381,7 @@ def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"],
 
 #: Deepest nesting :func:`parse` accepts, counting parentheses (including
 #: those of ``pos``, ``neg`` and ``abs``), unary minus and ``c*`` prefixes.
-#: A parenthesis level costs six interpreter frames, so this stays well
+#: A parenthesis level costs seven interpreter frames, so this stays well
 #: inside the default recursion limit of 1000.
 MAX_NESTING = 100
 
@@ -418,6 +418,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+#: Binary operators by binding level, loosest first (see the grammar above);
+#: the operands of the last level are unary terms.
+_OPERATORS = (
+    {"\\/": Join, "/\\": Meet},
+    {"+": Add, "-": lambda a, b: Add(a, Neg(b))},
+    {"*": Mul},
+)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -447,47 +456,24 @@ class _Parser:
         return inner
 
     def parse(self) -> Expr:
-        e = self.parse_lat()
+        e = self.parse_binary()
         kind, text, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected {text!r}", pos)
         return e
 
-    def parse_lat(self) -> Expr:
-        left = self.parse_add()
+    def parse_binary(self, level: int = 0) -> Expr:
+        """A left-associative chain of the operators of ``_OPERATORS[level]``."""
+        if level == len(_OPERATORS):
+            return self.parse_unary()
+        ops = _OPERATORS[level]
+        left = self.parse_binary(level + 1)
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "\\/":
-                self.next()
-                left = Join(left, self.parse_add())
-            elif kind == "op" and text == "/\\":
-                self.next()
-                left = Meet(left, self.parse_add())
-            else:
+            _, text, _ = self.peek()
+            if text not in ops:
                 return left
-
-    def parse_add(self) -> Expr:
-        left = self.parse_mul()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "+":
-                self.next()
-                left = Add(left, self.parse_mul())
-            elif kind == "op" and text == "-":
-                self.next()
-                left = Add(left, Neg(self.parse_mul()))
-            else:
-                return left
-
-    def parse_mul(self) -> Expr:
-        left = self.parse_unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "*":
-                self.next()
-                left = Mul(left, self.parse_unary())
-            else:
-                return left
+            self.next()
+            left = ops[text](left, self.parse_binary(level + 1))
 
     def parse_unary(self) -> Expr:
         kind, text, pos = self.peek()
@@ -512,12 +498,12 @@ class _Parser:
         if kind == "ident":
             if text in _RESERVED:
                 self.expect_op("(")
-                inner = self.nested(self.parse_lat, pos)
+                inner = self.nested(self.parse_binary, pos)
                 self.expect_op(")")
                 return {"pos": Pos, "neg": NegPart, "abs": Abs}[text](inner)
             return Var(text)
         if kind == "op" and text == "(":
-            inner = self.nested(self.parse_lat, pos)
+            inner = self.nested(self.parse_binary, pos)
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)

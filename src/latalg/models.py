@@ -112,7 +112,7 @@ class WeightedGridModel(FiniteModel):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1:
             raise ModelError("weights must be a vector")
-        if np.any(weights < 0.0) or np.any(weights > 1.0):
+        if not np.all((weights >= 0.0) & (weights <= 1.0)):  # NaN fails both
             raise ModelError("weights must lie in [0, 1]")
         super().__init__(weights.shape[0])
         self.weights = weights
@@ -133,7 +133,7 @@ class DiagonalAlgebra(WeightedGridModel):
 
     def __init__(self, weights):
         weights = np.asarray(weights, dtype=float)
-        if weights.ndim == 1 and np.any(weights <= 0.0):
+        if weights.ndim == 1 and not np.all(weights > 0.0):
             raise ModelError("diagonal weights must be strictly positive")
         super().__init__(weights)
 
@@ -234,11 +234,8 @@ def check_fstar(model: FiniteModel, trials: int = 100, seed: int = 0) -> bool:
 
     Agrees with :func:`check_semiprime` on f-algebras.
     """
-    for j in range(model.size):
-        a = model.basis(j).values
-        product = model.product_values(a, a)
-        if np.all(product == 0.0):
-            return False  # |a| /\ |a| = a != 0
+    if square_zero_witness(model) is not None:
+        return False  # a*a = 0 while |a| /\ |a| = |a| != 0
     rng = seeded_rng(seed, 3)
     for _ in range(trials):
         x, y = _disjoint_pair(model, rng)

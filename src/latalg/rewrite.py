@@ -268,24 +268,20 @@ class _Builder:
         self.budget = budget
         self.used = 0
 
-    def _emit(self, acc: tuple[list, set], poly: Polynomial) -> None:
-        out, seen = acc
-        if poly in seen:
+    def _emit(self, acc: dict, poly: Polynomial) -> None:
+        """Append ``poly`` to the join list ``acc`` (a dict, so insertion-ordered)
+        unless it is there already."""
+        if poly in acc:
             return
-        seen.add(poly)
-        out.append(poly)
+        acc[poly] = None
         self.used += 1 + len(poly.terms)
         if self.used > self.budget:
             raise NormalFormBudgetError(self.budget, self.used)
 
-    def _pairsum(self, acc: tuple[list, set], xs, ys) -> None:
+    def _pairsum(self, acc: dict, xs, ys) -> None:
         for p in xs:
             for q in ys:
                 self._emit(acc, p + q)
-
-    @staticmethod
-    def _acc() -> tuple[list, set]:
-        return ([], set())
 
     def zero(self) -> NormalForm:
         z = Polynomial.zero()
@@ -298,10 +294,10 @@ class _Builder:
     def add(self, a: NormalForm, b: NormalForm) -> NormalForm:
         # max(P1)+max(P2) = max over pairs of sums, and likewise for the
         # subtrahends.
-        pos, neg = self._acc(), self._acc()
+        pos, neg = {}, {}
         self._pairsum(pos, a.pos, b.pos)
         self._pairsum(neg, a.neg, b.neg)
-        return NormalForm(tuple(pos[0]), tuple(neg[0]))
+        return NormalForm(tuple(pos), tuple(neg))
 
     def neg(self, a: NormalForm) -> NormalForm:
         return NormalForm(a.neg, a.pos)
@@ -321,11 +317,11 @@ class _Builder:
     def join(self, a: NormalForm, b: NormalForm) -> NormalForm:
         # Bring both sides to the common subtrahend max(N1)+max(N2):
         # a \/ b = [ (max(P1)+max(N2)) \/ (max(P2)+max(N1)) ] - (max(N1)+max(N2)).
-        pos, neg = self._acc(), self._acc()
+        pos, neg = {}, {}
         self._pairsum(pos, a.pos, b.neg)
         self._pairsum(pos, b.pos, a.neg)
         self._pairsum(neg, a.neg, b.neg)
-        return NormalForm(tuple(pos[0]), tuple(neg[0]))
+        return NormalForm(tuple(pos), tuple(neg))
 
     def join_many(self, items: list[NormalForm]) -> NormalForm:
         return reduce(self.join, items)
@@ -334,12 +330,12 @@ class _Builder:
         # x >= 0 split: x*max(U) = max(x_p*u) - max(x_n*u) since split
         # monomials are pointwise nonnegative.
         x_pos, x_neg = x.split_signs()
-        pos, neg = self._acc(), self._acc()
+        pos, neg = {}, {}
         for u in joins:
             self._emit(pos, x_pos * u)
         for u in joins:
             self._emit(neg, x_neg * u)
-        return NormalForm(tuple(pos[0]), tuple(neg[0]))
+        return NormalForm(tuple(pos), tuple(neg))
 
     def poly_times_nf(self, x: Polynomial, b: NormalForm) -> NormalForm:
         return self.sub(self.poly_times_join(x, b.pos), self.poly_times_join(x, b.neg))

@@ -7,7 +7,7 @@ import pytest
 
 from latalg import ball
 from latalg.ball import (
-    REAL_GRID_CAP, BallGrid, GridFunction, eval_on_ball, lattice_projection, limit_profile,
+    REAL_GRID_CAP, BallGrid, lattice_projection, limit_profile,
     transport_residual, vanishes_on_ball, vanishes_on_reals,
 )
 from latalg.cylinder import CylinderGrid, cylinder_extension
@@ -35,28 +35,40 @@ def test_grid_requires_odd_axis():
     assert {tuple(p) for p in g.points} >= {(0.0, 0.0), (1.0, 1.0), (-1.0, 1.0)}
 
 
+def ball_scan(e, gens, grid):
+    """``vanishes_on_ball``, checked against ``eval_real`` at every point of
+    ``grid.points``: the residual is the largest ``|e|`` and the witness the
+    first point attaining it."""
+    functionals = {v: grid.points @ np.asarray(vec, dtype=float) for v, vec in gens.items()}
+    values = np.abs([eval_real(e, {v: float(f[i]) for v, f in functionals.items()})
+                     for i in range(grid.size)])
+    rep = vanishes_on_ball(e, gens, grid)
+    assert rep.max_residual == values.max()
+    if not rep.vanishes:
+        assert rep.witness == tuple(grid.points[int(np.argmax(values))])
+    return rep
+
+
 def test_eval_on_ball_generator_is_coordinate():
-    g = BallGrid(1, 5)
-    f = eval_on_ball(Var("v"), {"v": [1.0]}, g)
-    assert np.array_equal(f.values, g.points[:, 0])
+    rep = ball_scan(Var("v"), {"v": [1.0]}, BallGrid(1, 5))
+    assert rep.max_residual == 1.0 and rep.witness == (-1.0,)
 
 
 def test_eval_on_ball_witness_vanishes():
-    g = BallGrid(1, 101)
-    f = eval_on_ball(WITNESS, {"x": [1.0]}, g)
-    assert np.max(np.abs(f.values)) == 0.0
+    rep = ball_scan(WITNESS, {"x": [1.0]}, BallGrid(1, 101))
+    assert rep.vanishes and rep.max_residual == 0.0 and rep.witness is None
 
 
 def test_eval_on_ball_product_point():
-    g = BallGrid(2, 5)
-    f = eval_on_ball(Mul(Var("v"), Var("w")), {"v": [1, 0], "w": [0, 1]}, g)
-    idx = next(i for i, p in enumerate(g.points) if tuple(p) == (0.5, -1.0))
-    assert f.values[idx] == -0.5
+    rep = ball_scan(Mul(Var("v"), Var("w")), {"v": [1, 0], "w": [0, 1]}, BallGrid(2, 5))
+    assert rep.max_residual == 1.0 and rep.witness == (-1.0, -1.0)
+    rep = ball_scan(parse("v*w \\/ 0"), {"v": [1, 0], "w": [0, -0.5]}, BallGrid(2, 5))
+    assert rep.max_residual == 0.5 and rep.witness == (-1.0, 1.0)
 
 
 def test_eval_on_ball_dimension_mismatch():
     with pytest.raises(ValueError):
-        eval_on_ball(Var("v"), {"v": [1.0, 0.0]}, BallGrid(1, 5))
+        vanishes_on_ball(Var("v"), {"v": [1.0, 0.0]}, BallGrid(1, 5))
 
 
 def test_vanishes_on_ball_verdicts():
@@ -240,6 +252,9 @@ def test_grid_budget_checked_before_allocation():
     assert BallGrid(6, 11).size == REAL_GRID_CAP
     with pytest.raises(ValueError, match="budget"):
         BallGrid(10, 9)
+    # Decided without the 10**7-digit point count, and without printing it.
+    with pytest.raises(ValueError, match=r"3\^10000000 points, more than the budget"):
+        BallGrid(10 ** 7, 3)
 
 
 def test_non_finite_ball_residual_does_not_vanish():
@@ -335,23 +350,7 @@ def test_semiprime_surrogate_on_ball():
     g = BallGrid(1, 201)
     for f in (Var("v"), parse("v*v"), parse("pos(v)")):
         assert not vanishes_on_ball(f, {"v": [1.0]}, g).vanishes
-        prod = eval_on_ball(Mul(f, Var("v")), {"v": [1.0]}, g)
-        assert np.max(np.abs(prod.values)) > 0.0
-
-
-def test_grid_function_csv(tmp_path):
-    g = BallGrid(2, 3)
-    f = eval_on_ball(Var("v"), {"v": [1.0, 0.0]}, g)
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,value"
-    assert len(lines) == 1 + g.size
-
-
-def test_grid_function_length_checked():
-    with pytest.raises(ValueError):
-        GridFunction(BallGrid(1, 3), np.zeros(5))
+        assert ball_scan(Mul(f, Var("v")), {"v": [1.0]}, g).max_residual > 0.0
 
 
 def test_projection_semantic_identity_on_product_free():
@@ -384,9 +383,10 @@ def _product_free_lower_bound(e, gens):
 
 
 # Every caller binding variables to generator vectors of dimension 2.  The
-# wrong-dimension case of eval_on_ball is test_eval_on_ball_dimension_mismatch.
+# wrong-dimension case of vanishes_on_ball is test_eval_on_ball_dimension_mismatch.
 @pytest.mark.parametrize("caller, gens, message", [
-    (lambda e, gens: eval_on_ball(e, gens, BallGrid(2, 3)), {"v": [1.0, 0.0]}, "no generator"),
+    (lambda e, gens: vanishes_on_ball(e, gens, BallGrid(2, 3)), {"v": [1.0, 0.0]},
+     "no generator"),
     (_cylinder_extension, {"v": [1.0, 0.0]}, "no generator"),
     (_cylinder_extension, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "expected"),
     (_evaluate_operator, {"v": [1.0, 0.0]}, "no generator"),

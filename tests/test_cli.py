@@ -48,7 +48,9 @@ def test_parse_error_exits_2(capsys):
 
 
 def test_missing_expr_exits_2(capsys):
-    assert main(["check-identity"]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["check-identity"])
+    assert err.value.code == 2
 
 
 def test_kernel_classifications(capsys):
@@ -78,7 +80,9 @@ def test_surface_outputs(tmp_path, capsys):
 
 
 def test_surface_requires_n2(capsys):
-    assert main(["surface", "--n", "3"]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["surface", "--n", "3"])
+    assert err.value.code == 2
 
 
 def test_norm_report(capsys):
@@ -110,7 +114,9 @@ def test_discretize_report_and_usage_error(capsys):
     assert run["ok"] and run["productBoundViolations"] == 0
     assert run["supError"] < 0.03125
 
-    assert main(["discretize", "--expr", "v", "--delta", "1.5"]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["discretize", "--expr", "v", "--delta", "1.5"])
+    assert err.value.code == 2
 
 
 def test_reports_are_deterministic(capsys):
@@ -188,6 +194,18 @@ def test_input_errors_exit_2_with_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["kernel", "discretize"])
+def test_huge_dimension_is_refused_by_the_grid_budget(capsys, command):
+    # The budget is decided without the point count: (grid_sphere + 1)^5000
+    # has 4771 digits, too many to format.
+    with pytest.raises(SystemExit) as err:
+        main([command, "--expr", "x", "--n", "5000"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "more than the budget of 1771561" in lines[0]
 
 
 def test_unwritable_surface_out_exits_2(capsys, tmp_path):

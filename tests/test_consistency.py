@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latalg.ball import eval_on_ball, BallGrid
+from latalg.ball import BallGrid, vanishes_on_ball
 from latalg.cylinder import CylinderGrid, cylinder_extension
 from latalg.expr import eval_pointwise, eval_real, random_expr, variables
 from latalg.models import WeightedGridModel
@@ -52,10 +52,12 @@ def test_ball_restriction_matches_scalar_eval():
                    for v, vec in gens.items()}
     for _ in range(20):
         e = random_expr(rng, ("x", "y"), 7)
-        f = eval_on_ball(e, gens, grid)
-        for idx in (0, 11, 24, 48):
-            a = {v: float(vals[idx]) for v, vals in functionals.items()}
-            assert f.values[idx] == eval_real(e, a)
+        values = np.abs([eval_real(e, {v: float(vals[idx]) for v, vals in functionals.items()})
+                         for idx in range(grid.size)])
+        rep = vanishes_on_ball(e, gens, grid)
+        assert rep.max_residual == values.max()
+        if not rep.vanishes:
+            assert rep.witness == tuple(grid.points[int(np.argmax(values))])
 
 
 def test_cylinder_extension_at_full_radius():

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from latalg.ball import REAL_GRID_CAP
 from latalg.cylinder import (
     CylinderGrid, StarFunction, check_star_axioms, constant_one,
     cylinder_extension, generator, star_product, strong_unit_candidate,
@@ -10,6 +11,7 @@ from latalg.cylinder import (
 )
 from latalg.expr import Join, Mul, Var, eval_pointwise, random_expr
 from latalg.freenorm import majorant_upper_bound
+from latalg.models import ConditionReport
 from latalg.rewrite import product_kill
 
 
@@ -39,6 +41,14 @@ def test_regular_grid_budget():
     # 10 variables at the CLI's default grid: raised before any face is meshed.
     with pytest.raises(ValueError, match="budget"):
         CylinderGrid.regular(10, r_levels=33, face_points=8)
+    # Exact up to the cap's bit length, over the cap beyond it (the count is
+    # never computed there).
+    for n in range(1, 30):
+        exact, size = 2 * (3 ** n - 1), CylinderGrid.regular_size(n, 2, 3)
+        assert size == exact or (size > REAL_GRID_CAP and exact > REAL_GRID_CAP)
+    assert CylinderGrid.regular_size(10 ** 7, 2, 2) > REAL_GRID_CAP
+    with pytest.raises(ValueError, match="dimension 10000000 would hold more than the budget"):
+        CylinderGrid.regular(10 ** 7, r_levels=2, face_points=2)
 
 
 def test_star_product_examples(grid2):
@@ -172,7 +182,8 @@ def test_unit_norm_examples(grid2):
 
 def test_star_axioms_pass(grid2):
     report = check_star_axioms(grid2, trials=100, seed=0)
-    assert report.ok
+    assert isinstance(report, ConditionReport) and report.name == "star_axioms"
+    assert report.ok and report.trials == 100 and report.violations == []
 
 
 def test_star_axioms_catch_unweighted_product(grid2):

@@ -53,6 +53,11 @@ def test_atomize_edge_cases():
         atomize([np.array([-0.1])], np.array([0.5]), p)
     with pytest.raises(ValueError):
         atomize([np.array([1.3])], np.array([0.5]), p)
+    # NaN lies in no cell (searchsorted would place it above the top cut).
+    with pytest.raises(ValueError):
+        atomize([np.array([np.nan, 0.5])], np.array([0.5, 0.5]), p)
+    with pytest.raises(ValueError):
+        atomize([np.array([0.5])], np.array([np.nan]), p)
 
 
 @pytest.mark.parametrize("delta, functions, points", [

@@ -78,6 +78,9 @@ def test_weight_validation():
         WeightedGridModel([-0.1])
     with pytest.raises(ModelError):
         DiagonalAlgebra([0.5, 0.0])
+    for kind in ("diagonal", "weighted_grid"):  # NaN compares false both ways
+        with pytest.raises(ModelError):
+            model_from_json({"kind": kind, "weights": [float("nan"), 0.5]})
 
 
 def test_f_algebra_condition_clean_models():
