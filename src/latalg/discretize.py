@@ -16,6 +16,11 @@ function, the pipeline is:
 5. :func:`build_diagonal_algebra` -- atoms with those weights form a
    semiprime diagonal f-algebra whose product tracks the sampled one up to
    ``delta``:  ``|x . y| <= |x * y| + delta`` for unit-sup x, y.
+   :func:`verify_bounds` checks this on random pairs atom by atom.  Rounding
+   to nearest is monotone and ``|fl(fl(w*x)*y)| = fl(fl(|w|*|x|)*|y|)``, so
+   on each atom the grid point of least ``|w|`` decides the comparison for
+   every pair, and an atom whose ``|weight|`` does not exceed that least
+   ``|w|`` can never fail it.
 
 For sampled generators steps 1-4 are one call,
 ``discretize_generators(values, w, delta)``: it splits each generator into
@@ -269,6 +274,17 @@ class BoundsReport:
         }
 
 
+def _uniform_span(rng: np.random.Generator, size: int, lo: int, hi: int) -> np.ndarray:
+    """Entries ``[lo, hi)`` of ``rng.uniform(-1, 1, size)``, leaving ``rng``
+    where that draw leaves it: each double takes one step of the PCG64 bit
+    generator of :func:`seeded_rng`, and ``advance`` skips the other steps
+    without drawing them."""
+    rng.bit_generator.advance(lo)
+    span = rng.uniform(-1.0, 1.0, hi - lo)
+    rng.bit_generator.advance(size - hi)
+    return span
+
+
 def verify_bounds(originals: Sequence, discretes: Sequence[np.ndarray], w, weights: np.ndarray,
                   atoms: AtomDecomposition, delta: float, pair_trials: int = 200,
                   seed: int = 0, composite: Expr | None = None,
@@ -283,8 +299,30 @@ def verify_bounds(originals: Sequence, discretes: Sequence[np.ndarray], w, weigh
     * optionally, a composite term evaluated on the grid versus in the
       algebra stays within :func:`error_budget`.  ``composite_gens`` maps
       each variable to ``(original grid values, per-atom coefficients)``.
+
+    Each pair is decided on atoms, never on grid points.  Rounding to nearest
+    is monotone and ``|fl(fl(w*x)*y)| = fl(fl(|w|*|x|)*|y|)``, so on each atom
+    the point of least ``|w|`` decides the comparison for every pair
+    (``np.fmin`` skips a NaN sample, which never fails it).  An atom can fail
+    only if it is "open": its ``|weight|`` exceeds that least ``|w|``, and
+    also ``delta + 1e-12``, since ``|x . y| <= |weight|`` for sup norm <= 1.
+    Trial by trial, x and then y are the two full-length ``uniform(-1, 1)``
+    draws of stream ``(seed, 31)`` that the pointwise check made; entries
+    outside the span of open atoms are skipped with ``advance``, not drawn.
+    So ``product_bound_violations`` is that of the pointwise check.
+    Raises :class:`ValueError` unless there is one discrete per original, one
+    weight per atom, one ``w`` value per grid point and ``delta > 0``.
     """
     w_vals = _values(w)
+    weights = np.asarray(weights, dtype=float)
+    if len(originals) != len(discretes):
+        raise ValueError(f"{len(originals)} originals but {len(discretes)} discretes")
+    if weights.shape != (atoms.atom_count,):
+        raise ValueError(f"need one weight per atom ({atoms.atom_count}), got shape {weights.shape}")
+    if w_vals.shape != (atoms.grid_size,):
+        raise ValueError(f"need one w value per grid point ({atoms.grid_size}), got {w_vals.size}")
+    if not delta > 0.0:  # a negative tolerance would let closed atoms fail
+        raise ValueError(f"delta must be positive, got {delta}")
     split_sup_errors = []
     for f, f_d in zip(originals, discretes):
         f_vals = _values(f)
@@ -294,14 +332,18 @@ def verify_bounds(originals: Sequence, discretes: Sequence[np.ndarray], w, weigh
             raise ValueError("discrete function fails 0 <= f_d <= f")
         split_sup_errors.append(float(np.max(gap, initial=0.0)))
 
+    w_least = np.full(atoms.atom_count, np.inf)
+    np.fmin.at(w_least, atoms.atom_of_point, np.abs(w_vals))
+    open_atoms = np.flatnonzero(np.abs(weights) > np.maximum(w_least, delta + 1e-12))
+    lo, hi = (int(open_atoms[0]), int(open_atoms[-1]) + 1) if open_atoms.size else (0, 0)
+    weights_open, least_open, at = weights[open_atoms], w_least[open_atoms], open_atoms - lo
     rng = seeded_rng(seed, 31)
     violations = 0
     for _ in range(pair_trials):
-        x = rng.uniform(-1, 1, atoms.atom_count)
-        y = rng.uniform(-1, 1, atoms.atom_count)
-        circ = lift_to_grid(weights * x * y, atoms)
-        x_lift, y_lift = lift_to_grid(x, atoms), lift_to_grid(y, atoms)
-        star = w_vals * x_lift * y_lift
+        x = _uniform_span(rng, atoms.atom_count, lo, hi)[at]
+        y = _uniform_span(rng, atoms.atom_count, lo, hi)[at]
+        circ = weights_open * x * y
+        star = least_open * x * y
         if np.any(np.abs(circ) > np.abs(star) + delta + 1e-12):
             violations += 1
 

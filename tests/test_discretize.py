@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from latalg.cylinder import CylinderGrid, generator
+import latalg.discretize as discretize_module
 from latalg.discretize import (
-    atomize, build_diagonal_algebra, build_partition, discrete_weight,
+    AtomDecomposition, atomize, build_diagonal_algebra, build_partition, discrete_weight,
     discretize_function, discretize_generators, error_budget, lift_to_grid, verify_bounds,
 )
 from latalg.expr import Mul, Var, parse
 from latalg.models import check_f_algebra_condition, check_semiprime
+from latalg.seeding import seeded_rng
 
 
 @pytest.fixture
@@ -146,6 +148,107 @@ def test_adversarial_pair_is_tight(trace):
         star = w * lift_to_grid(x, atoms) ** 2
         gap = np.max(np.abs(circ) - np.abs(star))
         assert gap <= 0.25 + 1e-12
+
+
+def test_verify_bounds_refuses_a_missing_discrete(trace):
+    # zip() would check one split of the two and report ok.
+    p, f, w, atoms = trace
+    weights = discrete_weight(w, atoms, p)
+    with pytest.raises(ValueError, match="2 originals but 1 discretes"):
+        verify_bounds([f, f], [discretize_function(f, atoms, p)], w, weights, atoms, 0.25)
+
+
+def test_verify_bounds_refuses_weights_not_one_per_atom(trace):
+    # One weight would broadcast over the three atoms.
+    p, f, w, atoms = trace
+    f_d = discretize_function(f, atoms, p)
+    with pytest.raises(ValueError, match="one weight per atom"):
+        verify_bounds([f], [f_d], w, np.array([0.5]), atoms, 0.25)
+
+
+def test_verify_bounds_refuses_w_not_one_per_grid_point(trace):
+    # One sample of w would broadcast over the three grid points.
+    p, f, w, atoms = trace
+    weights = discrete_weight(w, atoms, p)
+    f_d = discretize_function(f, atoms, p)
+    with pytest.raises(ValueError, match="one w value per grid point"):
+        verify_bounds([f], [f_d], np.array([0.3]), weights, atoms, 0.25)
+
+
+def test_verify_bounds_refuses_a_delta_that_is_not_positive(trace):
+    p, f, w, atoms = trace
+    weights = discrete_weight(w, atoms, p)
+    f_d = discretize_function(f, atoms, p)
+    for delta in (0.0, -0.25, float("nan")):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            verify_bounds([f], [f_d], w, weights, atoms, delta)
+
+
+def _pointwise_violations(w, weights, atoms, delta, pair_trials, seed):
+    """The pair check on grid points: both products lifted to every point."""
+    rng = seeded_rng(seed, 31)
+    violations = 0
+    for _ in range(pair_trials):
+        x = rng.uniform(-1, 1, atoms.atom_count)
+        y = rng.uniform(-1, 1, atoms.atom_count)
+        circ = lift_to_grid(weights * x * y, atoms)
+        star = w * lift_to_grid(x, atoms) * lift_to_grid(y, atoms)
+        if np.any(np.abs(circ) > np.abs(star) + delta + 1e-12):
+            violations += 1
+    return violations
+
+
+def _adversarial_case(seed):
+    """Atoms of 1 to many points, weights up to 2*delta above the least
+    sampled |w| of their atom; NaN samples and negative weights in some."""
+    rng = np.random.default_rng(seed)
+    atom_count = int(rng.integers(1, 40))
+    shares = rng.dirichlet(np.full(atom_count, 0.3))
+    extra = rng.choice(atom_count, int(rng.integers(0, 5 * atom_count)), p=shares)
+    atom_of_point = rng.permutation(np.concatenate([np.arange(atom_count), extra]))
+    atoms = AtomDecomposition(atom_of_point, np.arange(atom_count)[:, None])
+    delta = float(rng.choice([0.25, 0.1, 2.0 ** -5]))
+    w = rng.uniform(-1.0, 1.0, atom_of_point.size) if seed % 4 == 0 else rng.uniform(0.0, 1.0, atom_of_point.size)
+    if seed % 3 == 0:
+        w[rng.random(w.size) < 0.3] = np.nan
+    least = np.array([np.min(np.abs(v[~np.isnan(v)]), initial=np.inf) for v in
+                      (w[atom_of_point == a] for a in range(atom_count))])
+    least[np.isinf(least)] = 0.5  # an atom of NaN samples only
+    weights = least + rng.uniform(-delta, 2.0 * delta, atom_count)
+    if seed % 2 == 0:
+        weights[rng.random(atom_count) < 0.5] *= -1.0
+    return w, weights, atoms, delta
+
+
+def test_pair_check_matches_pointwise_formula():
+    with_violations = 0
+    for seed in range(240):
+        w, weights, atoms, delta = _adversarial_case(seed)
+        report = verify_bounds([], [], w, weights, atoms, delta, pair_trials=12, seed=seed)
+        expected = _pointwise_violations(w, weights, atoms, delta, 12, seed)
+        assert (report.product_trials, report.product_bound_violations) == (12, expected), seed
+        with_violations += expected > 0
+    assert with_violations >= 160  # the check is not vacuous
+
+
+def test_pair_trials_never_lift_to_the_grid(monkeypatch):
+    calls = []
+    lift = discretize_module.lift_to_grid
+    monkeypatch.setattr(discretize_module, "lift_to_grid",
+                        lambda coeffs, atoms: calls.append(1) or lift(coeffs, atoms))
+    delta = 2.0 ** -5
+    grid, w, values, splits, p, atoms = _cylinder_data(delta)
+    weights = np.minimum(discrete_weight(w, atoms, p) + 2.0 * delta, 1.0)  # opens most atoms
+    discretes = [discretize_function(s, atoms, p) for s in splits]
+    gens = {"a": (values[0], discretes[0] - discretes[1]), "b": (values[1], discretes[2] - discretes[3])}
+    lifts = []
+    for trials in (0, 200):
+        calls.clear()
+        report = verify_bounds(splits, discretes, w, weights, atoms, delta, pair_trials=trials,
+                               composite=parse("a*b"), composite_gens=gens)
+        lifts.append(len(calls))
+    assert report.product_bound_violations > 0
+    assert lifts[0] == lifts[1] == len(splits) + 1
 
 
 def _cylinder_data(delta, r_levels=17, face_points=8):
