@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .ball import BallGrid, transport_residual, vanishes_on_ball, vanishes_on_reals
 from .cylinder import CylinderGrid, constant_one, cylinder_extension, generator, star_product
-from .discretize import discretize_generators, verify_bounds
+from .discretize import build_partition, discretize_generators, verify_bounds
 from .expr import ExprError, parse, variables
 from .freenorm import SearchConfig, norm_sandwich
 from .models import model_to_json
@@ -243,7 +243,7 @@ def cmd_discretize(args: argparse.Namespace) -> int:
     runs = []
     for delta in args.delta or [2.0 ** -5]:
         try:
-            discrete = discretize_generators(originals, w, delta)
+            discrete = discretize_generators([v[0] for v in originals], grid, delta)
         except ValueError as exc:
             _usage_error(f"generator absolute-sum norms must stay below 1 + delta = "
                          f"{1.0 + delta} to discretize ({exc})")
@@ -304,8 +304,10 @@ def main(argv=None) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         _usage_error(f"--tol must be a finite number >= 0, got {args.tol}")
     for delta in args.delta or ():
-        if not (0.0 < delta < 1.0):
-            _usage_error(f"delta must lie in (0, 1), got {delta}")
+        try:
+            build_partition(delta)
+        except ValueError as exc:
+            _usage_error(str(exc))
     # Overflow surfaces as a non-finite residual or report value, which the
     # commands turn into usage errors; numpy's warnings would only add lines.
     with np.errstate(all="ignore"):

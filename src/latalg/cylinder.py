@@ -95,23 +95,13 @@ class CylinderGrid:
             raise ValueError(f"the cylinder grid of dimension {dimension} would hold more "
                              f"than the budget of {REAL_GRID_CAP} points")
         r = np.linspace(0.0, 1.0, r_levels)
-        seen: set[tuple] = set()
-        rows: list[tuple] = []
         axis = np.linspace(-1.0, 1.0, face_points)
-        for i in range(dimension):
-            for sign in (1.0, -1.0):
-                if dimension == 1:
-                    face = np.array([[sign]])
-                else:
-                    mesh = np.meshgrid(*([axis] * (dimension - 1)), indexing="ij")
-                    free = np.stack(mesh, axis=-1).reshape(-1, dimension - 1)
-                    face = np.insert(free, i, sign, axis=1)
-                for row in face:
-                    key = tuple(row)
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(key)
-        return cls.from_points(r, np.array(rows))
+        cells = np.indices((face_points,) * (dimension - 1))
+        free = axis[cells.reshape(dimension - 1, face_points ** (dimension - 1)).T]
+        faces = np.concatenate([np.insert(free, i, sign, axis=1)
+                                for i in range(dimension) for sign in (1.0, -1.0)])
+        _, first = np.unique(faces, axis=0, return_index=True)  # first occurrence of each row
+        return cls.from_points(r, faces[np.sort(first)])
 
 
 @dataclass(eq=False)

@@ -5,10 +5,10 @@ the positive and negative parts of cylinder generators) and of a weight
 function, the pipeline is:
 
 1. :func:`build_partition` -- uniform cuts ``0 = c_0 < ... < c_{N+1} = 1 + delta``
-   with mesh at most ``delta`` (cells are left-closed, right-open; the top
-   cut exceeds 1 so the value 1 falls inside a cell).
-2. :func:`atomize` -- fingerprint every grid point by the cell of each
-   function; distinct fingerprints are the atoms.
+   with mesh at most ``delta * (1 + 1e-12)`` (cells are left-closed,
+   right-open; the top cut exceeds 1 so the value 1 falls inside a cell).
+2. :func:`atomize` -- the atoms are the distinct cell fingerprints of the
+   grid points; on the cylinder, classes of sphere points times radial cells.
 3. :func:`discretize_function` -- replace a function by the lower cell
    endpoint on each atom, giving ``0 <= f_d <= f`` and ``f - f_d < delta``.
 4. :func:`discrete_weight` -- same for the weight, floored at ``c_1`` so
@@ -22,11 +22,11 @@ function, the pipeline is:
    every pair, and an atom whose ``|weight|`` does not exceed that least
    ``|w|`` can never fail it.
 
-For sampled generators steps 1-4 are one call,
-``discretize_generators(values, w, delta)``: it splits each generator into
-its positive and negative parts, atomizes once, and reads the discretes, the
-weights and each generator's row ``pos_d - neg_d`` from the fingerprints.
-The ``discretize`` command and :mod:`latalg.freenorm` both use it.
+For cylinder generators, sampled once per sphere point, steps 1-4 are one call
+used by the ``discretize`` command and :mod:`latalg.freenorm`:
+``discretize_generators(values, grid, delta)``.  Generators do not depend on
+``r`` and the weight is ``r``, so two grid points share an atom exactly when
+their sphere points share every split's cell and their levels the cell of ``r``.
 
 On a finite grid every sampled function is simple, which is exactly why the
 construction is exact here.
@@ -40,6 +40,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .ball import REAL_GRID_CAP
+from .cylinder import CylinderGrid
 from .expr import Add, Expr, Join, Mul, Scale, Var, Zero, fold
 from .models import DiagonalAlgebra, WeightedGridModel
 from .seeding import seeded_rng
@@ -53,7 +55,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PartitionSpec:
-    """Cuts ``0 = c_0 < ... < c_{N+1} = 1 + delta`` with mesh <= delta."""
+    """Cuts ``0 = c_0 < ... < c_{N+1} = 1 + delta`` with mesh <= delta * (1 + 1e-12)."""
 
     cuts: np.ndarray
     delta: float
@@ -74,11 +76,15 @@ class PartitionSpec:
 
 
 def build_partition(delta: float) -> PartitionSpec:
-    """Uniform cuts of mesh <= delta covering [0, 1 + delta]."""
+    """Uniform cuts of mesh <= delta * (1 + 1e-12) covering [0, 1 + delta]; more
+    than :data:`~latalg.ball.REAL_GRID_CAP` cells are refused before allocating."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    cells = max(2, math.ceil((1.0 + delta) / delta - 1e-9))
-    cuts = np.linspace(0.0, 1.0 + delta, cells + 1)
+    # The 1e-12 keeps delta = 0.1 at 11 cells; a float, so a subnormal delta gives inf.
+    cells = (1.0 + delta - 1e-12) / delta
+    if cells > REAL_GRID_CAP:
+        raise ValueError(f"delta = {delta} needs more than the budget of {REAL_GRID_CAP} cells")
+    cuts = np.linspace(0.0, 1.0 + delta, max(2, math.ceil(cells)) + 1)
     return PartitionSpec(cuts, float(delta))
 
 
@@ -183,21 +189,31 @@ class DiscreteGenerators:
     coefficients: np.ndarray  # shape (generators, atoms)
 
 
-def discretize_generators(values: Sequence[np.ndarray], w, delta: float) -> DiscreteGenerators:
-    """Split, atomize and discretize sampled generators against the weight ``w``.
-
-    The result equals :func:`atomize` of the splits followed by
-    :func:`discrete_weight` and :func:`discretize_function`, but everything
-    after the atomization is read from the fingerprints.  Raises
-    :class:`ValueError` when a split or the weight leaves ``[0, 1 + delta)``.
-    """
+def discretize_generators(values: Sequence[np.ndarray], grid: CylinderGrid,
+                          delta: float) -> DiscreteGenerators:
+    """Split, atomize and discretize generators sampled once per sphere point
+    of ``grid`` against the weight ``r``: atom ``s * k_r + t`` is sphere class
+    ``s`` in the ``t``-th of ``k_r`` radial cells.  Equals :func:`atomize` over
+    the whole grid, then :func:`discrete_weight` and :func:`discretize_function`,
+    bit for bit.  Raises :class:`ValueError` when a generator is not one value
+    per sphere point, or a split or ``r`` leaves ``[0, 1 + delta)``."""
     partition = build_partition(delta)
-    splits = [part for v in values for part in (np.maximum(v, 0.0), np.maximum(-v, 0.0))]
-    atoms = atomize(splits, w, partition)
-    lower = partition.lower(atoms.fingerprints)  # one column per function, weight last
-    weights = np.where(atoms.fingerprints[:, -1] == 0, partition.cuts[1], lower[:, -1])
-    coefficients = np.ascontiguousarray((lower[:, 0:-1:2] - lower[:, 1:-1:2]).T)
-    return DiscreteGenerators(atoms, splits, list(lower[:, :-1].T), weights, coefficients)
+    parts = [part for v in values for part in (np.maximum(v, 0.0), np.maximum(-v, 0.0))]
+    if any(part.shape != grid.sphere_points.shape[:1] for part in parts):
+        raise ValueError("need one value per sphere point for each generator")
+    # The zero weight puts every sphere point in cell 0, so it splits no class.
+    sphere = atomize(parts, np.zeros(grid.sphere_points.shape[:1]), partition)
+    sphere_cells = sphere.fingerprints[:, :-1]
+    r_cells, r_rank = np.unique(partition.cell_index(grid.r_levels), return_inverse=True)
+    k_r = r_cells.shape[0]
+    atoms = AtomDecomposition((sphere.atom_of_point * k_r + r_rank[:, None]).reshape(-1),
+                              np.column_stack([np.repeat(sphere_cells, k_r, axis=0),
+                                               np.tile(r_cells, sphere.atom_count)]))
+    lower = np.repeat(partition.lower(sphere_cells), k_r, axis=0)  # one column per split
+    weights = np.where(r_cells == 0, partition.cuts[1], partition.lower(r_cells))
+    return DiscreteGenerators(atoms, [np.broadcast_to(part, grid.shape) for part in parts],
+                              list(lower.T), np.tile(weights, sphere.atom_count),
+                              np.ascontiguousarray((lower[:, 0::2] - lower[:, 1::2]).T))
 
 
 def build_diagonal_algebra(atoms: AtomDecomposition, weights: np.ndarray) -> DiagonalAlgebra:
@@ -310,6 +326,9 @@ def verify_bounds(originals: Sequence, discretes: Sequence[np.ndarray], w, weigh
     draws of stream ``(seed, 31)`` that the pointwise check made; entries
     outside the span of open atoms are skipped with ``advance``, not drawn.
     So ``product_bound_violations`` is that of the pointwise check.
+    No atom of :func:`discretize_generators` is open: its weight is ``c_t <= r``
+    at every point of its cell ``t >= 1`` of ``r``, and in cell 0 the first cut
+    ``c_1``, below ``delta + 1e-12``; so there the pair check compares nothing.
     Raises :class:`ValueError` unless there is one discrete per original, one
     weight per atom, one ``w`` value per grid point and ``delta > 0``.
     """

@@ -16,11 +16,12 @@ the term on the reals with product ``w a b``, each generator ``v`` read as
 * the sign atoms (weight 1, entries +-1), the corners of the box, which
   attain the analytic optimum on simple terms;
 * the atoms of the discretized cylinder generators, one operator per mesh
-  parameter: the basis generators scaled by ``1/(1 + delta)`` go through
-  :func:`~latalg.discretize.discretize_generators`, whose weights and
-  coefficient rows are the atoms.  This source is skipped when its cylinder
-  grid would hold more than :data:`~latalg.ball.REAL_GRID_CAP` points (from
-  7 variables on at the default grid);
+  parameter: the basis generators at the sphere points, scaled by
+  ``1/(1 + delta)``, go through :func:`~latalg.discretize.discretize_generators`,
+  one atom per class of sphere points and radial cell.  This source is
+  skipped when its cylinder grid would hold more than
+  :data:`~latalg.ball.REAL_GRID_CAP` points (from 7 variables on at the
+  default grid);
 * ``search_iters`` atoms of a seeded ascent, in rounds: 2(n + 1) coordinate
   moves of the best atom so far by +-step (weight clipped to [2^-52, 1],
   entries to [-1, 1]), then 3(n + 1) atoms drawn from the stream
@@ -52,7 +53,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ball import REAL_GRID_CAP, generator_norms, generator_vectors
-from .cylinder import CylinderGrid, generator
+from .cylinder import CylinderGrid
 from .discretize import discretize_generators
 from .expr import Expr, contains_product, eval_pointwise
 from .models import DiagonalAlgebra
@@ -212,13 +213,11 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     if config.delta_list and (CylinderGrid.regular_size(n, config.r_levels, config.face_points)
                               <= REAL_GRID_CAP):
         grid = CylinderGrid.regular(n, r_levels=config.r_levels, face_points=config.face_points)
-        values = [generator(basis, grid).values for basis in np.eye(n)]
-        w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
         for delta in config.delta_list:
             scale = 1.0 / (1.0 + delta)
-            discrete = discretize_generators([scale * v for v in values], w, delta)
+            discrete = discretize_generators(list(scale * grid.sphere_points.T), grid, delta)
             consider(np.column_stack([discrete.weights, discrete.coefficients.T]))
-            del discrete  # frees the atoms and splits before the next mesh parameter
+            del discrete  # frees the atom table before the next mesh parameter
 
     step, left, round_ = 0.25, config.search_iters, 0
     if left > 0:

@@ -119,6 +119,18 @@ def test_discretize_report_and_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["norm", "discretize"])
+@pytest.mark.parametrize("delta", ["1e-8", "5e-324"])
+def test_delta_past_the_cell_budget_is_one_usage_line(capsys, command, delta):
+    # Refused before any partition is allocated, and not blamed on the generators.
+    with pytest.raises(SystemExit) as err:
+        main([command, "--expr", "x", "--n", "1", "--delta", delta])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [f"error: delta = {float(delta)} needs more than the budget of 1771561 cells"]
+
+
 def test_reports_are_deterministic(capsys):
     args = ["norm", "--expr", "x1*x1 + (x1 \\/ x2)", "--iters", "50", "--seed", "7"]
     _, out1, _ = run_cli(capsys, *args)

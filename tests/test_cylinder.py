@@ -35,6 +35,35 @@ def test_regular_grid_shapes():
         CylinderGrid.from_points([0.0, 0.5], [[1.0]])  # missing r=1
 
 
+def seen_set_sphere(dimension, face_points):
+    # Reference: each face's lattice in canonical face order, keeping a row
+    # the first time a Python set sees it.
+    seen, rows = set(), []
+    axis = np.linspace(-1.0, 1.0, face_points)
+    for i in range(dimension):
+        for sign in (1.0, -1.0):
+            if dimension == 1:
+                face = np.array([[sign]])
+            else:
+                mesh = np.meshgrid(*([axis] * (dimension - 1)), indexing="ij")
+                face = np.insert(np.stack(mesh, axis=-1).reshape(-1, dimension - 1), i, sign, axis=1)
+            for row in map(tuple, face):
+                if row not in seen:
+                    seen.add(row)
+                    rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
+def test_regular_sphere_matches_seen_set_reference(dimension):
+    # Bit for bit, in order; odd face_points put 0.0 on the axis.
+    for face_points in range(2, 10):
+        points = CylinderGrid.regular(dimension, r_levels=2, face_points=face_points).sphere_points
+        expected = seen_set_sphere(dimension, face_points)
+        assert points.shape == expected.shape
+        assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+
+
 def test_regular_grid_budget():
     for n, r, p in ((1, 5, 8), (2, 3, 4), (3, 2, 5), (5, 2, 4), (6, 2, 4), (7, 2, 4)):
         assert CylinderGrid.regular(n, r, p).size == CylinderGrid.regular_size(n, r, p)

@@ -31,7 +31,8 @@ def test_build_partition_examples():
 
 
 def test_partition_mesh_and_top_cut():
-    for delta in (0.25, 0.3, 2.0 ** -5, 0.07):
+    # 1 / delta just above 2 once took one cell too few: mesh delta + 1.7e-11.
+    for delta in (0.25, 0.3, 2.0 ** -5, 0.07, 1.0 / (2.0 + 1e-10)):
         p = build_partition(delta)
         assert p.mesh <= delta + 1e-12
         assert p.cuts[-1] == 1.0 + delta
@@ -388,30 +389,70 @@ def test_random_composites_stay_within_budget():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
-@pytest.mark.parametrize("delta", [2.0 ** -4, 2.0 ** -5, 0.1])
+@pytest.mark.parametrize("delta", [2.0 ** -4, 2.0 ** -5, 0.1, 2.0 ** -3, 0.3])
 @pytest.mark.parametrize("scaled", [False, True])
 def test_discretize_generators_matches_pipeline(n, delta, scaled):
-    # One call equals atomize + discrete_weight + discretize_function bit for
-    # bit.  Scaled generators are passed scaled; the reference scales their
-    # splits instead, which is the same because scale > 0.
-    grid = CylinderGrid.regular(max(n, 1), r_levels=9, face_points=4)
-    w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
-    vectors = list(np.eye(n))
-    if n > 1:
-        vectors[-1] = np.linspace(-1.0, 0.5, n) / np.sum(np.abs(np.linspace(-1.0, 0.5, n)))
-    values = [generator(vec, grid).values for vec in vectors]
-    scale = 1.0 / (1.0 + delta) if scaled else 1.0
-    discrete = discretize_generators([scale * v for v in values], w, delta)
+    # One call equals atomize + discrete_weight + discretize_function over the
+    # whole grid bit for bit.  Scaled generators are passed scaled; the
+    # reference scales their splits instead, which is the same because
+    # scale > 0.  At 33 radial levels the radial cells merge atoms unless
+    # delta = 2^-5, at delta = 0.3 the sphere classes merge too, and with no
+    # generators all sphere points are one class.
+    for r_levels, face_points in ((9, 4), (33, 5)):
+        grid = CylinderGrid.regular(max(n, 1), r_levels=r_levels, face_points=face_points)
+        w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
+        vectors = list(np.eye(n))
+        if n > 1:
+            vectors[-1] = np.linspace(-1.0, 0.5, n) / np.sum(np.abs(np.linspace(-1.0, 0.5, n)))
+        values = [generator(vec, grid).values for vec in vectors]
+        scale = 1.0 / (1.0 + delta) if scaled else 1.0
+        discrete = discretize_generators([scale * v[0] for v in values], grid, delta)
 
-    partition = build_partition(delta)
-    splits = [scale * part for v in values for part in (np.maximum(v, 0.0), np.maximum(-v, 0.0))]
-    atoms = atomize(splits, w, partition)
-    discretes = [discretize_function(s, atoms, partition) for s in splits]
-    assert np.array_equal(discrete.atoms.atom_of_point, atoms.atom_of_point)
-    assert np.array_equal(discrete.atoms.fingerprints, atoms.fingerprints)
-    assert all(np.array_equal(a, b) for a, b in zip(discrete.splits, splits, strict=True))
-    assert all(np.array_equal(a, b) for a, b in zip(discrete.discretes, discretes, strict=True))
-    assert np.array_equal(discrete.weights, discrete_weight(w, atoms, partition))
-    expected = np.array([discretes[2 * i] - discretes[2 * i + 1] for i in range(n)])
-    assert np.array_equal(discrete.coefficients, expected.reshape(n, atoms.atom_count))
-    assert discrete.coefficients.flags.c_contiguous
+        partition = build_partition(delta)
+        splits = [scale * part for v in values for part in (np.maximum(v, 0.0), np.maximum(-v, 0.0))]
+        atoms = atomize(splits, w, partition)
+        discretes = [discretize_function(s, atoms, partition) for s in splits]
+        merged = n == 0 or delta == 0.3 or (r_levels == 33 and delta != 2.0 ** -5)
+        assert (atoms.atom_count < grid.size) == merged
+        assert np.array_equal(discrete.atoms.atom_of_point, atoms.atom_of_point)
+        assert np.array_equal(discrete.atoms.fingerprints, atoms.fingerprints)
+        assert all(np.array_equal(a, b) for a, b in zip(discrete.splits, splits, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(discrete.discretes, discretes, strict=True))
+        assert np.array_equal(discrete.weights, discrete_weight(w, atoms, partition))
+        expected = np.array([discretes[2 * i] - discretes[2 * i + 1] for i in range(n)])
+        assert np.array_equal(discrete.coefficients, expected.reshape(n, atoms.atom_count))
+        assert discrete.coefficients.flags.c_contiguous
+
+
+def test_discretize_generators_refuses_values_not_one_per_sphere_point():
+    grid = CylinderGrid.regular(2, r_levels=5, face_points=4)
+    with pytest.raises(ValueError, match="one value per sphere point"):
+        discretize_generators([generator([1.0, 0.0], grid).values], grid, 0.25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_discretization_opens_no_atom(monkeypatch, n):
+    # Each weight is the lower end c_t <= r of its radial cell, or the first
+    # cut c_1 < delta + 1e-12 in cell 0, so verify_bounds finds no open atom
+    # and compares no entry.  The last delta once gave c_1 = delta + 1.7e-11.
+    spans = []
+    uniform_span = discretize_module._uniform_span
+    monkeypatch.setattr(discretize_module, "_uniform_span",
+                        lambda rng, size, lo, hi: spans.append((lo, hi)) or uniform_span(rng, size, lo, hi))
+    grid = CylinderGrid.regular(n, r_levels=33, face_points=5)
+    w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
+    for delta in (2.0 ** -7, 2.0 ** -5, 2.0 ** -3, 0.1, 0.3, 0.5, 0.9, 1.0 / (2.0 + 1e-10)):
+        values = [grid.sphere_points @ basis / (1.0 + delta) for basis in np.eye(n)]
+        discrete = discretize_generators(values, grid, delta)
+        verify_bounds(discrete.splits, discrete.discretes, w, discrete.weights, discrete.atoms,
+                      delta, pair_trials=1)
+    assert spans == [(0, 0)] * 16
+
+
+def test_partition_refuses_more_cells_than_the_budget(monkeypatch):
+    # 1e-8 would allocate about 10^8 cuts; a subnormal delta overflows the count.
+    assert build_partition(1e-6).cuts.shape == (1_000_002,)
+    monkeypatch.setattr(np, "linspace", lambda *args: pytest.fail("allocated"))
+    for delta in (1e-7, 1e-8, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="needs more than the budget of 1771561 cells"):
+            build_partition(delta)

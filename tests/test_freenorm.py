@@ -8,13 +8,16 @@ import pytest
 from latalg.expr import Mul, Scale, Var, Zero, parse, random_expr
 from latalg.ball import generator_vectors
 from latalg.cylinder import CylinderGrid, generator
-from latalg.discretize import discretize_generators
+from latalg.discretize import (
+    atomize, build_partition, discrete_weight, discretize_function, discretize_generators,
+)
 from latalg.freenorm import (
     ContractionError, OperatorIntoAlgebra, SearchConfig, _atom_values,
     evaluate_operator, majorant_upper_bound, norm_sandwich,
     operator_lower_bound, product_free_lower_bound,
 )
 from latalg.models import DiagonalAlgebra
+import latalg.freenorm as freenorm
 
 FAST = SearchConfig(search_iters=300)
 
@@ -90,10 +93,9 @@ def test_discretized_operator_certified():
     # sign atoms and no search atoms the witness is its best atom.
     gens = {"v": [1.0, 0.0], "w": [0.0, 1.0]}
     grid = CylinderGrid.regular(2, r_levels=9, face_points=6)
-    w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
     for delta in (2.0 ** -4, 2.0 ** -5):
         discrete = discretize_generators(
-            [generator(basis, grid).values / (1.0 + delta) for basis in np.eye(2)], w, delta)
+            [grid.sphere_points @ basis / (1.0 + delta) for basis in np.eye(2)], grid, delta)
         op = OperatorIntoAlgebra(DiagonalAlgebra(discrete.weights), discrete.coefficients)
         op.certify()
         assert op.algebra.size > 1 and np.all(op.algebra.weights > 0.0)
@@ -103,6 +105,35 @@ def test_discretized_operator_certified():
         atoms = np.column_stack([discrete.weights, discrete.coefficients.T])
         assert best.algebra.size == 1
         assert (atoms == np.r_[best.algebra.weights, best.columns[:, 0]]).all(axis=1).any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_discretized_atom_table_matches_full_grid_pipeline(monkeypatch, n):
+    # At the default config the rows that the discretized source adds equal
+    # those of atomize + discrete_weight + discretize_function over the whole
+    # grid, for each mesh parameter.
+    tables, real_atom_values = [], freenorm._atom_values
+
+    def record(e, vectors, atoms):
+        tables.append(atoms.copy())
+        return real_atom_values(e, vectors, atoms)
+
+    monkeypatch.setattr(freenorm, "_atom_values", record)
+    names = [f"x{i}" for i in range(n)]
+    config = SearchConfig(search_iters=0)
+    operator_lower_bound(parse(" \\/ ".join(names)), dict(zip(names, np.eye(n))), config)
+    grid = CylinderGrid.regular(n, r_levels=config.r_levels, face_points=config.face_points)
+    w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
+    assert len(tables) == 1 + len(config.delta_list)
+    for table, delta in zip(tables[1:], config.delta_list):
+        partition = build_partition(delta)
+        values = [1.0 / (1.0 + delta) * generator(basis, grid).values for basis in np.eye(n)]
+        splits = [part for v in values for part in (np.maximum(v, 0.0), np.maximum(-v, 0.0))]
+        atoms = atomize(splits, w, partition)
+        discretes = [discretize_function(s, atoms, partition) for s in splits]
+        expected = np.column_stack([discrete_weight(w, atoms, partition)]
+                                   + [discretes[2 * i] - discretes[2 * i + 1] for i in range(n)])
+        assert np.array_equal(table, expected)
 
 
 def test_monotone_in_iterations():
