@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: ``_OPTIONS`` declares each option once, and each
+command takes only the options ``_COMMANDS`` lists for it, echoed in ``params``.
 
 Reports are machine-readable JSON on stdout (byte-identical for identical
 configurations, seed included); human summaries go to stderr.  Exit codes:
@@ -28,9 +29,8 @@ USAGE_ERROR = 2
 VIOLATION = 1
 
 
-def _echo(args: argparse.Namespace, **extra) -> dict:
+def _echo(args: argparse.Namespace) -> dict:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    params.update(extra)
     return {"version": __version__, "command": args.command, "params": params}
 
 
@@ -91,40 +91,28 @@ def _parse_gens(text: str | None, names: tuple[str, ...],
                 n: int | None) -> tuple[dict, int]:
     """Parse ``"v=e1;w=0.5,0.5"`` into vectors of one dimension, returned with
     it: ``n`` when given, else the longest generator.  Default: the basis in
-    name order, of dimension ``n`` or the number of names."""
-    if text:
-        gens = {}
-        for part in text.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                _usage_error(f"generator assignment {part!r} is not of the form name=vector")
-            name, value = part.split("=", 1)
-            gens[name.strip()] = value.strip()
-        parsed = {name: _parse_vector(name, value) for name, value in gens.items()}
-        dim = n or max((vec.shape[0] for vec in parsed.values()), default=1)
-        out = {}
-        for name, vec in parsed.items():
-            if vec.shape[0] > dim:
-                _usage_error(f"generator for {name!r} has {vec.shape[0]} coordinates, "
-                             f"more than --n {dim}")
-            full = np.zeros(dim)
-            full[: vec.shape[0]] = vec
-            out[name] = full
-        missing = [name for name in names if name not in out]
-        if missing:
-            _usage_error(f"no generators for variables {missing}")
-        return out, dim
-    dim = n or max(len(names), 1)
-    if len(names) > dim:
-        _usage_error(f"{len(names)} variables but dimension {dim}")
-    gens = {}
-    for i, name in enumerate(names):
-        vec = np.zeros(dim)
-        vec[i] = 1.0
-        gens[name] = vec
-    return gens, dim
+    name order, ``"x=e1;y=e2;..."``."""
+    text = text or ";".join(f"{name}=e{i}" for i, name in enumerate(names, 1))
+    parsed = {}
+    for part in text.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            _usage_error(f"generator assignment {part!r} is not of the form name=vector")
+        name, value = (side.strip() for side in part.split("=", 1))
+        if name in parsed:
+            _usage_error(f"generator {name!r} is assigned twice")
+        parsed[name] = _parse_vector(name, value)
+    dim = n or max((vec.shape[0] for vec in parsed.values()), default=1)
+    for name, vec in parsed.items():
+        if vec.shape[0] > dim:
+            _usage_error(f"generator for {name!r} has {vec.shape[0]} coordinates, "
+                         f"more than --n {dim}")
+    missing = [name for name in names if name not in parsed]
+    if missing:
+        _usage_error(f"no generators for variables {missing}")
+    return {name: np.pad(vec, (0, dim - vec.shape[0])) for name, vec in parsed.items()}, dim
 
 
 def _real_line_check(e, args: argparse.Namespace, report: dict, **kwargs):
@@ -221,7 +209,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
     e = _parse_expr_or_exit(args.expr)
     gens, n = _parse_gens(args.gens, variables(e), args.n)
     config = SearchConfig(search_iters=args.iters, seed=args.seed,
-                          delta_list=tuple(args.delta or (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)))
+                          delta_list=tuple(args.delta or SearchConfig.delta_list))
     try:
         sandwich = norm_sandwich(e, gens, config, n)
     except ValueError as exc:
@@ -259,20 +247,50 @@ def cmd_discretize(args: argparse.Namespace) -> int:
     return 0 if all_ok else VIOLATION
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--expr", help="expression text")
-    sub.add_argument("--gens", help='generator assignment, e.g. "v=e1;w=e2" or "v=0.5,0.5"')
-    sub.add_argument("--n", type=int, default=None, help="ambient dimension")
-    sub.add_argument("--grid-r", type=int, default=33, dest="grid_r",
-                     help="radial levels for cylinder grids")
-    sub.add_argument("--grid-sphere", type=int, default=8, dest="grid_sphere",
-                     help="points per face axis (cylinder) or per axis (ball)")
-    sub.add_argument("--delta", type=float, action="append",
-                     help="mesh parameter; repeatable")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--iters", type=int, default=100)
-    sub.add_argument("--out", help="output path (directory for surfaces)")
+def _checked(convert, check):
+    """An argparse ``type``: argparse reports text that ``convert`` rejects, and
+    the ValueError that ``check`` raises on the value is the usage error."""
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            _usage_error(str(exc))
+        return value
+    parse.__name__ = convert.__name__  # argparse's message: "invalid int value: 'abc'"
+    return parse
+
+
+def _at_least(flag: str, least):
+    def check(value) -> None:
+        if not least <= value < math.inf:
+            raise ValueError(f"{flag} must lie in [{least}, inf), got {value}")
+    return check
+
+
+_OPTIONS = {
+    "expr": dict(help='the term, e.g. "pos(x)*neg(x)"'),
+    "gens": dict(help='generators, e.g. "v=e1;w=0.5,0.5" (default: the basis in name order)'),
+    "n": dict(type=_checked(int, _at_least("--n", 1)), help="ambient dimension"),
+    "grid_r": dict(type=int, default=33, help="radial levels of the cylinder grid"),
+    "grid_sphere": dict(type=int, default=8, help="points per axis (ball) or face axis (cylinder)"),
+    "delta": dict(type=_checked(float, build_partition), action="append",
+                  help="mesh parameter in (0, 1); repeatable"),
+    "seed": dict(type=int, default=0, help="seed of every random draw"),
+    "tol": dict(type=_checked(float, _at_least("--tol", 0.0)), default=1e-9, help="zero tolerance"),
+    "iters": dict(type=_checked(int, _at_least("--iters", 0)), default=100,
+                  help="hundreds of real-line samples, ascent atoms or pair trials per delta"),
+    "out": dict(help="directory of the surface CSVs (default: .)"),
+}
+# Each command with the options it reads; "!" marks a required one.
+_COMMANDS = {
+    "check-identity": (cmd_check_identity, ("expr!", "seed", "tol", "iters")),
+    "kernel": (cmd_kernel, ("expr!", "gens", "n", "grid_sphere", "seed", "tol")),
+    "surface": (cmd_surface, ("expr", "gens", "n", "grid_r", "grid_sphere", "out")),
+    "norm": (cmd_norm, ("expr!", "gens", "n", "delta", "seed", "iters")),
+    "discretize": (cmd_discretize,
+                   ("expr!", "gens", "n", "grid_r", "grid_sphere", "delta", "seed", "iters")),
+}
 
 
 def main(argv=None) -> int:
@@ -283,31 +301,13 @@ def main(argv=None) -> int:
                     "and level-set discretization.")
     parser.add_argument("--version", action="version", version=f"latalg {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "check-identity": cmd_check_identity,
-        "kernel": cmd_kernel,
-        "surface": cmd_surface,
-        "norm": cmd_norm,
-        "discretize": cmd_discretize,
-    }
-    for name, func in commands.items():
-        sub = subparsers.add_parser(name)
-        _add_common(sub)
+    for command, (func, options) in _COMMANDS.items():
+        sub = subparsers.add_parser(command)
+        for name in options:
+            dest = name.rstrip("!")
+            sub.add_argument("--" + dest.replace("_", "-"), required=dest != name, **_OPTIONS[dest])
         sub.set_defaults(func=func)
     args = parser.parse_args(argv)
-    if args.command != "surface" and not args.expr:
-        _usage_error("--expr is required")
-    if args.iters < 0:
-        _usage_error(f"--iters must be >= 0, got {args.iters}")
-    if args.n is not None and args.n < 1:
-        _usage_error(f"--n must be >= 1, got {args.n}")
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        _usage_error(f"--tol must be a finite number >= 0, got {args.tol}")
-    for delta in args.delta or ():
-        try:
-            build_partition(delta)
-        except ValueError as exc:
-            _usage_error(str(exc))
     # Overflow surfaces as a non-finite residual or report value, which the
     # commands turn into usage errors; numpy's warnings would only add lines.
     with np.errstate(all="ignore"):

@@ -195,6 +195,7 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["kernel", "--expr", "x", "--gens", "x=1,0", "--n", "1"],
     ["norm", "--expr", "x", "--n", "5000", "--iters", "0"],
     ["norm", "--expr", "0", "--n", "5000", "--iters", "5"],
+    ["kernel", "--expr", "x", "--gens", "x=e1;x=e2"],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     try:
@@ -232,10 +233,47 @@ def test_unwritable_surface_out_exits_2(capsys, tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: cannot write the surfaces")
 
 
+# The options each command reads, by dest: its whole argument surface.
+COMMAND_OPTIONS = {
+    "check-identity": ("expr", "seed", "tol", "iters"),
+    "kernel": ("expr", "gens", "n", "grid_sphere", "seed", "tol"),
+    "surface": ("expr", "gens", "n", "grid_r", "grid_sphere", "out"),
+    "norm": ("expr", "gens", "n", "delta", "seed", "iters"),
+    "discretize": ("expr", "gens", "n", "grid_r", "grid_sphere", "delta", "seed", "iters"),
+}
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+@pytest.mark.parametrize("argv, foreign", [
+    (["check-identity", "--expr", "x", "--iters", "1"], ["--gens", "x=e1"]),
+    (["kernel", "--expr", "x", "--grid-sphere", "3"], ["--iters", "5"]),
+    (["surface", "--n", "2", "--grid-r", "3", "--grid-sphere", "3", "--out", "s"], ["--seed", "1"]),
+    (["norm", "--expr", "x", "--iters", "1"], ["--tol", "0"]),
+    (["discretize", "--expr", "x", "--grid-r", "3", "--grid-sphere", "3", "--iters", "1"],
+     ["--out", "d"]),
+])
+def test_each_command_takes_only_the_options_it_reads(capsys, monkeypatch, tmp_path, argv,
+                                                       foreign):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sorted(json.loads(out)["params"]) == sorted(COMMAND_OPTIONS[argv[0]])
+    with pytest.raises(SystemExit) as err:
+        main(argv + foreign)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # Option values for the exit-code fuzz: each argv takes one good value per
-# option (None leaves the option out), then up to two bad ones.  "dir",
-# "file" and "file/sub" name a fresh directory, an existing file and a path
-# below that file.
+# option of its command (None leaves the option out), then up to two bad
+# ones, where an option the command does not read is bad.  "dir", "file" and
+# "file/sub" name a fresh directory, an existing file and a path below that
+# file.
 FUZZ_GOOD = {
     "--expr": ["x", "pos(x)*neg(x)", "x*y - y*x", "v \\/ w", "0"],
     "--n": [None, "2"],
@@ -243,25 +281,36 @@ FUZZ_GOOD = {
     "--grid-r": [None, "3"],
     "--grid-sphere": [None, "3", "4"],
     "--delta": [None, "0.25"],
+    "--seed": [None, "5"],
+    "--tol": [None, "1e-6"],
     "--iters": ["0", "3"],
     "--out": ["dir"],
 }
 FUZZ_BAD = [("--expr", None), ("--expr", "x +* y"), ("--n", "0"), ("--n", "1"),
-            ("--gens", "x=1,0,0"), ("--gens", "x=e0"), ("--grid-r", "1"),
-            ("--grid-sphere", "1"), ("--delta", "1"), ("--iters", "-1"),
-            ("--out", "file"), ("--out", "file/sub")]
+            ("--gens", "x=1,0,0"), ("--gens", "x=e0"), ("--gens", "x=e1;x=e2"),
+            ("--grid-r", "1"), ("--grid-sphere", "1"), ("--delta", "1"), ("--seed", "abc"),
+            ("--tol", "-1"), ("--iters", "-1"), ("--out", "file"), ("--out", "file/sub")]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    own = [_flag(dest) for dest in COMMAND_OPTIONS[command]]
+    options = {flag: draw(st.sampled_from(FUZZ_GOOD[flag])) for flag in own}
+    foreign = [(flag, values[-1]) for flag, values in FUZZ_GOOD.items() if flag not in own]
+    bad = [(flag, value) for flag, value in FUZZ_BAD if flag in own] + foreign
+    options.update(draw(st.lists(st.sampled_from(bad), max_size=2)))
+    return command, options
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(command=st.sampled_from(["check-identity", "kernel", "surface", "norm", "discretize"]),
-       options=st.fixed_dictionaries({flag: st.sampled_from(values)
-                                      for flag, values in FUZZ_GOOD.items()}),
-       bad=st.lists(st.sampled_from(FUZZ_BAD), max_size=2))
-def test_fuzzed_argv_keeps_the_exit_code_contract(command, options, bad):
-    options.update(bad)
+@given(drawn=fuzzed_argv())
+def test_fuzzed_argv_keeps_the_exit_code_contract(drawn):
+    command, options = drawn
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "file").write_text("")
-        options["--out"] = str(Path(tmp) / options["--out"])
+        if "--out" in options:
+            options["--out"] = str(Path(tmp) / options["--out"])
         argv = [command]
         for flag, value in options.items():
             if value is not None:
@@ -274,6 +323,7 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(command, options, bad):
                 code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    assert code == 2 or {_flag(dest) for dest in COMMAND_OPTIONS[command]} >= set(argv[1::2]), argv
     if code == 2:
         lines = err.getvalue().splitlines()
         assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), argv
@@ -322,9 +372,8 @@ def test_norm_on_ten_variables_skips_the_discretized_source(capsys, monkeypatch)
 
 def test_capped_real_grid_is_reported(capsys):
     names = [f"x{i}" for i in range(10)]
-    for command in ("check-identity", "kernel"):
-        code, out, _ = run_cli(capsys, command, "--expr", " \\/ ".join(names), "--iters", "1",
-                               "--grid-sphere", "3")
+    for command, *option in (("check-identity", "--iters", "1"), ("kernel", "--grid-sphere", "3")):
+        code, out, _ = run_cli(capsys, command, "--expr", " \\/ ".join(names), *option)
         assert code == 0
         assert json.loads(out)["real_grid_per_axis"] == 3
     code, out, _ = run_cli(capsys, "check-identity", "--expr", "x \\/ y")
@@ -360,15 +409,15 @@ def test_large_sum_against_its_negation(capsys):
 # must stay byte-identical.
 README_REPORTS = [
     (["check-identity", "--expr", "pos(x)*neg(x)"],
-     "79b502fff7bd8ec3a1c6a9e3094570580070c044ba58cc5146bb13f6ed2df5cf"),
+     "c147d7fc83f69bd2129a871945bd51876ec5fad718bdb67c46a4f33abae3c9e6"),
     (["kernel", "--expr", "pos(pos(x)*pos(x)-pos(x))", "--grid-sphere", "101"],
-     "c7eec5538460b5165b84328cf9591b3d8dfd0aa4bb84f0cb6b78c17a535ac77c"),
+     "ea370f703644cfe8ab1ef2359ab2f4f140bfd020da303b380c9a71aacf14a2f7"),
     (["surface", "--n", "2", "--out", "surfaces", "--expr", "v*w"],
-     "5ebfa0b10aa62f3c90c7933b6b046d1a5bd43b242355071e6055beb3cad75531"),
+     "46dfb39a85afbdc48ee5654ecd05a721a208d610301963450cfa3d3bee5922fd"),
     (["norm", "--expr", "x1*x1", "--iters", "10000"],
-     "b286e2940f30fca25c1c66f17e8e2794207a8fc1f9b8e2ade19b978e3d822526"),
+     "845a03e9c97c107daad04ff638125b0c902fa1bd6927d983a54416e17e06a521"),
     (["discretize", "--expr", "v*v + (v \\/ w)", "--n", "2", "--delta", "0.03125"],
-     "cab5bbdda78e4cb2eefd5ea03dd2dfad85ab979cfbd6a89040b9791cb086b779"),
+     "0c8a667a1a353a83df3b25d946765621d6be23d2d60c696b44c85e11aff8e9f2"),
 ]
 SURFACE_CSVS = {
     "expression.csv": "bfc28a7991d9839b08fe1652e0e04a2c5d44fc0f5b4d1cf84569329364c1ebab",
