@@ -216,7 +216,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
         _usage_error(str(exc))
     report = _echo(args)
     report.update({"lower": sandwich.lower, "upper": sandwich.upper,
-                   "witness": sandwich.witness.to_json(), "iters": args.iters})
+                   "witness": sandwich.witness.to_json()})
     _emit(report, f"norm in [{sandwich.lower:.6g}, {sandwich.upper:.6g}]")
     return 0
 
@@ -294,15 +294,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # allow_abbrev=False: one spelling per option, no unique prefixes.
     parser = _ArgumentParser(
-        prog="latalg",
+        prog="latalg", allow_abbrev=False,
         description="Lattice-algebra expression toolkit: identity checks, "
                     "kernel classification, cylinder surfaces, norm sandwiches "
                     "and level-set discretization.")
     parser.add_argument("--version", action="version", version=f"latalg {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, (func, options) in _COMMANDS.items():
-        sub = subparsers.add_parser(command)
+        sub = subparsers.add_parser(command, allow_abbrev=False)
         for name in options:
             dest = name.rstrip("!")
             sub.add_argument("--" + dest.replace("_", "-"), required=dest != name, **_OPTIONS[dest])

@@ -37,6 +37,15 @@ entry per atom.  Only the winner is
 built as an :class:`OperatorIntoAlgebra`, and the reported bound is its
 value replayed by :func:`evaluate_operator`.
 
+Every row but the ascent's moves depends on ``n`` and the config alone, not
+on the term or the generators, so each process builds it once: the sign
+rows per ``(n, sign_pattern_cap, seed)``, the rows of one mesh parameter
+per ``(n, delta, r_levels, face_points)`` and the draws of round ``r`` per
+``(seed, n, r)``.  The tables are read-only and kept least recently used
+first within :data:`~latalg.ball.REAL_GRID_CAP` float entries in all, each
+charged 64 more for its Python objects; a larger table is built, used and
+dropped per call.  Every row evaluated is still checked for contraction.
+
 Upper bounds evaluate the polynomial majorant at the generator norms.  For
 product-free terms a second lower bound is available from tuples of
 functionals with column-wise feasibility (the lattice-part norm).
@@ -47,8 +56,11 @@ norm except where both meet.
 
 from __future__ import annotations
 
+import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -174,6 +186,64 @@ def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
     return seeded_rng(seed, key).choice([-1.0, 1.0], size=(cap, n))
 
 
+def _sign_atoms(n: int, cap: int, seed: int) -> np.ndarray:
+    signs = _sign_rows(n, cap, seed, 41)
+    return np.column_stack([np.ones(len(signs)), signs])
+
+
+def _mesh_atoms(grid: CylinderGrid, delta: float) -> np.ndarray:
+    """The atoms of the basis generators at the sphere points of ``grid``,
+    scaled by ``1/(1 + delta)`` and discretized at mesh ``delta``."""
+    scale = 1.0 / (1.0 + delta)
+    discrete = discretize_generators(list(scale * grid.sphere_points.T), grid, delta)
+    return np.column_stack([discrete.weights, discrete.coefficients.T])
+
+
+def _drawn_atoms(seed: int, n: int, round_: int) -> np.ndarray:
+    """The 3(n + 1) atoms that ascent round ``round_`` draws: weights in (0, 1]."""
+    rng = seeded_rng(seed, 42, round_)
+    return np.column_stack([1.0 - rng.random(3 * (n + 1)),
+                            rng.uniform(-1.0, 1.0, (3 * (n + 1), n))])
+
+
+class _RowCache:
+    """Read-only row tables by key, least recently used first.  Each table
+    is charged its entries plus ``OVERHEAD``, and the charges stay within
+    ``budget``; a table charged more is returned without being kept."""
+
+    OVERHEAD = 64  # 512 bytes, above a small table's array header, key and dict slot
+
+    def __init__(self, budget: int):
+        self.budget, self.entries = budget, 0
+        self._tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:
+                self._tables.move_to_end(key)
+                return table
+        table = build()
+        table.flags.writeable = False
+        charge = table.size + self.OVERHEAD
+        with self._lock:
+            if charge <= self.budget and key not in self._tables:
+                while self.entries + charge > self.budget:
+                    self.entries -= self._tables.popitem(last=False)[1].size + self.OVERHEAD
+                self._tables[key] = table
+                self.entries += charge
+        return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self.entries = 0
+
+
+_ROWS = _RowCache(REAL_GRID_CAP)
+
+
 def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
                          config: SearchConfig | None = None,
                          dimension: int | None = None) -> tuple[float, OperatorIntoAlgebra]:
@@ -208,25 +278,24 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
             return True
         return False
 
-    signs = _sign_rows(n, config.sign_pattern_cap, config.seed, 41)
-    consider(np.column_stack([np.ones(len(signs)), signs]))
-    if config.delta_list and (CylinderGrid.regular_size(n, config.r_levels, config.face_points)
+    cap, seed, r_levels, face_points = (config.sign_pattern_cap, config.seed,
+                                        config.r_levels, config.face_points)
+    consider(_ROWS.get(("signs", n, cap, seed), lambda: _sign_atoms(n, cap, seed)))
+    if config.delta_list and (CylinderGrid.regular_size(n, r_levels, face_points)
                               <= REAL_GRID_CAP):
-        grid = CylinderGrid.regular(n, r_levels=config.r_levels, face_points=config.face_points)
+        # Built on the first missing mesh parameter only.
+        grid = functools.cache(
+            lambda: CylinderGrid.regular(n, r_levels=r_levels, face_points=face_points))
         for delta in config.delta_list:
-            scale = 1.0 / (1.0 + delta)
-            discrete = discretize_generators(list(scale * grid.sphere_points.T), grid, delta)
-            consider(np.column_stack([discrete.weights, discrete.coefficients.T]))
-            del discrete  # frees the atom table before the next mesh parameter
+            consider(_ROWS.get(("mesh", n, delta, r_levels, face_points),
+                               lambda: _mesh_atoms(grid(), delta)))
 
     step, left, round_ = 0.25, config.search_iters, 0
     if left > 0:
         moves = np.kron(np.eye(n + 1), [[1.0], [-1.0]])  # +-1 on each coordinate in turn
         low = np.r_[2.0 ** -52, -np.ones(n)]
     while left > 0:
-        rng = seeded_rng(config.seed, 42, round_)
-        draws = np.column_stack([1.0 - rng.random(3 * (n + 1)),  # weights in (0, 1]
-                                 rng.uniform(-1.0, 1.0, (3 * (n + 1), n))])
+        draws = _ROWS.get(("draws", seed, n, round_), lambda: _drawn_atoms(seed, n, round_))
         atoms = draws if best is None else np.vstack([np.clip(best + step * moves, low, 1.0), draws])
         if not consider(atoms[:left]):
             step /= 2

@@ -5,7 +5,7 @@ large seeds are accepted) followed by small nonnegative integers naming its
 purpose, e.g. ``seeded_rng(seed, 42, iteration)``.  The key is handed to
 numpy as a ``uint32`` array: that gives exactly the stream of the plain
 list ``[seed % 2**32, *key]`` and is cheaper to construct, which matters
-where one stream is made per search iteration.
+to callers that make many short streams.
 """
 
 from __future__ import annotations

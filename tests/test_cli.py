@@ -91,7 +91,8 @@ def test_norm_report(capsys):
     assert code == 0
     assert report["lower"] == pytest.approx(1.0, abs=0.02)
     assert report["upper"] == 1.0
-    assert "witness" in report and "iters" in report
+    assert "witness" in report and "iters" not in report  # echoed once, in params
+    assert report["params"]["iters"] == 100
 
     _, out, _ = run_cli(capsys, "norm", "--expr", "0", "--iters", "10")
     report = json.loads(out)
@@ -196,6 +197,12 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["norm", "--expr", "x", "--n", "5000", "--iters", "0"],
     ["norm", "--expr", "0", "--n", "5000", "--iters", "5"],
     ["kernel", "--expr", "x", "--gens", "x=e1;x=e2"],
+    # Each option has one spelling: a unique prefix of it is unrecognized.
+    ["check-identity", "--expr", "x", "--t", "0.5"],
+    ["check-identity", "--expr", "x", "--i", "1"],
+    ["check-identity", "--expr", "x", "--t", "0.5", "--i", "1"],
+    ["norm", "--exp", "x"],
+    ["--vers"],
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     try:
@@ -415,7 +422,7 @@ README_REPORTS = [
     (["surface", "--n", "2", "--out", "surfaces", "--expr", "v*w"],
      "46dfb39a85afbdc48ee5654ecd05a721a208d610301963450cfa3d3bee5922fd"),
     (["norm", "--expr", "x1*x1", "--iters", "10000"],
-     "845a03e9c97c107daad04ff638125b0c902fa1bd6927d983a54416e17e06a521"),
+     "16812d1bf4f5b5b55a1551165190d6cb8c5f1e8b78aadbf3409bd318a1078150"),
     (["discretize", "--expr", "v*v + (v \\/ w)", "--n", "2", "--delta", "0.03125"],
      "0c8a667a1a353a83df3b25d946765621d6be23d2d60c696b44c85e11aff8e9f2"),
 ]

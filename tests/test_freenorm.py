@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latalg.expr import Mul, Scale, Var, Zero, parse, random_expr
-from latalg.ball import generator_vectors
+from latalg.ball import REAL_GRID_CAP, generator_vectors
 from latalg.cylinder import CylinderGrid, generator
 from latalg.discretize import (
     atomize, build_partition, discrete_weight, discretize_function, discretize_generators,
@@ -321,3 +321,127 @@ def test_search_dimension_budget():
     assert value == 1.0
     with pytest.raises(ValueError, match="budget"):
         operator_lower_bound(Var("x"), {"x": np.eye(595)[0]}, config)
+
+
+def _sandwich_bytes(e, gens, config):
+    s = norm_sandwich(e, gens, config)
+    return s.lower, s.upper, json.dumps(s.witness.to_json(), sort_keys=True)
+
+
+def test_cached_rows_give_the_cold_results_bit_for_bit():
+    # Each case once after clearing the row cache, then all again warm, in
+    # the opposite order: bounds and witnesses must not move in any bit.
+    cases = [(parse(text), gens, SearchConfig(**config)) for text, gens, config, *_ in GOLDEN]
+    for i in range(120):
+        n = 1 + i % 4
+        names = tuple(f"x{j + 1}" for j in range(n))
+        e = random_expr(random.Random(900 + i), names, 6)
+        cases.append((e, dict(zip(names, np.eye(n))),
+                      SearchConfig(search_iters=500, seed=i % 3)))
+    cold = []
+    for case in cases:
+        freenorm._ROWS.clear()
+        cold.append(_sandwich_bytes(*case))
+    warm = [_sandwich_bytes(*case) for case in reversed(cases)][::-1]
+    assert warm == cold
+
+
+def test_cached_rows_are_read_only(monkeypatch):
+    freenorm._ROWS.clear()
+    seen, real_atom_values = [], freenorm._atom_values
+
+    def record(e, vectors, atoms):
+        seen.append(atoms)
+        return real_atom_values(e, vectors, atoms)
+
+    monkeypatch.setattr(freenorm, "_atom_values", record)
+    config = SearchConfig(search_iters=0, sign_pattern_cap=0, delta_list=(2.0 ** -4,),
+                          r_levels=9, face_points=4)
+    # No sign rows: the mesh rows, then a first round of draws alone.
+    operator_lower_bound(parse("x * y"), {"x": [1, 0], "y": [0, 1]}, config)
+    operator_lower_bound(parse("x * y"), {"x": [1, 0], "y": [0, 1]},
+                         SearchConfig(search_iters=5, sign_pattern_cap=0, delta_list=()))
+    assert len(seen) == 2 and len(freenorm._ROWS._tables) == 3
+    for table in [*seen, *freenorm._ROWS._tables.values()]:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.5
+
+
+BASE_ROWS = dict(search_iters=40, seed=0, sign_pattern_cap=4, delta_list=(2.0 ** -5,),
+                 r_levels=9, face_points=4)
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=1), dict(delta_list=(2.0 ** -4,)), dict(r_levels=5), dict(face_points=3),
+    dict(sign_pattern_cap=2), dict(delta_list=[2.0 ** -5, 2.0 ** -6]),
+])
+def test_each_config_field_keys_the_rows(monkeypatch, change):
+    # At n = 3, 2**n exceeds the sign cap, so the seed draws the sign rows
+    # too.  With the base config's rows cached, the changed config must use
+    # the rows it uses on a cleared cache, and those differ from the base's.
+    gens = {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1]}
+    e = parse("(x * y) \\/ z")
+    real_atom_values = freenorm._atom_values
+
+    def rows_used(config, clear):
+        if clear:
+            freenorm._ROWS.clear()
+        tables = []
+
+        def record(e, vectors, atoms):
+            tables.append(atoms.copy())
+            return real_atom_values(e, vectors, atoms)
+
+        monkeypatch.setattr(freenorm, "_atom_values", record)
+        operator_lower_bound(e, gens, config)
+        monkeypatch.setattr(freenorm, "_atom_values", real_atom_values)
+        return tables
+
+    def same(a, b):
+        return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    changed = SearchConfig(**{**BASE_ROWS, **change})
+    base = rows_used(SearchConfig(**BASE_ROWS), clear=True)
+    cold = rows_used(changed, clear=True)
+    rows_used(SearchConfig(**BASE_ROWS), clear=True)
+    warm = rows_used(changed, clear=False)
+    assert same(warm, cold)
+    if isinstance(change.get("delta_list"), list):
+        assert same(cold[:2], base[:2]) and len(cold) > len(base)  # one mesh parameter more
+    else:
+        assert not same(cold, base)
+
+
+def test_row_cache_evicts_least_recently_used_within_its_budget():
+    cache, small = freenorm._RowCache(budget=300), 100 - freenorm._RowCache.OVERHEAD
+    built = []
+
+    def table(size):
+        def build():
+            built.append(size)
+            return np.zeros(size)
+        return build
+
+    for key in "abc":
+        cache.get(key, table(small))  # charged 100 each
+    assert cache.entries == 300
+    cache.get("a", table(small))  # a hit makes "a" the most recent
+    cache.get("d", table(small))  # evicts "b", the least recently used
+    assert built == [small] * 4 and list(cache._tables) == ["c", "a", "d"]
+    big = cache.get("e", table(small + 201))  # charged 301: built, returned, not kept
+    assert big.shape == (small + 201,) and not big.flags.writeable
+    assert list(cache._tables) == ["c", "a", "d"] and cache.entries == 300
+    cache.get("e", table(small + 201))
+    assert built == [small] * 4 + [small + 201] * 2
+
+
+def test_row_cache_stays_within_the_grid_budget():
+    # Three n = 5 mesh tables hold about 2.07 M entries, more than the budget
+    # together; the n = 594 round holds about 1.06 M.
+    names = [f"x{i}" for i in range(5)]
+    operator_lower_bound(parse(" \\/ ".join(names)), dict(zip(names, np.eye(5))),
+                         SearchConfig(search_iters=20))
+    assert freenorm._ROWS.entries <= REAL_GRID_CAP
+    test_search_dimension_budget()
+    tables = freenorm._ROWS._tables.values()
+    assert sum(table.size for table in tables) < freenorm._ROWS.entries <= REAL_GRID_CAP
