@@ -237,8 +237,7 @@ def cmd_discretize(args: argparse.Namespace) -> int:
                          f"{1.0 + delta} to discretize ({exc})")
         composite_gens = dict(zip(keys, zip(originals, discrete.coefficients)))
         bounds = verify_bounds(discrete.splits, discrete.discretes, w, discrete.weights,
-                               discrete.atoms, delta, pair_trials=args.iters, seed=args.seed,
-                               composite=e, composite_gens=composite_gens)
+                               discrete.atoms, delta, composite=e, composite_gens=composite_gens)
         runs.append(bounds.to_json())
     all_ok = all(run["ok"] for run in runs)
     report = _echo(args)
@@ -279,7 +278,7 @@ _OPTIONS = {
     "seed": dict(type=int, default=0, help="seed of every random draw"),
     "tol": dict(type=_checked(float, _at_least("--tol", 0.0)), default=1e-9, help="zero tolerance"),
     "iters": dict(type=_checked(int, _at_least("--iters", 0)), default=100,
-                  help="hundreds of real-line samples, ascent atoms or pair trials per delta"),
+                  help="hundreds of real-line samples or ascent atoms"),
     "out": dict(help="directory of the surface CSVs (default: .)"),
 }
 # Each command with the options it reads; "!" marks a required one.
@@ -288,8 +287,7 @@ _COMMANDS = {
     "kernel": (cmd_kernel, ("expr!", "gens", "n", "grid_sphere", "seed", "tol")),
     "surface": (cmd_surface, ("expr", "gens", "n", "grid_r", "grid_sphere", "out")),
     "norm": (cmd_norm, ("expr!", "gens", "n", "delta", "seed", "iters")),
-    "discretize": (cmd_discretize,
-                   ("expr!", "gens", "n", "grid_r", "grid_sphere", "delta", "seed", "iters")),
+    "discretize": (cmd_discretize, ("expr!", "gens", "n", "grid_r", "grid_sphere", "delta")),
 }
 
 

@@ -16,11 +16,10 @@ function, the pipeline is:
 5. :func:`build_diagonal_algebra` -- atoms with those weights form a
    semiprime diagonal f-algebra whose product tracks the sampled one up to
    ``delta``:  ``|x . y| <= |x * y| + delta`` for unit-sup x, y.
-   :func:`verify_bounds` checks this on random pairs atom by atom.  Rounding
-   to nearest is monotone and ``|fl(fl(w*x)*y)| = fl(fl(|w|*|x|)*|y|)``, so
-   on each atom the grid point of least ``|w|`` decides the comparison for
-   every pair, and an atom whose ``|weight|`` does not exceed that least
-   ``|w|`` can never fail it.
+   :func:`verify_bounds` decides this exactly, atom by atom: the pair
+   ``x = y = 1`` is the worst, so an atom fails for some pair iff its
+   ``|weight|`` exceeds the least sampled ``|w|`` on it by more than
+   ``delta + 1e-12``.
 
 For cylinder generators, sampled once per sphere point, steps 1-4 are one call
 used by the ``discretize`` command and :mod:`latalg.freenorm`:
@@ -44,7 +43,6 @@ from .ball import REAL_GRID_CAP
 from .cylinder import CylinderGrid
 from .expr import Add, Expr, Join, Mul, Scale, Var, Zero, fold
 from .models import DiagonalAlgebra, WeightedGridModel
-from .seeding import seeded_rng
 
 __all__ = [
     "PartitionSpec", "AtomDecomposition", "build_partition", "atomize",
@@ -259,8 +257,8 @@ class BoundsReport:
     atoms: int
     delta: float
     split_sup_errors: list[float]
-    product_trials: int
-    product_bound_violations: int
+    product_bound_atoms: int
+    open_atoms: int
     composite_observed: float | None
     composite_budget: float | None
 
@@ -273,7 +271,7 @@ class BoundsReport:
         within_budget = (self.composite_observed is None
                          or self.composite_observed <= self.composite_budget)
         return (self.max_split_error < self.delta
-                and self.product_bound_violations == 0
+                and self.product_bound_atoms == 0
                 and within_budget)
 
     def to_json(self) -> dict:
@@ -282,53 +280,46 @@ class BoundsReport:
             "delta": self.delta,
             "supError": self.max_split_error,
             "splitSupErrors": self.split_sup_errors,
-            "productTrials": self.product_trials,
-            "productBoundViolations": self.product_bound_violations,
+            "productBoundAtoms": self.product_bound_atoms,
+            "openAtoms": self.open_atoms,
             "compositeObserved": self.composite_observed,
             "compositeBudget": self.composite_budget,
             "ok": self.ok,
         }
 
 
-def _uniform_span(rng: np.random.Generator, size: int, lo: int, hi: int) -> np.ndarray:
-    """Entries ``[lo, hi)`` of ``rng.uniform(-1, 1, size)``, leaving ``rng``
-    where that draw leaves it: each double takes one step of the PCG64 bit
-    generator of :func:`seeded_rng`, and ``advance`` skips the other steps
-    without drawing them."""
-    rng.bit_generator.advance(lo)
-    span = rng.uniform(-1.0, 1.0, hi - lo)
-    rng.bit_generator.advance(size - hi)
-    return span
-
-
 def verify_bounds(originals: Sequence, discretes: Sequence[np.ndarray], w, weights: np.ndarray,
-                  atoms: AtomDecomposition, delta: float, pair_trials: int = 200,
-                  seed: int = 0, composite: Expr | None = None,
+                  atoms: AtomDecomposition, delta: float, *, pair_trials: int | None = None,
+                  seed: int | None = None, composite: Expr | None = None,
                   composite_gens: Mapping[str, tuple] | None = None) -> BoundsReport:
     """Check the discretization guarantees on the sampled data.
 
     * each discrete function satisfies ``0 <= f_d <= f`` and
       ``sup(f - f_d) < delta``;
-    * for ``pair_trials`` random pairs in the atom span with sup norm <= 1,
-      ``|x . y| <= |x * y| + delta`` pointwise (``.`` the diagonal product,
-      ``*`` the sampled weighted product);
+    * ``|x . y| <= |x * y| + delta`` pointwise for every pair x, y in the atom
+      span with sup norm <= 1 (``.`` the diagonal product, ``*`` the sampled
+      weighted product), decided exactly, with no pair drawn;
     * optionally, a composite term evaluated on the grid versus in the
       algebra stays within :func:`error_budget`.  ``composite_gens`` maps
       each variable to ``(original grid values, per-atom coefficients)``.
 
-    Each pair is decided on atoms, never on grid points.  Rounding to nearest
-    is monotone and ``|fl(fl(w*x)*y)| = fl(fl(|w|*|x|)*|y|)``, so on each atom
-    the point of least ``|w|`` decides the comparison for every pair
-    (``np.fmin`` skips a NaN sample, which never fails it).  An atom can fail
-    only if it is "open": its ``|weight|`` exceeds that least ``|w|``, and
-    also ``delta + 1e-12``, since ``|x . y| <= |weight|`` for sup norm <= 1.
-    Trial by trial, x and then y are the two full-length ``uniform(-1, 1)``
-    draws of stream ``(seed, 31)`` that the pointwise check made; entries
-    outside the span of open atoms are skipped with ``advance``, not drawn.
-    So ``product_bound_violations`` is that of the pointwise check.
-    No atom of :func:`discretize_generators` is open: its weight is ``c_t <= r``
-    at every point of its cell ``t >= 1`` of ``r``, and in cell 0 the first cut
-    ``c_1``, below ``delta + 1e-12``; so there the pair check compares nothing.
+    Atoms do not interact, so the pair bound is decided atom by atom.  On an
+    atom of weight ``W`` whose least sampled ``|w|`` is ``L`` (``np.fmin``
+    skips a NaN sample, which fails no comparison), ``|W x y| - |L x y|`` is
+    ``(|W| - L) |x y|``, largest at ``x = y = 1``.  ``product_bound_atoms``
+    counts the atoms with ``|W| > L + delta + 1e-12``, and ``ok`` requires
+    none.  In floats each counted atom fails at its indicator pair (``x = y =
+    1`` on the atom): those entries are exact, so the pointwise check there
+    compares ``|W| > |w| + delta + 1e-12`` at each point of the atom, rounding
+    to nearest is monotone, and at the point of least ``|w|`` that is the
+    count's own test.  An atom not counted fails at no pair in exact arithmetic.
+    ``open_atoms`` counts the atoms that neither ``|W| <= L`` nor
+    ``|W| <= delta + 1e-12`` settles (``|x . y| <= |W|``); every counted atom
+    is open.  No atom of :func:`discretize_generators` is open: its weight is
+    ``c_t <= r`` at every point of its cell ``t >= 1`` of ``r``, and in cell 0
+    the first cut ``c_1``, below ``delta + 1e-12``.  ``pair_trials`` and
+    ``seed`` are accepted and ignored, for callers that still pass them
+    (``bench/workloads.py``).
     Raises :class:`ValueError` unless there is one discrete per original, one
     weight per atom, one ``w`` value per grid point and ``delta > 0``.
     """
@@ -353,18 +344,8 @@ def verify_bounds(originals: Sequence, discretes: Sequence[np.ndarray], w, weigh
 
     w_least = np.full(atoms.atom_count, np.inf)
     np.fmin.at(w_least, atoms.atom_of_point, np.abs(w_vals))
-    open_atoms = np.flatnonzero(np.abs(weights) > np.maximum(w_least, delta + 1e-12))
-    lo, hi = (int(open_atoms[0]), int(open_atoms[-1]) + 1) if open_atoms.size else (0, 0)
-    weights_open, least_open, at = weights[open_atoms], w_least[open_atoms], open_atoms - lo
-    rng = seeded_rng(seed, 31)
-    violations = 0
-    for _ in range(pair_trials):
-        x = _uniform_span(rng, atoms.atom_count, lo, hi)[at]
-        y = _uniform_span(rng, atoms.atom_count, lo, hi)[at]
-        circ = weights_open * x * y
-        star = least_open * x * y
-        if np.any(np.abs(circ) > np.abs(star) + delta + 1e-12):
-            violations += 1
+    bound_atoms = int(np.count_nonzero(np.abs(weights) > w_least + delta + 1e-12))
+    open_atoms = int(np.count_nonzero(np.abs(weights) > np.maximum(w_least, delta + 1e-12)))
 
     observed = budget = None
     if composite is not None:
@@ -383,4 +364,4 @@ def verify_bounds(originals: Sequence, discretes: Sequence[np.ndarray], w, weigh
         budget = error_budget(composite, delta, mags)
 
     return BoundsReport(atoms.atom_count, float(delta), split_sup_errors,
-                        pair_trials, violations, observed, budget)
+                        bound_atoms, open_atoms, observed, budget)

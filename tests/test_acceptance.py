@@ -194,10 +194,9 @@ def test_c08_discretizer():
         atoms = atomize(splits, w, partition)
         weights = discrete_weight(w, atoms, partition)
         discretes = [discretize_function(s, atoms, partition) for s in splits]
-        report = verify_bounds(splits, discretes, w, weights, atoms, delta,
-                               pair_trials=200, seed=808)
+        report = verify_bounds(splits, discretes, w, weights, atoms, delta)
         assert report.max_split_error < delta
-        assert report.product_bound_violations == 0
+        assert report.product_bound_atoms == 0
         if previous_errors is not None:
             assert all(b <= a + 1e-15 for a, b in zip(previous_errors,
                                                       report.split_sup_errors))

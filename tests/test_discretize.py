@@ -128,13 +128,13 @@ def test_verify_bounds_trace(trace):
     p, f, w, atoms = trace
     weights = discrete_weight(w, atoms, p)
     f_d = discretize_function(f, atoms, p)
-    report = verify_bounds([f], [f_d], w, weights, atoms, 0.25, pair_trials=200)
+    report = verify_bounds([f], [f_d], w, weights, atoms, 0.25)
     assert report.ok
     assert report.max_split_error < 0.25
-    assert report.product_bound_violations == 0
+    assert report.product_bound_atoms == report.open_atoms == 0
     data = report.to_json()
     assert data["atoms"] == 3 and data["delta"] == 0.25
-    assert data["productBoundViolations"] == 0
+    assert data["productBoundAtoms"] == data["openAtoms"] == 0
 
 
 def test_adversarial_pair_is_tight(trace):
@@ -185,18 +185,18 @@ def test_verify_bounds_refuses_a_delta_that_is_not_positive(trace):
             verify_bounds([f], [f_d], w, weights, atoms, delta)
 
 
-def _pointwise_violations(w, weights, atoms, delta, pair_trials, seed):
+def _violates(w, weights, atoms, delta, x, y):
     """The pair check on grid points: both products lifted to every point."""
+    circ = lift_to_grid(weights * x * y, atoms)
+    star = w * lift_to_grid(x, atoms) * lift_to_grid(y, atoms)
+    return bool(np.any(np.abs(circ) > np.abs(star) + delta + 1e-12))
+
+
+def _pointwise_violations(w, weights, atoms, delta, pair_trials, seed):
+    """How many of ``pair_trials`` random pairs with sup norm <= 1 violate."""
     rng = seeded_rng(seed, 31)
-    violations = 0
-    for _ in range(pair_trials):
-        x = rng.uniform(-1, 1, atoms.atom_count)
-        y = rng.uniform(-1, 1, atoms.atom_count)
-        circ = lift_to_grid(weights * x * y, atoms)
-        star = w * lift_to_grid(x, atoms) * lift_to_grid(y, atoms)
-        if np.any(np.abs(circ) > np.abs(star) + delta + 1e-12):
-            violations += 1
-    return violations
+    return sum(_violates(w, weights, atoms, delta, rng.uniform(-1, 1, atoms.atom_count),
+                         rng.uniform(-1, 1, atoms.atom_count)) for _ in range(pair_trials))
 
 
 def _adversarial_case(seed):
@@ -222,17 +222,24 @@ def _adversarial_case(seed):
 
 
 def test_pair_check_matches_pointwise_formula():
-    with_violations = 0
+    # Random pairs violate only where an atom is counted, and the counted
+    # atoms are exactly those whose indicator pair x = y = e_a violates.
+    counted = 0
     for seed in range(240):
         w, weights, atoms, delta = _adversarial_case(seed)
-        report = verify_bounds([], [], w, weights, atoms, delta, pair_trials=12, seed=seed)
-        expected = _pointwise_violations(w, weights, atoms, delta, 12, seed)
-        assert (report.product_trials, report.product_bound_violations) == (12, expected), seed
-        with_violations += expected > 0
-    assert with_violations >= 160  # the check is not vacuous
+        report = verify_bounds([], [], w, weights, atoms, delta)
+        if _pointwise_violations(w, weights, atoms, delta, 12, seed):
+            assert report.product_bound_atoms > 0, seed
+        indicators = np.eye(atoms.atom_count)
+        failing = sum(_violates(w, weights, atoms, delta, e_a, e_a) for e_a in indicators)
+        assert report.product_bound_atoms == failing, seed
+        assert report.open_atoms >= failing, seed
+        assert report.ok == (failing == 0), seed
+        counted += failing > 0
+    assert counted >= 160  # the check is not vacuous
 
 
-def test_pair_trials_never_lift_to_the_grid(monkeypatch):
+def test_exact_count_never_lifts_to_the_grid(monkeypatch):
     calls = []
     lift = discretize_module.lift_to_grid
     monkeypatch.setattr(discretize_module, "lift_to_grid",
@@ -242,14 +249,10 @@ def test_pair_trials_never_lift_to_the_grid(monkeypatch):
     weights = np.minimum(discrete_weight(w, atoms, p) + 2.0 * delta, 1.0)  # opens most atoms
     discretes = [discretize_function(s, atoms, p) for s in splits]
     gens = {"a": (values[0], discretes[0] - discretes[1]), "b": (values[1], discretes[2] - discretes[3])}
-    lifts = []
-    for trials in (0, 200):
-        calls.clear()
-        report = verify_bounds(splits, discretes, w, weights, atoms, delta, pair_trials=trials,
-                               composite=parse("a*b"), composite_gens=gens)
-        lifts.append(len(calls))
-    assert report.product_bound_violations > 0
-    assert lifts[0] == lifts[1] == len(splits) + 1
+    report = verify_bounds(splits, discretes, w, weights, atoms, delta,
+                           composite=parse("a*b"), composite_gens=gens)
+    assert report.product_bound_atoms > 0
+    assert len(calls) == len(splits) + 1
 
 
 def _cylinder_data(delta, r_levels=17, face_points=8):
@@ -341,8 +344,7 @@ def test_composite_error_within_budget():
     coeffs_a = discretes[0] - discretes[1]
     coeffs_b = discretes[2] - discretes[3]
     composite = parse("a*b + (a \\/ b)*a")
-    report = verify_bounds(splits, discretes, w, weights, atoms, delta,
-                           pair_trials=100, composite=composite,
+    report = verify_bounds(splits, discretes, w, weights, atoms, delta, composite=composite,
                            composite_gens={"a": (values[0], coeffs_a),
                                            "b": (values[1], coeffs_b)})
     assert report.composite_observed <= report.composite_budget
@@ -384,7 +386,7 @@ def test_random_composites_stay_within_budget():
     for i in range(10):
         e = random_expr(random.Random(40 + i), ("a", "b"), 7)
         report = verify_bounds(splits, discretes, w, weights, atoms, delta,
-                               pair_trials=10, composite=e, composite_gens=gens)
+                               composite=e, composite_gens=gens)
         assert report.composite_observed <= report.composite_budget, (i, report.to_json())
 
 
@@ -431,22 +433,18 @@ def test_discretize_generators_refuses_values_not_one_per_sphere_point():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_generator_discretization_opens_no_atom(monkeypatch, n):
+def test_generator_discretization_opens_no_atom(n):
     # Each weight is the lower end c_t <= r of its radial cell, or the first
-    # cut c_1 < delta + 1e-12 in cell 0, so verify_bounds finds no open atom
-    # and compares no entry.  The last delta once gave c_1 = delta + 1.7e-11.
-    spans = []
-    uniform_span = discretize_module._uniform_span
-    monkeypatch.setattr(discretize_module, "_uniform_span",
-                        lambda rng, size, lo, hi: spans.append((lo, hi)) or uniform_span(rng, size, lo, hi))
+    # cut c_1 < delta + 1e-12 in cell 0, so verify_bounds finds no open atom.
+    # The last delta once gave c_1 = delta + 1.7e-11.
     grid = CylinderGrid.regular(n, r_levels=33, face_points=5)
     w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
     for delta in (2.0 ** -7, 2.0 ** -5, 2.0 ** -3, 0.1, 0.3, 0.5, 0.9, 1.0 / (2.0 + 1e-10)):
         values = [grid.sphere_points @ basis / (1.0 + delta) for basis in np.eye(n)]
         discrete = discretize_generators(values, grid, delta)
-        verify_bounds(discrete.splits, discrete.discretes, w, discrete.weights, discrete.atoms,
-                      delta, pair_trials=1)
-    assert spans == [(0, 0)] * 16
+        report = verify_bounds(discrete.splits, discrete.discretes, w, discrete.weights,
+                               discrete.atoms, delta)
+        assert report.open_atoms == report.product_bound_atoms == 0, delta
 
 
 def test_partition_refuses_more_cells_than_the_budget(monkeypatch):
