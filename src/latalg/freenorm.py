@@ -20,8 +20,7 @@ the term on the reals with product ``w a b``, each generator ``v`` read as
   ``1/(1 + delta)``, go through :func:`~latalg.discretize.discretize_generators`,
   one atom per class of sphere points and radial cell.  This source is
   skipped when its cylinder grid would hold more than
-  :data:`~latalg.ball.REAL_GRID_CAP` points (from 7 variables on at the
-  default grid);
+  :data:`~latalg.ball.REAL_GRID_CAP` points (from 7 variables on);
 * ``search_iters`` atoms of a seeded ascent, in rounds: 2(n + 1) coordinate
   moves of the best atom so far by +-step (weight clipped to [2^-52, 1],
   entries to [-1, 1]), then 3(n + 1) atoms drawn from the stream
@@ -39,12 +38,14 @@ value replayed by :func:`evaluate_operator`.
 
 Every row but the ascent's moves depends on ``n`` and the config alone, not
 on the term or the generators, so each process builds it once: the sign
-rows per ``(n, sign_pattern_cap, seed)``, the rows of one mesh parameter
-per ``(n, delta, r_levels, face_points)`` and the draws of round ``r`` per
-``(seed, n, r)``.  The tables are read-only and kept least recently used
-first within :data:`~latalg.ball.REAL_GRID_CAP` float entries in all, each
-charged 64 more for its Python objects; a larger table is built, used and
-dropped per call.  Every row evaluated is still checked for contraction.
+rows and one table per mesh parameter as one entry ``("fixed", n, seed,
+delta_list)``, the draws of round ``r`` as ``("draws", seed, n, r)``.  The
+tables are read-only; entries are kept least recently used first within
+:data:`~latalg.ball.REAL_GRID_CAP` float entries in all, each charged its
+tables' entries plus 64 for its Python objects.  A config is cached whole
+or not at all: a larger entry (the fixed tables from 5 variables on) is
+built, used and dropped per call, evicting nothing.  Every row evaluated is
+still checked for contraction.
 
 Upper bounds evaluate the polynomial majorant at the generator norms.  For
 product-free terms a second lower bound is available from tuples of
@@ -56,7 +57,6 @@ norm except where both meet.
 
 from __future__ import annotations
 
-import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -83,10 +83,15 @@ class ContractionError(RuntimeError):
     """Internal guard: a search candidate lost its contraction certificate."""
 
 
-def _check_contraction(columns: np.ndarray, tol: float = 1e-9) -> None:
+#: Radial levels and points per face axis of the discretized source's grid, and the most
+#: sign atoms: when ``2**n`` exceeds it, that many rows are drawn from the seed instead.
+R_LEVELS, FACE_POINTS, SIGN_PATTERN_CAP = 17, 6, 1024
+
+
+def _check_contraction(columns: np.ndarray) -> None:
     norm = float(np.max(np.abs(columns), initial=0.0))
-    if norm > 1.0 + tol:
-        raise ContractionError(f"operator norm {norm} exceeds 1")
+    if not norm <= 1.0 + 1e-9:  # NaN fails too
+        raise ContractionError(f"operator norm {norm} is not at most 1")
 
 
 @dataclass(eq=False)
@@ -110,8 +115,8 @@ class OperatorIntoAlgebra:
     def domain_dimension(self) -> int:
         return self.columns.shape[0]
 
-    def certify(self, tol: float = 1e-9) -> None:
-        _check_contraction(self.columns, tol)
+    def certify(self) -> None:
+        _check_contraction(self.columns)
 
     def apply(self, x: Sequence[float]):
         vec = np.asarray(x, dtype=float)
@@ -140,19 +145,13 @@ class SearchConfig:
     * ``search_iters``: atoms of the seeded ascent, after the fixed sources.
     * ``delta_list``: mesh parameters of the discretized source, one
       operator each; empty skips the source.
-    * ``seed``: keys the ascent's random draws and sampled sign rows.
-    * ``r_levels``, ``face_points``: radial levels and points per face axis
-      of the discretized source's cylinder grid.
-    * ``sign_pattern_cap``: most sign atoms; when ``2**n`` exceeds it, that
-      many seeded random rows are drawn instead.
+    * ``seed``: keys the ascent's random draws and the sign rows sampled
+      when ``2**n`` exceeds :data:`SIGN_PATTERN_CAP`.
     """
 
     search_iters: int = 10_000
     delta_list: tuple[float, ...] = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
     seed: int = 0
-    r_levels: int = 17
-    face_points: int = 6
-    sign_pattern_cap: int = 1024
 
 
 def _gen_dimension(gens: Mapping[str, Sequence[float]], dimension: int | None = None) -> int:
@@ -186,17 +185,23 @@ def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
     return seeded_rng(seed, key).choice([-1.0, 1.0], size=(cap, n))
 
 
-def _sign_atoms(n: int, cap: int, seed: int) -> np.ndarray:
-    signs = _sign_rows(n, cap, seed, 41)
-    return np.column_stack([np.ones(len(signs)), signs])
-
-
 def _mesh_atoms(grid: CylinderGrid, delta: float) -> np.ndarray:
     """The atoms of the basis generators at the sphere points of ``grid``,
     scaled by ``1/(1 + delta)`` and discretized at mesh ``delta``."""
     scale = 1.0 / (1.0 + delta)
     discrete = discretize_generators(list(scale * grid.sphere_points.T), grid, delta)
     return np.column_stack([discrete.weights, discrete.coefficients.T])
+
+
+def _fixed_atoms(n: int, seed: int, delta_list: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """The sign atoms, then the atoms of each mesh parameter in ``delta_list``
+    unless the cylinder grid would exceed :data:`REAL_GRID_CAP` points."""
+    signs = _sign_rows(n, SIGN_PATTERN_CAP, seed, 41)
+    tables = [np.column_stack([np.ones(len(signs)), signs])]
+    if delta_list and CylinderGrid.regular_size(n, R_LEVELS, FACE_POINTS) <= REAL_GRID_CAP:
+        grid = CylinderGrid.regular(n, r_levels=R_LEVELS, face_points=FACE_POINTS)
+        tables += [_mesh_atoms(grid, delta) for delta in delta_list]
+    return tuple(tables)
 
 
 def _drawn_atoms(seed: int, n: int, round_: int) -> np.ndarray:
@@ -207,33 +212,35 @@ def _drawn_atoms(seed: int, n: int, round_: int) -> np.ndarray:
 
 
 class _RowCache:
-    """Read-only row tables by key, least recently used first.  Each table
-    is charged its entries plus ``OVERHEAD``, and the charges stay within
-    ``budget``; a table charged more is returned without being kept."""
+    """Tuples of read-only row tables by key, least recently used first.  Each
+    tuple is charged its tables' entries plus ``OVERHEAD``, within ``budget``;
+    a tuple charged more is returned without being kept or evicting anything."""
 
     OVERHEAD = 64  # 512 bytes, above a small table's array header, key and dict slot
 
     def __init__(self, budget: int):
         self.budget, self.entries = budget, 0
-        self._tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._tables: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+    def get(self, key: tuple, build: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
         with self._lock:
-            table = self._tables.get(key)
-            if table is not None:
+            tables = self._tables.get(key)
+            if tables is not None:
                 self._tables.move_to_end(key)
-                return table
-        table = build()
-        table.flags.writeable = False
-        charge = table.size + self.OVERHEAD
+                return tables
+        tables = build()
+        for table in tables:
+            table.flags.writeable = False
+        charge = sum(table.size for table in tables) + self.OVERHEAD
         with self._lock:
             if charge <= self.budget and key not in self._tables:
                 while self.entries + charge > self.budget:
-                    self.entries -= self._tables.popitem(last=False)[1].size + self.OVERHEAD
-                self._tables[key] = table
+                    _, evicted = self._tables.popitem(last=False)
+                    self.entries -= sum(table.size for table in evicted) + self.OVERHEAD
+                self._tables[key] = tables
                 self.entries += charge
-        return table
+        return tables
 
     def clear(self) -> None:
         with self._lock:
@@ -269,8 +276,6 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     def consider(atoms: np.ndarray) -> bool:
         """Keep the first atom beating the best value; True when one did."""
         nonlocal best_value, best
-        if not len(atoms):
-            return False
         values = _atom_values(e, vectors, atoms)
         i = int(np.argmax(np.where(np.isnan(values), -1.0, values)))  # NaN never wins
         if values[i] > best_value:
@@ -278,24 +283,17 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
             return True
         return False
 
-    cap, seed, r_levels, face_points = (config.sign_pattern_cap, config.seed,
-                                        config.r_levels, config.face_points)
-    consider(_ROWS.get(("signs", n, cap, seed), lambda: _sign_atoms(n, cap, seed)))
-    if config.delta_list and (CylinderGrid.regular_size(n, r_levels, face_points)
-                              <= REAL_GRID_CAP):
-        # Built on the first missing mesh parameter only.
-        grid = functools.cache(
-            lambda: CylinderGrid.regular(n, r_levels=r_levels, face_points=face_points))
-        for delta in config.delta_list:
-            consider(_ROWS.get(("mesh", n, delta, r_levels, face_points),
-                               lambda: _mesh_atoms(grid(), delta)))
+    seed, delta_list = config.seed, tuple(config.delta_list)
+    for table in _ROWS.get(("fixed", n, seed, delta_list),
+                           lambda: _fixed_atoms(n, seed, delta_list)):
+        consider(table)
 
     step, left, round_ = 0.25, config.search_iters, 0
     if left > 0:
         moves = np.kron(np.eye(n + 1), [[1.0], [-1.0]])  # +-1 on each coordinate in turn
         low = np.r_[2.0 ** -52, -np.ones(n)]
     while left > 0:
-        draws = _ROWS.get(("draws", seed, n, round_), lambda: _drawn_atoms(seed, n, round_))
+        draws, = _ROWS.get(("draws", seed, n, round_), lambda: (_drawn_atoms(seed, n, round_),))
         atoms = draws if best is None else np.vstack([np.clip(best + step * moves, low, 1.0), draws])
         if not consider(atoms[:left]):
             step /= 2
@@ -381,7 +379,7 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     for i in range(min(k, n)):
         identity[i, i] = 1.0
     consider(identity)
-    for corner in _sign_rows(n, 1024, seed, 51):
+    for corner in _sign_rows(n, SIGN_PATTERN_CAP, seed, 51):
         tuples = np.zeros((k, n))
         tuples[0] = corner
         consider(tuples)

@@ -64,10 +64,14 @@ def test_sandwich_soundness_random():
 
 
 def test_contraction_certificate_enforced():
+    # A NaN column is no contraction either: its bound would read nan.
     algebra = DiagonalAlgebra([1.0])
-    op = OperatorIntoAlgebra(algebra, np.array([[1.5]]))
-    with pytest.raises(ContractionError):
-        evaluate_operator(Var("v"), {"v": [1.0]}, op)
+    for column in (1.5, np.nan):
+        op = OperatorIntoAlgebra(algebra, np.array([[column]]))
+        with pytest.raises(ContractionError):
+            op.certify()
+        with pytest.raises(ContractionError):
+            evaluate_operator(Var("v"), {"v": [1.0]}, op)
 
 
 def test_compiled_term_matches_evaluate_operator():
@@ -89,22 +93,28 @@ def test_compiled_term_matches_evaluate_operator():
 
 
 def test_discretized_operator_certified():
-    # discretize_generators gives a contractive many-atom operator; with no
-    # sign atoms and no search atoms the witness is its best atom.
-    gens = {"v": [1.0, 0.0], "w": [0.0, 1.0]}
-    grid = CylinderGrid.regular(2, r_levels=9, face_points=6)
-    for delta in (2.0 ** -4, 2.0 ** -5):
+    # discretize_generators gives a contractive many-atom operator whose
+    # atoms are the fixed rows after the sign rows, one table per mesh
+    # parameter; off the basis one of them can win.
+    grid = CylinderGrid.regular(2, r_levels=freenorm.R_LEVELS, face_points=freenorm.FACE_POINTS)
+    deltas = (2.0 ** -4, 2.0 ** -5)
+    _, *mesh = freenorm._fixed_atoms(2, 0, deltas)
+    for delta, table in zip(deltas, mesh, strict=True):
         discrete = discretize_generators(
             [grid.sphere_points @ basis / (1.0 + delta) for basis in np.eye(2)], grid, delta)
         op = OperatorIntoAlgebra(DiagonalAlgebra(discrete.weights), discrete.coefficients)
         op.certify()
         assert op.algebra.size > 1 and np.all(op.algebra.weights > 0.0)
-        config = SearchConfig(search_iters=0, sign_pattern_cap=0, delta_list=(delta,),
-                              r_levels=9, face_points=6)
-        _, best = operator_lower_bound(parse("v \\/ w"), gens, config)
-        atoms = np.column_stack([discrete.weights, discrete.coefficients.T])
-        assert best.algebra.size == 1
-        assert (atoms == np.r_[best.algebra.weights, best.columns[:, 0]]).all(axis=1).any()
+        assert np.array_equal(table, np.column_stack([discrete.weights, discrete.coefficients.T]))
+    gens = {"u": [0.3647975870165865, 0.355302514932059, 0.31102339878434215],
+            "v": [-0.2385536385835234, -0.4228005422815786, 0.44646578044606333]}
+    config = SearchConfig(search_iters=0)
+    value, best = operator_lower_bound(parse("u*v*u"), gens, config)
+    signs, *mesh = freenorm._fixed_atoms(3, 0, config.delta_list)
+    row = np.r_[best.algebra.weights, best.columns[:, 0]]
+    assert best.algebra.size == 1 and not (signs == row).all(axis=1).any()
+    assert any((table == row).all(axis=1).any() for table in mesh)
+    assert value > operator_lower_bound(parse("u*v*u"), gens, SearchConfig(search_iters=0, delta_list=()))[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -122,7 +132,7 @@ def test_discretized_atom_table_matches_full_grid_pipeline(monkeypatch, n):
     names = [f"x{i}" for i in range(n)]
     config = SearchConfig(search_iters=0)
     operator_lower_bound(parse(" \\/ ".join(names)), dict(zip(names, np.eye(n))), config)
-    grid = CylinderGrid.regular(n, r_levels=config.r_levels, face_points=config.face_points)
+    grid = CylinderGrid.regular(n, r_levels=freenorm.R_LEVELS, face_points=freenorm.FACE_POINTS)
     w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
     assert len(tables) == 1 + len(config.delta_list)
     for table, delta in zip(tables[1:], config.delta_list):
@@ -220,13 +230,17 @@ def test_operator_apply_shape_checked():
 
 
 EYE4 = {f"x{i + 1}": np.eye(4)[i] for i in range(4)}
+EYE11 = {f"x{i + 1}": np.eye(11)[i] for i in range(11)}
 
 # (term, generators, search config, floor, witness atoms, sha256 prefix of
 # the witness JSON).  The floor is the bound of the search that drew
-# operators of up to 8 atoms; the one-atom search must reach it.  The cases
-# cover n = 1..4, non-basis generators, 2**n > sign_pattern_cap, no sign
-# atoms at all, zero leaves, products, and sign, moved and drawn winners
-# (test_discretized_operator_certified has a discretized one).
+# operators of up to 8 atoms (at n = 11, the majorant upper bound); the
+# one-atom search must reach it.  The cases cover n = 1..4, n = 11 where
+# 2**n > SIGN_PATTERN_CAP and the sign rows are sampled (every one attains
+# the floor, so the digest pins the first sampled row), non-basis
+# generators, zero leaves, products, and sign and moved winners
+# (test_discretized_operator_certified has a discretized one,
+# test_first_round_of_draws_alone a drawn one).
 GOLDEN = [
     ('x1*x1',
      {'x1': [1.0]},
@@ -254,7 +268,7 @@ GOLDEN = [
      1.5, 1, '89ce76feed5382fb'),
     ('x*y + neg(z) - 0.75*x',
      {'x': [0.4, -0.6, 0.0], 'y': [0.1, 0.2, 0.7], 'z': [-0.3, 0.3, 0.4]},
-     dict(search_iters=200, seed=9, sign_pattern_cap=4, delta_list=(0.0625,), r_levels=9, face_points=4),
+     dict(search_iters=200, seed=9, delta_list=(0.0625,)),
      1.23046875, 1, 'f749761b5780463e'),
     ('x*(0) + (0) \\/ y + 0*y',
      {'x': [1, 0], 'y': [0.25, -0.75]},
@@ -270,8 +284,8 @@ GOLDEN = [
      1.8, 1, 'f749761b5780463e'),
     ('v*w \\/ (v + w)',
      {'v': [0.5, -0.5], 'w': [0.25, 0.75]},
-     dict(search_iters=60, seed=4294967304, sign_pattern_cap=0, delta_list=()),
-     0.933262570360213, 1, '6d438224a06b5fa2'),
+     dict(search_iters=60, seed=4294967304, delta_list=()),
+     0.933262570360213, 1, '6f9c60a57f050216'),
     ('(w \\/ (w \\/ v) \\/ w * (v * v)) + w * v',
      {'v': [0.2739233746429086], 'w': [-0.4604265724722594]},
      dict(search_iters=200, seed=0, delta_list=()),
@@ -298,8 +312,12 @@ GOLDEN = [
      0.08696805513163941, 1, '92bbb62098e704dc'),
     ('(v + w * v) * (w \\/ v * v)',
      {'v': [0.06254773330233349, 0.19860690048478774, 0.13784284512259676, -0.13739640500470407], 'w': [-0.09991685754438728, 0.18677672269813095, -0.24736734771721264, 0.16061420919138314]},
-     dict(search_iters=30, seed=7, delta_list=(), sign_pattern_cap=1),
-     0.07382837591385012, 1, '91bdeb073dbf1291'),
+     dict(search_iters=30, seed=7, delta_list=()),
+     0.07382837591385012, 1, '56266e408acd3a1a'),
+    (' + '.join(f'abs({name})' for name in EYE11),
+     EYE11,
+     dict(search_iters=100, seed=0),
+     11.0, 1, 'a518a5445e68a015'),
 ]
 
 
@@ -321,6 +339,20 @@ def test_search_dimension_budget():
     assert value == 1.0
     with pytest.raises(ValueError, match="budget"):
         operator_lower_bound(Var("x"), {"x": np.eye(595)[0]}, config)
+
+
+def test_first_round_of_draws_alone():
+    # The term overflows to inf - inf = NaN at every sign and mesh atom, so
+    # no fixed row wins and each round holds the draws alone until a drawn
+    # atom keeps both products finite; the first such atom wins with 0.0.
+    # At seed 1 every atom of round 0 overflows too.
+    e = parse("(2e155*x)*(2e155*x) - (2e155*x)*(2e155*x)")
+    for seed in range(4):
+        with np.errstate(all="ignore"):
+            value, op = operator_lower_bound(e, {"x": [1.0]}, SearchConfig(search_iters=10, seed=seed))
+        row = np.r_[op.algebra.weights, op.columns[:, 0]]
+        draws = np.vstack([freenorm._drawn_atoms(seed, 1, round_) for round_ in (0, 1)])
+        assert value == 0.0 and (draws == row).all(axis=1).any()
 
 
 def _sandwich_bytes(e, gens, config):
@@ -355,30 +387,28 @@ def test_cached_rows_are_read_only(monkeypatch):
         return real_atom_values(e, vectors, atoms)
 
     monkeypatch.setattr(freenorm, "_atom_values", record)
-    config = SearchConfig(search_iters=0, sign_pattern_cap=0, delta_list=(2.0 ** -4,),
-                          r_levels=9, face_points=4)
-    # No sign rows: the mesh rows, then a first round of draws alone.
-    operator_lower_bound(parse("x * y"), {"x": [1, 0], "y": [0, 1]}, config)
+    # The sign and mesh rows as one entry, then one entry of draws.
     operator_lower_bound(parse("x * y"), {"x": [1, 0], "y": [0, 1]},
-                         SearchConfig(search_iters=5, sign_pattern_cap=0, delta_list=()))
-    assert len(seen) == 2 and len(freenorm._ROWS._tables) == 3
-    for table in [*seen, *freenorm._ROWS._tables.values()]:
+                         SearchConfig(search_iters=5, delta_list=(2.0 ** -4,)))
+    entries = list(freenorm._ROWS._tables.values())
+    assert list(freenorm._ROWS._tables) == [("fixed", 2, 0, (2.0 ** -4,)), ("draws", 0, 2, 0)]
+    assert [len(tables) for tables in entries] == [2, 1] and len(seen) == 3
+    for table in [*seen[:2], *(table for tables in entries for table in tables)]:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
 
 
-BASE_ROWS = dict(search_iters=40, seed=0, sign_pattern_cap=4, delta_list=(2.0 ** -5,),
-                 r_levels=9, face_points=4)
+BASE_ROWS = dict(search_iters=40, seed=0, delta_list=(2.0 ** -5,))
 
 
 @pytest.mark.parametrize("change", [
-    dict(seed=1), dict(delta_list=(2.0 ** -4,)), dict(r_levels=5), dict(face_points=3),
-    dict(sign_pattern_cap=2), dict(delta_list=[2.0 ** -5, 2.0 ** -6]),
+    dict(seed=1), dict(delta_list=(2.0 ** -4,)), dict(delta_list=[2.0 ** -5, 2.0 ** -6]),
+    dict(delta_list=()),
 ])
 def test_each_config_field_keys_the_rows(monkeypatch, change):
-    # At n = 3, 2**n exceeds the sign cap, so the seed draws the sign rows
-    # too.  With the base config's rows cached, the changed config must use
-    # the rows it uses on a cleared cache, and those differ from the base's.
+    # With the base config's rows cached, the changed config must use the
+    # rows it uses on a cleared cache, and those differ from the base's (an
+    # empty delta_list keys a fixed entry of the sign rows alone).
     gens = {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1]}
     e = parse("(x * y) \\/ z")
     real_atom_values = freenorm._atom_values
@@ -416,32 +446,49 @@ def test_row_cache_evicts_least_recently_used_within_its_budget():
     cache, small = freenorm._RowCache(budget=300), 100 - freenorm._RowCache.OVERHEAD
     built = []
 
-    def table(size):
+    def tables(*sizes):
         def build():
-            built.append(size)
-            return np.zeros(size)
+            built.append(sizes)
+            return tuple(np.zeros(size) for size in sizes)
         return build
 
     for key in "abc":
-        cache.get(key, table(small))  # charged 100 each
+        cache.get(key, tables(small))  # charged 100 each
     assert cache.entries == 300
-    cache.get("a", table(small))  # a hit makes "a" the most recent
-    cache.get("d", table(small))  # evicts "b", the least recently used
-    assert built == [small] * 4 and list(cache._tables) == ["c", "a", "d"]
-    big = cache.get("e", table(small + 201))  # charged 301: built, returned, not kept
-    assert big.shape == (small + 201,) and not big.flags.writeable
+    cache.get("a", tables(small))  # a hit makes "a" the most recent
+    cache.get("d", tables(small - 20, 20))  # charged 100 together; evicts "b", the least recent
+    assert built == [(small,)] * 3 + [(small - 20, 20)] and list(cache._tables) == ["c", "a", "d"]
+    big = cache.get("e", tables(small, 201))  # charged 301: built, returned, evicts nothing
+    assert [table.shape for table in big] == [(small,), (201,)]
+    assert not any(table.flags.writeable for table in big)
     assert list(cache._tables) == ["c", "a", "d"] and cache.entries == 300
-    cache.get("e", table(small + 201))
-    assert built == [small] * 4 + [small + 201] * 2
+    cache.get("e", tables(small, 201))
+    assert built[-2:] == [(small, 201)] * 2
 
 
-def test_row_cache_stays_within_the_grid_budget():
+def test_row_cache_stays_within_the_grid_budget(monkeypatch):
     # Three n = 5 mesh tables hold about 2.07 M entries, more than the budget
-    # together; the n = 594 round holds about 1.06 M.
-    names = [f"x{i}" for i in range(5)]
-    operator_lower_bound(parse(" \\/ ".join(names)), dict(zip(names, np.eye(5))),
-                         SearchConfig(search_iters=20))
+    # together, so the n = 5 fixed rows are built, used and dropped without
+    # evicting the n <= 4 entries; the n = 594 round holds about 1.06 M.
+    def search(n):
+        names = [f"x{i}" for i in range(n)]
+        operator_lower_bound(parse(" \\/ ".join(names)), dict(zip(names, np.eye(n))),
+                             SearchConfig(search_iters=20))
+
+    freenorm._ROWS.clear()
+    for n in range(1, 5):
+        search(n)
+    kept = list(freenorm._ROWS._tables)
+    search(5)
     assert freenorm._ROWS.entries <= REAL_GRID_CAP
+    assert set(kept) <= set(freenorm._ROWS._tables)
+    assert not [key for key in freenorm._ROWS._tables if key[:2] == ("fixed", 5)]
+    built = []
+    for builder in ("_fixed_atoms", "_drawn_atoms"):
+        real = getattr(freenorm, builder)
+        monkeypatch.setattr(freenorm, builder, lambda *args, real=real: built.append(args) or real(*args))
+    search(4)
+    assert built == []
     test_search_dimension_budget()
     tables = freenorm._ROWS._tables.values()
-    assert sum(table.size for table in tables) < freenorm._ROWS.entries <= REAL_GRID_CAP
+    assert sum(table.size for entry in tables for table in entry) < freenorm._ROWS.entries <= REAL_GRID_CAP
