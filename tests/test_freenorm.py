@@ -402,13 +402,15 @@ BASE_ROWS = dict(search_iters=40, seed=0, delta_list=(2.0 ** -5,))
 
 
 @pytest.mark.parametrize("change", [
-    dict(seed=1), dict(delta_list=(2.0 ** -4,)), dict(delta_list=[2.0 ** -5, 2.0 ** -6]),
-    dict(delta_list=()),
+    dict(seed=1), dict(delta_list=(2.0 ** -4,)), dict(delta_list=()), dict(search_iters=80),
+    dict(delta_list=(2.0 ** -5, 2.0 ** -6)), dict(delta_list=[2.0 ** -5, 2.0 ** -6]),
 ])
 def test_each_config_field_keys_the_rows(monkeypatch, change):
     # With the base config's rows cached, the changed config must use the
     # rows it uses on a cleared cache, and those differ from the base's (an
-    # empty delta_list keys a fixed entry of the sign rows alone).
+    # empty delta_list keys a fixed entry of the sign rows alone, a larger
+    # search_iters reads more rounds of draws, and a delta_list given as a
+    # list keys the same entry as the tuple).
     gens = {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1]}
     e = parse("(x * y) \\/ z")
     real_atom_values = freenorm._atom_values
@@ -436,7 +438,7 @@ def test_each_config_field_keys_the_rows(monkeypatch, change):
     rows_used(SearchConfig(**BASE_ROWS), clear=True)
     warm = rows_used(changed, clear=False)
     assert same(warm, cold)
-    if isinstance(change.get("delta_list"), list):
+    if len(change.get("delta_list", ())) == 2:
         assert same(cold[:2], base[:2]) and len(cold) > len(base)  # one mesh parameter more
     else:
         assert not same(cold, base)
