@@ -79,22 +79,26 @@ class BallGrid:
 
 
 def generator_vectors(e: Expr, gens: Mapping[str, Sequence[float]],
-                      dimension: int) -> dict[str, np.ndarray]:
-    """The generator vector of every free variable of ``e``, in name order.
+                      dimension: int | None = None) -> tuple[dict[str, np.ndarray], int]:
+    """The generator vector of every free variable of ``e``, in name order,
+    and their dimension: ``dimension`` when given, else the length of the
+    vectors in ``gens``, else 1 (no vectors; any domain works).
 
-    Raises ValueError when a variable has no vector in ``gens`` or its
-    vector does not have ``dimension`` coordinates.
+    Raises ValueError when a vector in ``gens`` does not have that shape
+    ``(dimension,)`` or a variable of ``e`` has no vector.
     """
-    vectors = {}
-    for name in variables(e):
-        if name not in gens:
-            raise ValueError(f"no generator vector for variable {name!r}")
-        vec = np.asarray(gens[name], dtype=float)
+    arrays = {name: np.asarray(vec, dtype=float) for name, vec in gens.items()}
+    if dimension is None:
+        dimension = next((vec.size for vec in arrays.values()), 1)
+    for name, vec in arrays.items():
         if vec.shape != (dimension,):
             raise ValueError(
                 f"generator for {name!r} has shape {vec.shape}, expected ({dimension},)")
-        vectors[name] = vec
-    return vectors
+    names = variables(e)
+    for name in names:
+        if name not in arrays:
+            raise ValueError(f"no generator vector for variable {name!r}")
+    return {name: arrays[name] for name in names}, dimension
 
 
 def generator_norms(gens: Mapping[str, Sequence[float]]) -> dict[str, float]:
@@ -120,7 +124,7 @@ def vanishes_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGri
     the first grid point (C order) of the largest residual, ``inf`` for a
     non-finite value.
     """
-    vectors = generator_vectors(e, gens, grid.dimension)
+    vectors, _ = generator_vectors(e, gens, grid.dimension)
     bound = float(polynomial_majorant(e).evaluate(generator_norms(gens)))
     threshold = tol * (1.0 + bound)
 
@@ -158,6 +162,9 @@ def _grid_chunks(axis: np.ndarray, k: int):
     """Columns of the grid ``axis^k`` in C order, in chunks of ``rows`` points of the
     leading k - m axes, each with the whole block of the trailing m axes."""
     g = axis.size
+    if g == 1:  # the single point: a (k - 1)-axis meshgrid fails from 33 axes on
+        yield [axis] * k
+        return
     m = max(j for j in range(k) if g ** j <= _CHUNK)
     leads, block = g ** (k - m), g ** m
     rows = _CHUNK // block

@@ -3,7 +3,9 @@ command takes only the options ``_COMMANDS`` lists for it, echoed in ``params``.
 
 Reports are machine-readable JSON on stdout (byte-identical for identical
 configurations, seed included); human summaries go to stderr.  Exit codes:
-0 success/consistent, 1 property violation found, 2 usage or parse error.
+0 success/consistent, 1 property violation found, 2 usage or parse error:
+every input the library refuses with a ValueError, reported in one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import __version__
 from .ball import BallGrid, transport_residual, vanishes_on_ball, vanishes_on_reals
 from .cylinder import CylinderGrid, constant_one, cylinder_extension, generator, star_product
 from .discretize import build_partition, discretize_generators, verify_bounds
-from .expr import ExprError, parse, variables
+from .expr import parse, variables
 from .freenorm import SearchConfig, norm_sandwich
 from .models import model_to_json
 
@@ -53,20 +55,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         _usage_error(message)
-
-
-def _parse_expr_or_exit(text: str):
-    try:
-        return parse(text)
-    except ExprError as exc:
-        _usage_error(str(exc))
-
-
-def _cylinder_grid(n: int, args: argparse.Namespace) -> CylinderGrid:
-    try:
-        return CylinderGrid.regular(n, r_levels=args.grid_r, face_points=args.grid_sphere)
-    except ValueError as exc:
-        _usage_error(str(exc))
 
 
 def _parse_vector(name: str, value: str) -> np.ndarray:
@@ -128,7 +116,7 @@ def _real_line_check(e, args: argparse.Namespace, report: dict, **kwargs):
 
 
 def cmd_check_identity(args: argparse.Namespace) -> int:
-    e = _parse_expr_or_exit(args.expr)
+    e = parse(args.expr)
     report = _echo(args)
     real = _real_line_check(e, args, report, samples=args.iters * 100)
     report["vanishes_on_reals"] = real.vanishes
@@ -154,16 +142,12 @@ def cmd_check_identity(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    e = _parse_expr_or_exit(args.expr)
+    e = parse(args.expr)
     gens, dim = _parse_gens(args.gens, variables(e), args.n)
     if args.grid_sphere < 3:
         _usage_error(f"--grid-sphere must be >= 3 for the ball grid, got {args.grid_sphere}")
     points = args.grid_sphere if args.grid_sphere % 2 == 1 else args.grid_sphere + 1
-    try:
-        grid = BallGrid(dim, points)
-    except ValueError as exc:
-        _usage_error(str(exc))
-    ball = vanishes_on_ball(e, gens, grid, tol=args.tol)
+    ball = vanishes_on_ball(e, gens, BallGrid(dim, points), tol=args.tol)
     report = _echo(args)
     real = _real_line_check(e, args, report)
     if not ball.vanishes:
@@ -180,7 +164,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 def cmd_surface(args: argparse.Namespace) -> int:
     if args.n != 2:
         _usage_error("surfaces are emitted for dimension 2 only")
-    grid = _cylinder_grid(2, args)
+    grid = CylinderGrid.regular(2, r_levels=args.grid_r, face_points=args.grid_sphere)
     one = constant_one(grid)
     surfaces = {
         "generator_e1.csv": generator([1.0, 0.0], grid),
@@ -188,7 +172,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
         "unit_star_unit.csv": star_product(one, one),
     }
     if args.expr:
-        e = _parse_expr_or_exit(args.expr)
+        e = parse(args.expr)
         gens, _ = _parse_gens(args.gens, variables(e), 2)
         surfaces["expression.csv"] = cylinder_extension(e, gens, grid)
     out_dir = Path(args.out or ".")
@@ -206,14 +190,11 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 
 def cmd_norm(args: argparse.Namespace) -> int:
-    e = _parse_expr_or_exit(args.expr)
+    e = parse(args.expr)
     gens, n = _parse_gens(args.gens, variables(e), args.n)
     config = SearchConfig(search_iters=args.iters, seed=args.seed,
                           delta_list=tuple(args.delta or SearchConfig.delta_list))
-    try:
-        sandwich = norm_sandwich(e, gens, config, n)
-    except ValueError as exc:
-        _usage_error(str(exc))
+    sandwich = norm_sandwich(e, gens, config, n)
     report = _echo(args)
     report.update({"lower": sandwich.lower, "upper": sandwich.upper,
                    "witness": sandwich.witness.to_json()})
@@ -222,9 +203,9 @@ def cmd_norm(args: argparse.Namespace) -> int:
 
 
 def cmd_discretize(args: argparse.Namespace) -> int:
-    e = _parse_expr_or_exit(args.expr)
+    e = parse(args.expr)
     gens, n = _parse_gens(args.gens, variables(e), args.n)
-    grid = _cylinder_grid(n, args)
+    grid = CylinderGrid.regular(n, r_levels=args.grid_r, face_points=args.grid_sphere)
     w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
     keys = sorted(gens)
     originals = [generator(gens[name], grid).values for name in keys]
@@ -309,8 +290,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # Overflow surfaces as a non-finite residual or report value, which the
     # commands turn into usage errors; numpy's warnings would only add lines.
-    with np.errstate(all="ignore"):
-        return args.func(args)
+    try:
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except ValueError as exc:  # every input the library refuses, parse errors included
+        _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -166,7 +166,7 @@ def cylinder_extension(e: Expr, gens: Mapping[str, Sequence[float]],
     evaluated at ``u`` itself, the paper's symbolic row.
     """
     dots = {name: grid.sphere_points @ vec
-            for name, vec in generator_vectors(e, gens, grid.dimension).items()}
+            for name, vec in generator_vectors(e, gens, grid.dimension)[0].items()}
 
     r = grid.r_levels
     positive = r > 0.0
@@ -197,7 +197,7 @@ def strong_unit_candidate(family: Sequence[Sequence[float]], grid: CylinderGrid)
     sups = None
     for x in family:
         vec = np.asarray(x, dtype=float)
-        if abs(float(np.sum(np.abs(vec))) - 1.0) > 1e-12:
+        if not abs(float(np.sum(np.abs(vec))) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"family vectors must have absolute-sum norm 1, got {vec}")
         g = np.abs(generator(vec, grid).values)
         sups = g if sups is None else np.maximum(sups, g)

@@ -40,7 +40,9 @@ Every row but the ascent's moves depends on ``n`` and the config alone, not
 on the term or the generators, so each process builds it once: the sign
 rows and one table per mesh parameter as one entry ``("fixed", n, seed,
 delta_list)``, the draws of round ``r`` as ``("draws", seed, n, r)``.  The
-tables are read-only; entries are kept least recently used first within
+fixed rows read the seed only when ``2**n`` exceeds :data:`SIGN_PATTERN_CAP`;
+below that their key holds ``None`` in its place, so every seed shares them.
+The tables are read-only; entries are kept least recently used first within
 :data:`~latalg.ball.REAL_GRID_CAP` float entries in all, each charged its
 tables' entries plus 64 for its Python objects.  A config is cached whole
 or not at all: a larger entry (the fixed tables from 5 variables on) is
@@ -134,7 +136,7 @@ def evaluate_operator(e: Expr, gens: Mapping[str, Sequence[float]],
     """Sup norm of the term evaluated through the (certified) operator."""
     op.certify()
     assignment = {name: op.apply(vec)
-                  for name, vec in generator_vectors(e, gens, op.domain_dimension).items()}
+                  for name, vec in generator_vectors(e, gens, op.domain_dimension)[0].items()}
     return op.algebra.evaluate(e, assignment).sup_norm()
 
 
@@ -152,14 +154,6 @@ class SearchConfig:
     search_iters: int = 10_000
     delta_list: tuple[float, ...] = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
     seed: int = 0
-
-
-def _gen_dimension(gens: Mapping[str, Sequence[float]], dimension: int | None = None) -> int:
-    """The one dimension of the generator vectors and ``dimension``, or 1 when neither names one."""
-    dims = {np.asarray(v, dtype=float).shape[0] for v in gens.values()} | {dimension} - {None}
-    if len(dims) > 1:
-        raise ValueError("all generator vectors must share one dimension")
-    return dims.pop() if dims else 1  # no free variables; any domain works
 
 
 def _atom_values(e: Expr, vectors: Mapping[str, np.ndarray], atoms: np.ndarray) -> np.ndarray:
@@ -266,11 +260,10 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     before allocating, when a round would exceed :data:`REAL_GRID_CAP` entries.
     """
     config = config or SearchConfig()
-    n = _gen_dimension(gens, dimension)
+    vectors, n = generator_vectors(e, gens, dimension)
     if 5 * (n + 1) ** 2 > REAL_GRID_CAP:
         raise ValueError(f"a search round in dimension {n} would hold {5 * (n + 1)} x {n + 1} "
                          f"entries, more than the grid budget of {REAL_GRID_CAP}")
-    vectors = generator_vectors(e, gens, n)
     best_value, best = -1.0, None
 
     def consider(atoms: np.ndarray) -> bool:
@@ -284,7 +277,8 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
         return False
 
     seed, delta_list = config.seed, tuple(config.delta_list)
-    for table in _ROWS.get(("fixed", n, seed, delta_list),
+    sign_seed = seed if 2 ** n > SIGN_PATTERN_CAP else None  # below the cap no fixed row reads it
+    for table in _ROWS.get(("fixed", n, sign_seed, delta_list),
                            lambda: _fixed_atoms(n, seed, delta_list)):
         consider(table)
 
@@ -357,8 +351,7 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     """
     if contains_product(e):
         raise ValueError("the lattice-part bound applies to product-free terms only")
-    n = _gen_dimension(gens)
-    vectors = generator_vectors(e, gens, n)
+    vectors, n = generator_vectors(e, gens)
     k = tuple_size
     if k < 1:
         raise ValueError("tuple_size must be >= 1")

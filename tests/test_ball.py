@@ -225,7 +225,9 @@ def test_transport_reports_are_bit_identical():
 
 
 def test_real_grid_cap():
-    for k, per_axis in ((1, 1001), (3, 41), (6, 11), (7, 7), (8, 5), (10, 3)):
+    # From 14 variables on the grid is the single point (-3, ..., -3).
+    for k, per_axis in ((1, 1001), (3, 41), (6, 11), (7, 7), (8, 5), (10, 3), (14, 1), (40, 1),
+                        (70, 1)):
         e = parse(" + ".join(f"x{i}" for i in range(k)))
         report = vanishes_on_reals(e, samples=0)
         assert report.grid_per_axis == per_axis and per_axis ** k <= REAL_GRID_CAP
@@ -382,8 +384,19 @@ def _product_free_lower_bound(e, gens):
     return product_free_lower_bound(e, gens, iters=0)
 
 
-# Every caller binding variables to generator vectors of dimension 2.  The
-# wrong-dimension case of vanishes_on_ball is test_eval_on_ball_dimension_mismatch.
+def _vanishes_on_ball(e, gens):
+    return vanishes_on_ball(e, gens, BallGrid(2, 3))
+
+
+BINDERS = (_vanishes_on_ball, _cylinder_extension, _evaluate_operator, _operator_lower_bound,
+           _product_free_lower_bound)
+# The one message each fault gets, whichever caller binds the generators.
+BINDING_MESSAGES = ("no generator vector for variable 'w'",
+                    "generator for 'w' has shape (3,), expected (2,)",
+                    "generator for 'w' has shape (), expected (2,)")
+
+
+# Every caller binding variables to generator vectors of dimension 2.
 @pytest.mark.parametrize("caller, gens, message", [
     (lambda e, gens: vanishes_on_ball(e, gens, BallGrid(2, 3)), {"v": [1.0, 0.0]},
      "no generator"),
@@ -392,10 +405,14 @@ def _product_free_lower_bound(e, gens):
     (_evaluate_operator, {"v": [1.0, 0.0]}, "no generator"),
     (_evaluate_operator, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "expected"),
     (_operator_lower_bound, {"v": [1.0, 0.0]}, "no generator"),
-    (_operator_lower_bound, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "one dimension"),
+    (_operator_lower_bound, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "expected"),
     (_product_free_lower_bound, {"v": [1.0, 0.0]}, "no generator"),
-    (_product_free_lower_bound, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "one dimension"),
+    (_product_free_lower_bound, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "expected"),
+    (_vanishes_on_ball, {"v": [1.0, 0.0], "w": [0.0, 1.0, 0.0]}, "expected"),
+    # A scalar is not a vector of length 1.
+    *((caller, {"v": [1.0, 0.0], "w": 1.0}, "expected") for caller in BINDERS),
 ])
 def test_generator_binding_errors(caller, gens, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as err:
         caller(parse("v \\/ w"), gens)
+    assert str(err.value) in BINDING_MESSAGES

@@ -361,9 +361,20 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(drawn):
         assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), argv
 
 
+def _sum_of(k: int) -> str:
+    return " + ".join(f"x{i}" for i in range(k))
+
+
+def _all_e1(k: int) -> str:
+    return ";".join(f"x{i}=e1" for i in range(k))
+
+
 @pytest.mark.parametrize("argv", [
     ["discretize", "--expr", "0"],
     ["check-identity", "--expr", "x", "--iters", "0"],
+    # From 14 variables on the default real-line grid is one point.
+    *(["check-identity", "--expr", _sum_of(k), "--iters", "1"] for k in (40, 70)),
+    *(["kernel", "--expr", _sum_of(k), "--gens", _all_e1(k)] for k in (40, 70)),
 ])
 def test_edge_inputs_report(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

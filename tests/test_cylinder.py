@@ -197,6 +197,8 @@ def test_strong_unit_validation(grid2):
         strong_unit_candidate([], grid2)
     with pytest.raises(ValueError):
         strong_unit_candidate([[1.0, 1.0]], grid2)  # absolute-sum norm 2
+    with pytest.raises(ValueError):
+        strong_unit_candidate([[np.nan, 0.0]], grid2)  # absolute-sum norm NaN
 
 
 def test_unit_norm_examples(grid2):

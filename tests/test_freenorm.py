@@ -86,10 +86,10 @@ def test_compiled_term_matches_evaluate_operator():
         atoms = np.column_stack([1.0 - rng.random(12), rng.uniform(-1.0, 1.0, (12, n))])
         expected = [evaluate_operator(e, gens, OperatorIntoAlgebra(DiagonalAlgebra(a[:1]), a[1:, None]))
                     for a in atoms]
-        assert _atom_values(e, generator_vectors(e, gens, n), atoms).tolist() == expected
+        assert _atom_values(e, generator_vectors(e, gens, n)[0], atoms).tolist() == expected
     atoms[3, 1] = 1.5
     with pytest.raises(ContractionError):
-        _atom_values(e, generator_vectors(e, gens, n), atoms)
+        _atom_values(e, generator_vectors(e, gens, n)[0], atoms)
 
 
 def test_discretized_operator_certified():
@@ -391,11 +391,28 @@ def test_cached_rows_are_read_only(monkeypatch):
     operator_lower_bound(parse("x * y"), {"x": [1, 0], "y": [0, 1]},
                          SearchConfig(search_iters=5, delta_list=(2.0 ** -4,)))
     entries = list(freenorm._ROWS._tables.values())
-    assert list(freenorm._ROWS._tables) == [("fixed", 2, 0, (2.0 ** -4,)), ("draws", 0, 2, 0)]
+    assert list(freenorm._ROWS._tables) == [("fixed", 2, None, (2.0 ** -4,)), ("draws", 0, 2, 0)]
     assert [len(tables) for tables in entries] == [2, 1] and len(seen) == 3
     for table in [*seen[:2], *(table for tables in entries for table in tables)]:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
+
+
+def test_fixed_rows_are_shared_by_every_seed_below_the_sign_cap(monkeypatch):
+    # No n = 4 fixed row reads the seed: three seeds build them once.  From
+    # 2**n > SIGN_PATTERN_CAP on the sign rows are drawn from it.
+    built, real = [], freenorm._fixed_atoms
+    monkeypatch.setattr(freenorm, "_fixed_atoms", lambda *args: built.append(args) or real(*args))
+    freenorm._ROWS.clear()
+    e = parse("x0 \\/ x3")
+    for seed in range(3):
+        operator_lower_bound(e, {"x0": [1, 0, 0, 0], "x3": [0, 0, 0, 1]},
+                             SearchConfig(search_iters=20, seed=seed))
+    assert [args[0] for args in built] == [4]
+    gens = {"x0": np.eye(11)[0]}
+    for seed in range(2):
+        operator_lower_bound(parse("x0"), gens, SearchConfig(search_iters=0, seed=seed))
+    assert [args[:2] for args in built[1:]] == [(11, 0), (11, 1)]
 
 
 BASE_ROWS = dict(search_iters=40, seed=0, delta_list=(2.0 ** -5,))
