@@ -208,8 +208,10 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
     the random points, of the largest scaled residual.
     By default the grid has at most :data:`REAL_GRID_CAP` points: from 7
     variables on, the per-axis count is the largest odd one within the cap
-    (``grid_capped``).
+    (``grid_capped``); an explicit ``grid_per_axis`` below 1 is a ValueError.
     """
+    if grid_per_axis is not None and grid_per_axis < 1:
+        raise ValueError(f"grid_per_axis must be >= 1, got {grid_per_axis}")
     names = variables(e)
     k = len(names)
     majorant = polynomial_majorant(e)

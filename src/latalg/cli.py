@@ -162,7 +162,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
-    if args.n != 2:
+    if args.n not in (None, 2):
         _usage_error("surfaces are emitted for dimension 2 only")
     grid = CylinderGrid.regular(2, r_levels=args.grid_r, face_points=args.grid_sphere)
     one = constant_one(grid)

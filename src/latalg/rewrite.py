@@ -9,9 +9,11 @@ Three transforms live here:
 
 * :func:`normal_form` rewrites a term as a difference of two joins of
   constant-free polynomials in the split variables ``v+`` and ``v-``
-  (which evaluate as the positive and negative part of ``v``).  The
-  recursion is deterministic but can blow up exponentially; a configurable
-  term budget aborts cleanly rather than truncating.
+  (which evaluate as the positive and negative part of ``v``), all with
+  positive coefficients, so a product is two pair sums of four pair-product
+  lists.  The recursion is deterministic but can blow up exponentially; a
+  term budget, which counts every list emitted, products included, aborts
+  cleanly rather than truncating.
 
 * :func:`polynomial_majorant` produces a nonnegative-coefficient,
   constant-free polynomial ``p`` with ``|e(a)| <= p(|a|)`` for every real
@@ -107,12 +109,6 @@ class Polynomial:
                 mono = tuple(sorted(m1 + m2))
                 out[mono] = out.get(mono, 0.0) + c1 * c2
         return Polynomial(out)
-
-    def split_signs(self) -> tuple["Polynomial", "Polynomial"]:
-        """Write ``self = p - n`` with ``p`` and ``n`` having positive coefficients."""
-        pos = {m: c for m, c in self.terms.items() if c > 0}
-        neg = {m: -c for m, c in self.terms.items() if c < 0}
-        return Polynomial(pos), Polynomial(neg)
 
     def evaluate(self, env: Mapping[str, "np.ndarray | float"]):
         """Evaluate with symbols bound to scalars or broadcastable arrays."""
@@ -255,11 +251,17 @@ def zero_simplify(e: Expr) -> Expr:
 class _Builder:
     """Normal-form combinators with a global term budget.
 
-    The product recursion follows a fixed order: first a single polynomial
-    into a difference of joins (splitting its coefficients by sign), then a
-    pure join (rewritten as a positive join minus a polynomial using the
-    negative split of its first entry), then the general difference.  Pair
-    enumerations run in lexicographic order throughout.  Join lists are
+    Every polynomial in a join list built here has only positive
+    coefficients: the leaves are ``0``, ``v+`` and ``v-``, ``add`` and
+    ``join`` add polynomials in pairs, ``scale`` multiplies by ``|c|`` and
+    ``mul`` only multiplies and adds.  Split variables are nonnegative, so
+    each such polynomial is nonnegative wherever it is evaluated, and in an
+    f-algebra multiplying by a positive element preserves joins:
+    ``max P * max Q = max PQ`` for ``PQ`` the list of pair products.  Hence
+
+        (max P - max N)(max Q - max M) = [max PQ + max NM] - [max PM + max NQ],
+
+    each bracket a pair sum of two product lists.  Join lists are
     deduplicated order-preservingly (join is idempotent, so this is exact)
     and the budget is enforced while lists are built, not after.
     """
@@ -299,12 +301,6 @@ class _Builder:
         self._pairsum(neg, a.neg, b.neg)
         return NormalForm(tuple(pos), tuple(neg))
 
-    def neg(self, a: NormalForm) -> NormalForm:
-        return NormalForm(a.neg, a.pos)
-
-    def sub(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        return self.add(a, self.neg(b))
-
     def scale(self, a: NormalForm, coeff: float) -> NormalForm:
         if coeff == 0.0:
             return self.zero()
@@ -323,39 +319,20 @@ class _Builder:
         self._pairsum(neg, a.neg, b.neg)
         return NormalForm(tuple(pos), tuple(neg))
 
-    def join_many(self, items: list[NormalForm]) -> NormalForm:
-        return reduce(self.join, items)
-
-    def poly_times_join(self, x: Polynomial, joins: tuple[Polynomial, ...]) -> NormalForm:
-        # x >= 0 split: x*max(U) = max(x_p*u) - max(x_n*u) since split
-        # monomials are pointwise nonnegative.
-        x_pos, x_neg = x.split_signs()
-        pos, neg = {}, {}
-        for u in joins:
-            self._emit(pos, x_pos * u)
-        for u in joins:
-            self._emit(neg, x_neg * u)
-        return NormalForm(tuple(pos), tuple(neg))
-
-    def poly_times_nf(self, x: Polynomial, b: NormalForm) -> NormalForm:
-        return self.sub(self.poly_times_join(x, b.pos), self.poly_times_join(x, b.neg))
-
-    def join_times_nf(self, joins: tuple[Polynomial, ...], b: NormalForm) -> NormalForm:
-        if len(joins) == 1:
-            return self.poly_times_nf(joins[0], b)
-        # Rewrite max(w_1..w_p) = max(w1_pos, w_2 + w1_neg, ...) - w1_neg,
-        # first entry split by coefficient sign; the leading join is then a
-        # pointwise-nonnegative element.
-        w1_pos, w1_neg = joins[0].split_signs()
-        lifted = (w1_pos,) + tuple(w + w1_neg for w in joins[1:])
-        positive = NormalForm(lifted, (Polynomial.zero(),))
-        prod_pos = self.join_many([self.poly_times_nf(u, positive) for u in b.pos])
-        prod_neg = self.join_many([self.poly_times_nf(v, positive) for v in b.neg])
-        correction = self.poly_times_nf(w1_neg, b)
-        return self.sub(self.sub(prod_pos, prod_neg), correction)
+    def _products(self, xs, ys) -> tuple[Polynomial, ...]:
+        """The join list of the products ``q * p``, ``ys`` outermost, each
+        emitted, and counted, as it is built."""
+        acc = {}
+        for q in ys:
+            for p in xs:
+                self._emit(acc, q * p)
+        return tuple(acc)
 
     def mul(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        return self.sub(self.join_times_nf(a.pos, b), self.join_times_nf(a.neg, b))
+        pos, neg = {}, {}
+        self._pairsum(pos, self._products(a.pos, b.pos), self._products(a.neg, b.neg))
+        self._pairsum(neg, self._products(a.pos, b.neg), self._products(a.neg, b.pos))
+        return NormalForm(tuple(pos), tuple(neg))
 
     def build(self, e: Expr) -> NormalForm:
         """Normal form of the core term ``e``, children before parents."""
@@ -375,8 +352,10 @@ def normal_form(e: Expr, budget: int = 1_000_000) -> NormalForm:
     ``budget`` caps the work of the construction, counted in emitted
     terms: each polynomial added to a join list counts its monomials plus
     one, cumulatively, and a subterm repeated in ``e`` is built, and
-    counted, once.  The construction is inherently exponential in the worst
-    case and raises :class:`NormalFormBudgetError` rather than truncating.
+    counted, once.  A product counts its four pair-product lists as well as
+    the two pair sums of them that form its result.  The construction is
+    inherently exponential in the worst case and raises
+    :class:`NormalFormBudgetError` rather than truncating.
     """
     return _Builder(budget).build(e)
 

@@ -238,6 +238,14 @@ def test_real_grid_cap():
     assert explicit.grid_per_axis == 3 and not explicit.grid_capped
 
 
+@pytest.mark.parametrize("text", ["x", "x + y", "x + y + z"])
+@pytest.mark.parametrize("per_axis", [0, -1])
+def test_explicit_grid_below_one_is_refused(monkeypatch, text, per_axis):
+    monkeypatch.setattr(ball, "eval_pointwise", None)  # nothing is evaluated
+    with pytest.raises(ValueError, match="grid_per_axis must be >= 1"):
+        vanishes_on_reals(parse(text), grid_per_axis=per_axis, samples=0)
+
+
 def test_random_samples_are_drawn_in_chunks(monkeypatch):
     sizes = []
 

@@ -79,6 +79,13 @@ def test_surface_outputs(tmp_path, capsys):
     assert np.array_equal(gen1[:, 1], gen1[:, 3])
 
 
+@pytest.mark.parametrize("extra, count", [((), 3), (("--expr", "v*w", "--gens", "v=e1;w=e2"), 4)])
+def test_surface_n_defaults_to_2(tmp_path, capsys, extra, count):
+    code, out, _ = run_cli(capsys, "surface", "--out", str(tmp_path), *extra)
+    assert code == 0
+    assert len(json.loads(out)["files"]) == count == len(list(tmp_path.glob("*.csv")))
+
+
 def test_surface_requires_n2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["surface", "--n", "3"])
@@ -192,6 +199,7 @@ def test_gens_missing_variable_is_usage_error(capsys):
     ["kernel", "--expr", TEN_VARIABLES],
     ["discretize", "--expr", "x", "--n", "10"],
     ["surface", "--n", "2", "--expr", "v", "--gens", "v=1,0,0"],
+    ["surface", "--expr", "x", "--gens", "x=0,0,1"],
     ["discretize", "--expr", "v", "--gens", "v=0.5,0.5", "--n", "1"],
     ["kernel", "--expr", "x", "--gens", "x=1,0", "--n", "1"],
     ["norm", "--expr", "x", "--n", "5000", "--iters", "0"],

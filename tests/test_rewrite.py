@@ -88,6 +88,22 @@ def test_normal_form_budget_aborts():
         normal_form(e, budget=500)
 
 
+def test_normal_form_coefficients_are_positive():
+    # The product rule max P * max Q = max PQ needs every polynomial of both
+    # join lists to be nonnegative wherever it is evaluated.
+    for names in (("x",), ("x", "y"), ("x", "y", "z")):
+        for s in range(300):
+            nf = normal_form(random_expr(random.Random(s), names, 7))
+            assert all(c > 0 for p in nf.pos + nf.neg for c in p.terms.values()), (names, s)
+
+
+def test_normal_form_product_fits_small_budget():
+    e = parse("(x \\/ y \\/ z) * (x \\/ y \\/ z)")
+    nf = normal_form(e, budget=300)
+    assert nf.term_count() == 132
+    check_normal_form(e, nf, points=100, seed=3)
+
+
 def test_normal_form_to_expr_examples():
     nf = NormalForm((Polynomial.symbol("x+"),), (Polynomial.symbol("x-"),))
     e = normal_form_to_expr(nf)
