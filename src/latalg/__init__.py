@@ -39,7 +39,6 @@ from .discretize import (
     AtomDecomposition,
     PartitionSpec,
     atomize,
-    build_diagonal_algebra,
     build_partition,
     discrete_weight,
     discretize_function,
@@ -134,7 +133,7 @@ __all__ = [
     "unit_norm", "check_star_axioms", "transport_to_cube",
     # discretizer
     "PartitionSpec", "AtomDecomposition", "build_partition", "atomize",
-    "discretize_function", "discrete_weight", "discretize_generators", "build_diagonal_algebra",
+    "discretize_function", "discrete_weight", "discretize_generators",
     "lift_to_grid", "verify_bounds", "error_budget",
     # norm estimation
     "OperatorIntoAlgebra", "NormSandwich", "SearchConfig",

@@ -30,7 +30,8 @@ from .rewrite import polynomial_majorant, product_kill, zero_simplify
 from .seeding import seeded_rng
 
 __all__ = [
-    "BallGrid", "generator_vectors", "generator_norms", "vanishes_on_ball", "vanishes_on_reals",
+    "BallGrid", "generator_vectors", "generator_norms", "majorant_upper_bound",
+    "vanishes_on_ball", "vanishes_on_reals",
     "transport_residual", "lattice_projection", "limit_profile", "BallReport", "RealLineReport",
     "REAL_GRID_CAP",
 ]
@@ -106,6 +107,11 @@ def generator_norms(gens: Mapping[str, Sequence[float]]) -> dict[str, float]:
     return {name: float(np.sum(np.abs(np.asarray(vec, dtype=float)))) for name, vec in gens.items()}
 
 
+def majorant_upper_bound(e: Expr, gen_norms: Mapping[str, float]) -> float:
+    """Majorant polynomial evaluated at the generator norms."""
+    return float(polynomial_majorant(e).evaluate({k: float(v) for k, v in gen_norms.items()}))
+
+
 @dataclass
 class BallReport:
     vanishes: bool
@@ -125,7 +131,7 @@ def vanishes_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGri
     non-finite value.
     """
     vectors, _ = generator_vectors(e, gens, grid.dimension)
-    bound = float(polynomial_majorant(e).evaluate(generator_norms(gens)))
+    bound = majorant_upper_bound(e, generator_norms(gens))
     threshold = tol * (1.0 + bound)
 
     def chunks():

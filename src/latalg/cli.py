@@ -96,7 +96,7 @@ def _parse_gens(text: str | None, names: tuple[str, ...],
     for name, vec in parsed.items():
         if vec.shape[0] > dim:
             _usage_error(f"generator for {name!r} has {vec.shape[0]} coordinates, "
-                         f"more than --n {dim}")
+                         f"more than the dimension {dim}")
     missing = [name for name in names if name not in parsed]
     if missing:
         _usage_error(f"no generators for variables {missing}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ball import _CAP_EXPONENT, REAL_GRID_CAP, generator_vectors
 from .expr import Expr, eval_pointwise
-from .models import ConditionReport
+from .models import ConditionReport, _disjoint_pair
 from .rewrite import product_kill
 from .seeding import seeded_rng
 
@@ -214,15 +214,17 @@ def unit_norm(f: StarFunction, e_unit: StarFunction) -> float:
 
 
 def check_star_axioms(grid: CylinderGrid, trials: int = 100, seed: int = 0,
-                      product: Callable[[StarFunction, StarFunction], StarFunction] = star_product,
-                      tol: float = 1e-12) -> ConditionReport:
+                      product: Callable[[StarFunction, StarFunction], StarFunction] = star_product
+                      ) -> ConditionReport:
     """Verify the product laws on random samples.
 
     Checked per trial: commutativity, associativity, the disjointness-
     preservation law for positive multipliers, and constructive
     semiprimeness away from r = 0 (f*f = 0 at a point with r > 0 forces
     f = 0 there).  The weight row is pinned globally: 1*1 must equal r.
+    A residual above the fixed tolerance 1e-12 is a violation.
     """
+    tol = 1e-12
     rng = seeded_rng(seed, 21)
     report = ConditionReport("star_axioms", trials)
     one = constant_one(grid)
@@ -246,11 +248,9 @@ def check_star_axioms(grid: CylinderGrid, trials: int = 100, seed: int = 0,
         if assoc > tol:
             report.record(law="associativity", trial=trial, residual=float(assoc))
 
-        mask = rng.integers(0, 2, grid.shape).astype(float)
-        x = StarFunction(grid, np.abs(rng.uniform(-1, 1, grid.shape)) * mask)
-        y = StarFunction(grid, np.abs(rng.uniform(-1, 1, grid.shape)) * (1.0 - mask))
+        x, y = _disjoint_pair(rng, grid.shape)
         z = StarFunction(grid, np.abs(rng.uniform(-1, 1, grid.shape)))
-        disj = np.max(np.minimum(product(z, x).values, y.values))
+        disj = np.max(np.minimum(product(z, StarFunction(grid, x)).values, y))
         if disj > tol:
             report.record(law="f_algebra_condition", trial=trial, residual=float(disj))
 

@@ -13,9 +13,9 @@ function, the pipeline is:
    endpoint on each atom, giving ``0 <= f_d <= f`` and ``f - f_d < delta``.
 4. :func:`discrete_weight` -- same for the weight, floored at ``c_1`` so
    all discrete weights stay strictly positive.
-5. :func:`build_diagonal_algebra` -- atoms with those weights form a
-   semiprime diagonal f-algebra whose product tracks the sampled one up to
-   ``delta``:  ``|x . y| <= |x * y| + delta`` for unit-sup x, y.
+5. the atoms with those weights are a semiprime
+   :class:`~latalg.models.DiagonalAlgebra` whose product tracks the sampled
+   one up to ``delta``:  ``|x . y| <= |x * y| + delta`` for unit-sup x, y.
    :func:`verify_bounds` decides this exactly, atom by atom: the pair
    ``x = y = 1`` is the worst, so an atom fails for some pair iff its
    ``|weight|`` exceeds the least sampled ``|w|`` on it by more than
@@ -47,7 +47,7 @@ from .models import DiagonalAlgebra, WeightedGridModel
 __all__ = [
     "PartitionSpec", "AtomDecomposition", "build_partition", "atomize",
     "discretize_function", "discrete_weight", "DiscreteGenerators", "discretize_generators",
-    "build_diagonal_algebra", "lift_to_grid", "verify_bounds", "BoundsReport", "error_budget",
+    "lift_to_grid", "verify_bounds", "BoundsReport", "error_budget",
 ]
 
 
@@ -142,14 +142,6 @@ def lift_to_grid(coeffs: np.ndarray, atoms: AtomDecomposition) -> np.ndarray:
     return np.asarray(coeffs, dtype=float)[atoms.atom_of_point]
 
 
-def _constant_cell_per_atom(cells: np.ndarray, atoms: AtomDecomposition) -> np.ndarray:
-    atom_cell = np.full(atoms.atom_count, -1, dtype=cells.dtype)
-    atom_cell[atoms.atom_of_point] = cells  # last write wins; verified below
-    if np.any(atom_cell[atoms.atom_of_point] != cells):
-        raise ValueError("function is not constant-cell on the atoms")
-    return atom_cell
-
-
 def discretize_function(f, atoms: AtomDecomposition, partition: PartitionSpec) -> np.ndarray:
     """Per-atom coefficient: the lower endpoint of the function's cell.
 
@@ -158,19 +150,20 @@ def discretize_function(f, atoms: AtomDecomposition, partition: PartitionSpec) -
     satisfies ``0 <= f_d <= f`` and ``f - f_d < delta`` pointwise.
     """
     cells = partition.cell_index(_values(f))
-    atom_cell = _constant_cell_per_atom(cells, atoms)
+    atom_cell = np.full(atoms.atom_count, -1, dtype=cells.dtype)
+    atom_cell[atoms.atom_of_point] = cells  # last write wins; verified below
+    if np.any(atom_cell[atoms.atom_of_point] != cells):
+        raise ValueError("function is not constant-cell on the atoms")
     return partition.lower(atom_cell)
 
 
 def discrete_weight(w, atoms: AtomDecomposition, partition: PartitionSpec) -> np.ndarray:
-    """Lower-endpoint weights floored at ``c_1`` so they stay positive.
+    """Lower-endpoint weights floored at ``c_1`` so they stay positive: the cuts
+    increase, so the floor lifts cell 0 alone.
 
     On each atom ``|c_t - w| <= delta`` still holds after flooring.
     """
-    cells = partition.cell_index(_values(w))
-    atom_cell = _constant_cell_per_atom(cells, atoms)
-    coeffs = partition.lower(atom_cell)
-    return np.where(atom_cell == 0, partition.cuts[1], coeffs)
+    return np.maximum(discretize_function(w, atoms, partition), partition.cuts[1])
 
 
 @dataclass(eq=False)
@@ -208,17 +201,10 @@ def discretize_generators(values: Sequence[np.ndarray], grid: CylinderGrid,
                               np.column_stack([np.repeat(sphere_cells, k_r, axis=0),
                                                np.tile(r_cells, sphere.atom_count)]))
     lower = np.repeat(partition.lower(sphere_cells), k_r, axis=0)  # one column per split
-    weights = np.where(r_cells == 0, partition.cuts[1], partition.lower(r_cells))
+    weights = np.maximum(partition.lower(r_cells), partition.cuts[1])
     return DiscreteGenerators(atoms, [np.broadcast_to(part, grid.shape) for part in parts],
                               list(lower.T), np.tile(weights, sphere.atom_count),
                               np.ascontiguousarray((lower[:, 0::2] - lower[:, 1::2]).T))
-
-
-def build_diagonal_algebra(atoms: AtomDecomposition, weights: np.ndarray) -> DiagonalAlgebra:
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (atoms.atom_count,):
-        raise ValueError("need one weight per atom")
-    return DiagonalAlgebra(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +337,7 @@ def verify_bounds(originals: Sequence, discretes: Sequence[np.ndarray], w, weigh
     if composite is not None:
         composite_gens = composite_gens or {}
         grid_model = WeightedGridModel(w_vals)
-        algebra = build_diagonal_algebra(atoms, weights)
+        algebra = DiagonalAlgebra(weights)
         grid_assignment = {v: grid_model.element(_values(orig))
                            for v, (orig, _) in composite_gens.items()}
         alg_assignment = {v: algebra.element(np.asarray(coeffs, dtype=float))

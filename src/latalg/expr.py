@@ -607,18 +607,18 @@ def random_expr(
 # ---------------------------------------------------------------------------
 # A curated witness
 
-def cosh_sinh_witness(k: int, var: str = "x", unit_var: str = "one") -> Expr:
-    """Truncated ``t*cosh(t)**2 - t*sinh(t)**2`` with the unit as a variable.
+def cosh_sinh_witness(k: int) -> Expr:
+    """Truncated ``x*cosh(x)**2 - x*sinh(x)**2`` with the unit as the variable ``one``.
 
     Both summands are products, so the term evaluates to exactly zero under
-    any zero product, while with ``unit_var`` bound to 1 its real value is
-    within the series remainder of ``t`` on [-1, 1].  The signature has no
+    any zero product, while with ``one`` bound to 1 its real value is
+    within the series remainder of ``x`` on [-1, 1].  The signature has no
     constant 1, hence the extra variable.
     """
     if k < 1:
         raise ExprError("k must be >= 1")
-    t = Var(var)
-    one = Var(unit_var)
+    t = Var("x")
+    one = Var("one")
 
     def power(base: Expr, exponent: int) -> Expr:
         acc = base

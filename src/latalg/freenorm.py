@@ -66,12 +66,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ball import REAL_GRID_CAP, generator_norms, generator_vectors
+from .ball import REAL_GRID_CAP, generator_norms, generator_vectors, majorant_upper_bound
 from .cylinder import CylinderGrid
 from .discretize import discretize_generators
 from .expr import Expr, contains_product, eval_pointwise
 from .models import DiagonalAlgebra
-from .rewrite import Polynomial, polynomial_majorant
 from .seeding import seeded_rng
 
 __all__ = [
@@ -300,35 +299,25 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     return evaluate_operator(e, gens, op), op
 
 
-def majorant_upper_bound(e: Expr, gen_norms: Mapping[str, float]) -> float:
-    """Majorant polynomial evaluated at the generator norms."""
-    return float(polynomial_majorant(e).evaluate({k: float(v) for k, v in gen_norms.items()}))
-
-
 @dataclass
 class NormSandwich:
     lower: float
     upper: float
     witness: OperatorIntoAlgebra
-    majorant: Polynomial
 
     def to_json(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper,
-                "witness": self.witness.to_json(),
-                "majorant": [{"monomial": list(m), "coeff": c}
-                             for m, c in self.majorant.sorted_terms()]}
+        return {"lower": self.lower, "upper": self.upper, "witness": self.witness.to_json()}
 
 
 def norm_sandwich(e: Expr, gens: Mapping[str, Sequence[float]], config: SearchConfig | None = None,
                   dimension: int | None = None) -> NormSandwich:
     """Certified lower and majorant upper bound for the free norm, in ``dimension``."""
     lower, witness = operator_lower_bound(e, gens, config, dimension)
-    majorant = polynomial_majorant(e)
-    upper = float(majorant.evaluate(generator_norms(gens)))
+    upper = majorant_upper_bound(e, generator_norms(gens))
     if lower > upper + 1e-12 * (1.0 + upper):
         raise ContractionError(
             f"soundness violation: lower bound {lower} exceeds upper bound {upper}")
-    return NormSandwich(lower, upper, witness, majorant)
+    return NormSandwich(lower, upper, witness)
 
 
 # ---------------------------------------------------------------------------

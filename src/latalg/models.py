@@ -72,17 +72,14 @@ class FiniteModel:
             raise ModelError(f"expected {self.size} coordinates, got shape {arr.shape}")
         return ModelElement(self, arr)
 
-    def zero(self) -> ModelElement:
-        return ModelElement(self, np.zeros(self.size))
-
     def basis(self, j: int) -> ModelElement:
         values = np.zeros(self.size)
         values[j] = 1.0
         return ModelElement(self, values)
 
-    def random_element(self, rng: np.random.Generator, low: float = -1.0,
-                       high: float = 1.0) -> ModelElement:
-        return ModelElement(self, rng.uniform(low, high, self.size))
+    def random_element(self, rng: np.random.Generator) -> ModelElement:
+        """An element with coordinates uniform in [-1, 1]."""
+        return ModelElement(self, rng.uniform(-1.0, 1.0, self.size))
 
     def evaluate(self, e: Expr, assignment) -> ModelElement:
         """Evaluate ``e`` with the model's operations (join = coordinatewise max).
@@ -170,10 +167,12 @@ class ConditionReport:
         return f"ConditionReport({self.name}: {self.trials} trials, {status})"
 
 
-def _disjoint_pair(model: FiniteModel, rng: np.random.Generator):
-    mask = rng.integers(0, 2, model.size).astype(float)
-    x = np.abs(rng.uniform(-1, 1, model.size)) * mask
-    y = np.abs(rng.uniform(-1, 1, model.size)) * (1.0 - mask)
+def _disjoint_pair(rng: np.random.Generator, shape):
+    """Nonnegative arrays of ``shape`` with disjoint supports: a fair coin per
+    entry picks which of the two may be nonzero there."""
+    mask = rng.integers(0, 2, shape).astype(float)
+    x = np.abs(rng.uniform(-1, 1, shape)) * mask
+    y = np.abs(rng.uniform(-1, 1, shape)) * (1.0 - mask)
     return x, y
 
 
@@ -187,7 +186,7 @@ def check_f_algebra_condition(model: FiniteModel, trials: int = 100,
     report = ConditionReport("f_algebra_condition", trials)
     rng = seeded_rng(seed, 1)
     for trial in range(trials):
-        x, y = _disjoint_pair(model, rng)
+        x, y = _disjoint_pair(rng, model.size)
         z = np.abs(rng.uniform(-1, 1, model.size))
         left = np.minimum(model.product_values(z, x), y)
         right = np.minimum(model.product_values(x, z), y)
@@ -238,7 +237,7 @@ def check_fstar(model: FiniteModel, trials: int = 100, seed: int = 0) -> bool:
         return False  # a*a = 0 while |a| /\ |a| = |a| != 0
     rng = seeded_rng(seed, 3)
     for _ in range(trials):
-        x, y = _disjoint_pair(model, rng)
+        x, y = _disjoint_pair(rng, model.size)
         if np.any(model.product_values(x, y) != 0.0):
             return False  # disjoint pair with nonzero product
         a = rng.uniform(-1, 1, model.size)
@@ -302,21 +301,19 @@ def random_diagonal(rng: np.random.Generator, size: int) -> DiagonalAlgebra:
     return DiagonalAlgebra(1.0 - rng.random(size))
 
 
-def model_suite(seed: int = 0, weighted: int = 20, diagonal: int = 20,
-                zero_points: int = 7, max_size: int = 12) -> list[FiniteModel]:
-    """Deterministic collection of models used for identity transport, built once
-    per argument tuple (models are immutable); each call returns a new list."""
-    return list(_suite(seed, weighted, diagonal, zero_points, max_size))
+def model_suite(seed: int = 0) -> list[FiniteModel]:
+    """Deterministic collection of models used for identity transport: 20
+    weighted grids, then 20 diagonal algebras, each of 1 to 12 points, then a
+    7-point zero-product model.  Built once per seed (models are immutable);
+    each call returns a new list."""
+    return list(_suite(seed))
 
 
 @lru_cache(maxsize=16)
-def _suite(seed: int, weighted: int, diagonal: int, zero_points: int,
-           max_size: int) -> tuple[FiniteModel, ...]:
+def _suite(seed: int) -> tuple[FiniteModel, ...]:
     rng = seeded_rng(seed, 5)
-    suite: list[FiniteModel] = []
-    for _ in range(weighted):
-        suite.append(random_weighted_grid(rng, int(rng.integers(1, max_size + 1))))
-    for _ in range(diagonal):
-        suite.append(random_diagonal(rng, int(rng.integers(1, max_size + 1))))
-    suite.append(ZeroProductModel(zero_points))
+    suite: list[FiniteModel] = [random_weighted_grid(rng, int(rng.integers(1, 13)))
+                                for _ in range(20)]
+    suite += [random_diagonal(rng, int(rng.integers(1, 13))) for _ in range(20)]
+    suite.append(ZeroProductModel(7))
     return tuple(suite)

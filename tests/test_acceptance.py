@@ -56,7 +56,7 @@ def test_c01_kernel_witness():
 
 def test_c02_identity_transport():
     rng = np.random.default_rng(202)
-    models = model_suite(seed=202, weighted=20, diagonal=20)
+    models = model_suite(seed=202)
     for text in IDENTITIES:
         e = parse(text)
         names = variables(e)
@@ -152,7 +152,7 @@ def test_c06_star_model():
     weight = star_product(one, one)
     assert np.array_equal(weight.values, np.broadcast_to(grid.r_levels[:, None], grid.shape))
 
-    axioms = check_star_axioms(grid, trials=100, seed=606, tol=1e-12)
+    axioms = check_star_axioms(grid, trials=100, seed=606)
     assert axioms.ok, axioms.violations
 
     gens = {"v": [1.0, 0.0], "w": [0.0, 1.0]}

@@ -163,6 +163,18 @@ def test_gens_parsing_forms(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["surface", "--expr", "x", "--gens", "x=0,0,1"],  # no --n: the surface is 2-dimensional
+    ["norm", "--expr", "x", "--gens", "x=0,0,1", "--n", "2"],
+])
+def test_too_long_generator_names_the_dimension(capsys, argv):
+    with pytest.raises(SystemExit) as err:  # before surface writes anything
+        main(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "has 3 coordinates, more than the dimension 2" in message and "--n" not in message
+
+
 def test_gens_missing_variable_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["norm", "--expr", "v + w", "--gens", "v=e1"])

@@ -4,11 +4,11 @@ import pytest
 from latalg.cylinder import CylinderGrid, generator
 import latalg.discretize as discretize_module
 from latalg.discretize import (
-    AtomDecomposition, atomize, build_diagonal_algebra, build_partition, discrete_weight,
+    AtomDecomposition, atomize, build_partition, discrete_weight,
     discretize_function, discretize_generators, error_budget, lift_to_grid, verify_bounds,
 )
 from latalg.expr import Mul, Var, parse
-from latalg.models import check_f_algebra_condition, check_semiprime
+from latalg.models import DiagonalAlgebra, check_f_algebra_condition, check_semiprime
 from latalg.seeding import seeded_rng
 
 
@@ -114,14 +114,14 @@ def test_discrete_weight_trace_and_floor():
 def test_build_diagonal_algebra(trace):
     p, f, w, atoms = trace
     weights = discrete_weight(w, atoms, p)
-    algebra = build_diagonal_algebra(atoms, weights)
+    algebra = DiagonalAlgebra(weights)
     assert check_semiprime(algebra)
     assert check_f_algebra_condition(algebra, 50).ok
     a0, a1 = algebra.basis(0), algebra.basis(1)
     assert np.all(algebra.product_values(a0.values, a1.values) == 0.0)
     assert algebra.product_values(a0.values, a0.values).tolist() == [0.25, 0.0, 0.0]
     with pytest.raises(Exception):
-        build_diagonal_algebra(atoms, np.array([0.0, 0.5, 0.5]))
+        DiagonalAlgebra(np.array([0.0, 0.5, 0.5]))
 
 
 def test_verify_bounds_trace(trace):
@@ -315,7 +315,7 @@ def test_monomial_approximation_improves():
         from latalg.models import WeightedGridModel
 
         grid_model = WeightedGridModel(w.reshape(-1))
-        algebra = build_diagonal_algebra(atoms, weights)
+        algebra = DiagonalAlgebra(weights)
         for k1, k2 in exponents:
             expr = None
             for _ in range(k1):

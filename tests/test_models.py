@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -94,6 +96,14 @@ def test_f_algebra_condition_broken_model():
     assert report.violations[0]["residual"] > 0
 
 
+def test_f_algebra_condition_violations_are_pinned():
+    # Trials and residuals at seeds 0-5: a reordered random draw changes the digest.
+    violations = [check_f_algebra_condition(BrokenOffDiagonalModel(7), 30, seed).violations
+                  for seed in range(6)]
+    digest = hashlib.sha256(json.dumps(violations).encode()).hexdigest()
+    assert digest == "b6bd14bd2e953d51cb50c3b45e87e757542736d9dccde00fda750697bf6b6287"
+
+
 def test_semiprime_examples():
     assert check_semiprime(DiagonalAlgebra([0.3, 1.0])) is True
     weighted = WeightedGridModel([0.0, 0.5])
@@ -143,7 +153,7 @@ def test_identity_transport_suite():
         parse("((x \\/ y)*pos(z)) - ((x*pos(z)) \\/ (y*pos(z)))"),
     ]
     rng = np.random.default_rng(99)
-    models = model_suite(seed=99, weighted=5, diagonal=5)
+    models = model_suite(seed=99)
     for e in identities:
         majorant = polynomial_majorant(e)
         names = variables(e)
