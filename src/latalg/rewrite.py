@@ -11,9 +11,12 @@ Three transforms live here:
   constant-free polynomials in the split variables ``v+`` and ``v-``
   (which evaluate as the positive and negative part of ``v``), all with
   positive coefficients, so a product is two pair sums of four pair-product
-  lists.  The recursion is deterministic but can blow up exponentially; a
-  term budget, which counts every list emitted, products included, aborts
-  cleanly rather than truncating.
+  lists.  One exact rule, ``(p - n) \\/ 0 = p`` for disjoint ``p, n >= 0``
+  (:meth:`Polynomial.disjoint`), makes the printed form of
+  :func:`normal_form_to_expr` normalize back to the same join lists.  The
+  recursion is deterministic but can blow up exponentially; a term budget,
+  which counts every list emitted, products included, aborts cleanly rather
+  than truncating.
 
 * :func:`polynomial_majorant` produces a nonnegative-coefficient,
   constant-free polynomial ``p`` with ``|e(a)| <= p(|a|)`` for every real
@@ -109,6 +112,13 @@ class Polynomial:
                 mono = tuple(sorted(m1 + m2))
                 out[mono] = out.get(mono, 0.0) + c1 * c2
         return Polynomial(out)
+
+    def disjoint(self, other: "Polynomial") -> bool:
+        """Whether each monomial pair holds ``v+`` on one side and ``v-`` on the
+        other, for some ``v``: then the two are disjoint in every f-algebra."""
+        flips = [{s[:-1] + ("-" if s[-1] == "+" else "+") for s in m if s[-1] in "+-"}
+                 for m in self.terms]
+        return all(not f.isdisjoint(m2) for f in flips for m2 in other.terms)
 
     def evaluate(self, env: Mapping[str, "np.ndarray | float"]):
         """Evaluate with symbols bound to scalars or broadcastable arrays."""
@@ -264,6 +274,13 @@ class _Builder:
     each bracket a pair sum of two product lists.  Join lists are
     deduplicated order-preservingly (join is idempotent, so this is exact)
     and the budget is enforced while lists are built, not after.
+
+    ``join`` has one exact rule: ``({p}, {n}) \\/ 0`` is ``({p}, {0})`` when
+    ``p.disjoint(n)``, since ``p, n >= 0`` and ``p ⊥ n`` give ``(p - n) \\/ 0 = p``.
+    That disjointness holds in every f-algebra: ``v+ ⊥ v-``, ``a ⊥ b`` and
+    ``c >= 0`` give ``ac ⊥ b``, and sums of pairwise disjoint monomials stay
+    disjoint.  A rule node emits only ``p``, which the generic join emits too
+    (as ``p + 0``), so budget use never rises at it.
     """
 
     def __init__(self, budget: int):
@@ -311,6 +328,11 @@ class _Builder:
         return NormalForm(scaled_neg, scaled_pos)
 
     def join(self, a: NormalForm, b: NormalForm) -> NormalForm:
+        # (p - n) \/ 0 = p for disjoint p, n >= 0, in either order.
+        for x, y in ((a, b), (b, a)):
+            if len(x.pos) == len(x.neg) == 1 and y == self.zero() and x.pos[0].disjoint(x.neg[0]):
+                self._emit({}, x.pos[0])  # charges p to the budget
+                return NormalForm(x.pos, y.neg)
         # Bring both sides to the common subtrahend max(N1)+max(N2):
         # a \/ b = [ (max(P1)+max(N2)) \/ (max(P2)+max(N1)) ] - (max(N1)+max(N2)).
         pos, neg = {}, {}
