@@ -129,20 +129,36 @@ class Expr:
         ``last_uses`` those whose last consumer it is.  Subterms share an entry
         when kind, label and children's entries agree; a scaling's label is
         keyed with its type and sign, so ``0.0`` and ``-0.0`` keep theirs.
+        The walk pushes only children not yet indexed; a node pushed twice,
+        shared by two parents still on the stack, finds its entry again.
         """
         entries, index, keys = [], {}, {}
         stack = [self]
         while stack:  # children first, left before right
             node = stack[-1]
-            kids = _children(node)
-            args = tuple([index.get(id(kid)) for kid in kids])
-            if None in args:  # an indexed child pushed again finds its entry again
-                stack += kids[::-1]
-                continue
+            arity = node.arity
+            if arity == 2:
+                left, right = index.get(id(node.left)), index.get(id(node.right))
+                if left is None or right is None:
+                    if right is None:
+                        stack.append(node.right)
+                    if left is None:
+                        stack.append(node.left)
+                    continue
+                args = (left, right)
+                key = (type(node), args)
+            elif arity:
+                child = index.get(id(node.child))
+                if child is None:
+                    stack.append(node.child)
+                    continue
+                args = (child,)
+                coeff = node.coeff
+                key = (Scale, coeff, args, type(coeff), math.copysign(1.0, coeff))
+            else:
+                args = ()
+                key = (type(node), node.label)
             stack.pop()
-            key = (type(node), node.label, args)
-            if node.arity == 1:
-                key += (type(node.coeff), math.copysign(1.0, node.coeff))
             i = index[id(node)] = keys.setdefault(key, len(entries))
             if i == len(entries):
                 entries.append((node, args))

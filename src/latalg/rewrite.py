@@ -289,10 +289,11 @@ class _Builder:
 
     def _emit(self, acc: dict, poly: Polynomial) -> None:
         """Append ``poly`` to the join list ``acc`` (a dict, so insertion-ordered)
-        unless it is there already."""
-        if poly in acc:
+        unless it is there already, hashing it once."""
+        size = len(acc)
+        acc.setdefault(poly)
+        if len(acc) == size:
             return
-        acc[poly] = None
         self.used += 1 + len(poly.terms)
         if self.used > self.budget:
             raise NormalFormBudgetError(self.budget, self.used)
@@ -330,7 +331,9 @@ class _Builder:
     def join(self, a: NormalForm, b: NormalForm) -> NormalForm:
         # (p - n) \/ 0 = p for disjoint p, n >= 0, in either order.
         for x, y in ((a, b), (b, a)):
-            if len(x.pos) == len(x.neg) == 1 and y == self.zero() and x.pos[0].disjoint(x.neg[0]):
+            if (len(x.pos) == len(x.neg) == len(y.pos) == len(y.neg) == 1
+                    and y.pos[0].is_zero() and y.neg[0].is_zero()  # y is the zero form
+                    and x.pos[0].disjoint(x.neg[0])):
                 self._emit({}, x.pos[0])  # charges p to the budget
                 return NormalForm(x.pos, y.neg)
         # Bring both sides to the common subtrahend max(N1)+max(N2):
@@ -383,15 +386,28 @@ def normal_form(e: Expr, budget: int = 1_000_000) -> NormalForm:
 
 
 def normal_form_to_expr(nf: NormalForm) -> Expr:
-    """Core expression evaluating identically to ``nf`` on all assignments."""
+    """Core expression evaluating identically to ``nf`` on all assignments.
+
+    Nodes are shared: each split symbol's ``Pos(Var v)`` or ``NegPart(Var v)``
+    and each monomial's ``Mul`` chain is built once and reused at every
+    occurrence.  Structure, and so the printed text and the normal form of
+    the result, is that of a build with new nodes at every occurrence.
+    """
+    symbols: dict[str, Expr] = {}
+    monomials: dict[Monomial, Expr] = {}
 
     def symbol_expr(token: str) -> Expr:
-        name, sign = token[:-1], token[-1]
-        return Pos(Var(name)) if sign == "+" else NegPart(Var(name))
+        e = symbols.get(token)
+        if e is None:
+            name, sign = token[:-1], token[-1]
+            e = symbols[token] = Pos(Var(name)) if sign == "+" else NegPart(Var(name))
+        return e
 
     def monomial_expr(mono: Monomial) -> Expr:
-        factors = [symbol_expr(tok) for tok in mono]
-        return reduce(Mul, factors)
+        e = monomials.get(mono)
+        if e is None:
+            e = monomials[mono] = reduce(Mul, map(symbol_expr, mono))
+        return e
 
     def poly_expr(p: Polynomial) -> Expr:
         if p.is_zero():

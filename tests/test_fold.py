@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -42,6 +43,75 @@ def test_signed_zero_scalings_keep_their_entries():
     back = parse(print_expr(e))
     assert back == e and print_expr(back) == print_expr(e)
     assert Scale(0.0, x) == Scale(-0.0, x) and hash(Scale(0.0, x)) == hash(Scale(-0.0, x))
+
+
+def _structure(node):
+    """Structural key: kind, label (a scaling's with its type and sign), children's keys."""
+    if isinstance(node, Scale):
+        coeff = node.coeff
+        return Scale, coeff, type(coeff), math.copysign(1.0, coeff), _structure(node.child)
+    if isinstance(node, (Zero, Var)):
+        return type(node), node.label
+    return type(node), _structure(node.left), _structure(node.right)
+
+
+def _reference_tape(e):
+    """One entry per structural key, first occurrence in a recursive children-first,
+    left-before-right walk of every occurrence, then each child's last consumer."""
+    entries, index = [], {}
+
+    def visit(node):
+        kids = (node.child,) if isinstance(node, Scale) else (
+            () if isinstance(node, (Zero, Var)) else (node.left, node.right))
+        args = tuple(visit(kid) for kid in kids)
+        key = _structure(node)
+        if key not in index:
+            index[key] = len(entries)
+            entries.append((node, args))
+        return index[key]
+
+    visit(e)
+    last = {child: j for j, (_, args) in enumerate(entries) for child in args}
+    return [(id(node), args, {c for c in args if last[c] == j})
+            for j, (node, args) in enumerate(entries)]
+
+
+def _copy(node):
+    """A structurally equal term made of new objects."""
+    if isinstance(node, Zero):
+        return Zero()
+    if isinstance(node, Var):
+        return Var(node.name)
+    if isinstance(node, Scale):
+        return Scale(node.coeff, _copy(node.child))
+    return type(node)(_copy(node.left), _copy(node.right))
+
+
+def _shared_term(rng):
+    """Each node takes its children from the nodes built before it, so objects
+    are shared; it may also be a fresh copy of one, an ``abs`` or a signed-zero scaling."""
+    pool = [Var("x"), Var("y"), Zero()]
+    for _ in range(rng.randint(1, 10)):
+        a, b = rng.choice(pool), rng.choice(pool)
+        kind = rng.randrange(6)
+        if kind == 0:
+            node = Scale(rng.choice((0.0, -0.0, 2.0, 2, -1.0)), a)
+        elif kind == 1:
+            node = Abs(a)
+        elif kind == 2:
+            node = _copy(a)
+        else:
+            node = (Add, Join, Mul)[kind - 3](a, b)
+        pool.append(node)
+    return pool[-1]
+
+
+def test_tape_matches_a_naive_reference_on_shared_terms():
+    for s in range(300):
+        e = _shared_term(random.Random(s))
+        tape = [(id(node), args, set(last_uses)) for node, args, last_uses in e.tape]
+        assert tape == _reference_tape(e), s
+        assert all(len(set(last_uses)) == len(last_uses) for _, _, last_uses in e.tape), s
 
 
 def test_fold_drops_values_after_last_use():

@@ -1,11 +1,12 @@
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from latalg.expr import (
-    Add, Join, Mul, Scale, Var, Zero, cosh_sinh_witness, eval_real, parse,
-    random_expr, variables,
+    _children, Add, Join, Mul, NegPart, Pos, Scale, Var, Zero, cosh_sinh_witness,
+    eval_real, parse, print_expr, random_expr, variables,
 )
 from latalg.rewrite import (
     NormalForm, _Builder, NormalFormBudgetError, Polynomial, check_normal_form,
@@ -156,6 +157,65 @@ def test_normal_form_to_expr_examples():
     single = NormalForm((Polynomial({("x+", "y-"): 2.0}),), (Polynomial.zero(),))
     e2 = normal_form_to_expr(single)
     assert eval_real(e2, {"x": 3.0, "y": -2.0}) == pytest.approx(2.0 * 3.0 * 2.0)
+
+
+def _per_occurrence_expr(nf):
+    """``normal_form_to_expr`` without sharing: new nodes at every occurrence."""
+    def symbol(token):
+        return Pos(Var(token[:-1])) if token[-1] == "+" else NegPart(Var(token[:-1]))
+
+    def poly(p):
+        if p.is_zero():
+            return Zero()
+        monos = [(reduce(Mul, map(symbol, m)), c) for m, c in p.sorted_terms()]
+        return reduce(Add, [mono if c == 1.0 else Scale(c, mono) for mono, c in monos])
+
+    return Add(reduce(Join, map(poly, nf.pos)), Scale(-1.0, reduce(Join, map(poly, nf.neg))))
+
+
+def _occurrences(e):
+    """Every node occurrence of ``e`` with its parent's kind, by a tree walk."""
+    stack, seen = [(e, None)], []
+    while stack:
+        node, parent = stack.pop()
+        seen.append((node, parent))
+        stack += [(kid, type(node)) for kid in _children(node)]
+    return seen
+
+
+def test_normal_form_to_expr_shares_symbol_and_monomial_nodes():
+    nf = normal_form(parse("(pos(x)*pos(y) + pos(x)*x + x*y) \\/ x*y"))
+    e = normal_form_to_expr(nf)
+    objects = {}  # printed subterm -> the objects at its occurrences
+    occurrences = 0
+    for node, parent in _occurrences(e):
+        split_symbol = isinstance(node, Join) and isinstance(node.right, Zero)
+        monomial = isinstance(node, Mul) and parent is not Mul  # the top of a Mul chain
+        if split_symbol or monomial:
+            objects.setdefault(print_expr(node), set()).add(id(node))
+            occurrences += 1
+    assert all(len(ids) == 1 for ids in objects.values()), objects
+    assert {"x \\/ 0", "-1.0*y \\/ 0", "(x \\/ 0) * (y \\/ 0)"} <= objects.keys()
+    assert occurrences > 2 * len(objects)  # symbols and monomials do repeat
+    assert print_expr(e) == print_expr(_per_occurrence_expr(nf))
+    for s in range(100):
+        nf = normal_form(random_expr(random.Random(s), ("x", "y"), 7))
+        reference = _per_occurrence_expr(nf)
+        assert print_expr(normal_form_to_expr(nf)) == print_expr(reference), s
+
+
+def test_normal_form_budget_use_is_pinned():
+    # Totals of _Builder.used at the default budget: sharing the printed
+    # form's nodes must not move them, as its structure is unchanged.
+    first = roundtrip = 0
+    for s in range(600):
+        builder = _Builder(1_000_000)
+        nf = builder.build(random_expr(random.Random(s), ("x", "y"), 7))
+        again = _Builder(1_000_000)
+        again.build(normal_form_to_expr(nf))
+        first += builder.used
+        roundtrip += again.used
+    assert (first, roundtrip) == (44_684, 212_733)
 
 
 def test_normal_form_round_trip_oracle():
