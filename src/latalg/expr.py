@@ -21,10 +21,14 @@ than :data:`MAX_TERM_SIZE` node occurrences.
 backend is an op table that maps each of the six node classes to
 ``f(node, *child_values)``; ``node`` stands for every occurrence of its
 subterm, so an op's value depends on its fields, not on the occurrence.
-:func:`eval_pointwise` is the one fold over numpy arrays: every array model
-(the reals, weighted grids, diagonal algebras, the zero-product lattice,
-the cylinder and the norm search's one-atom algebras) multiplies pointwise
-with a weight, so each passes its product to it.
+:func:`eval_pointwise` is the one evaluator over numpy arrays: every array
+model (the reals, weighted grids, diagonal algebras, the zero-product
+lattice, the cylinder and the norm search's one-atom algebras) multiplies
+pointwise with a weight, so each passes its product to it.  A term is
+evaluated there many times, so it runs the term's tape as a kernel
+compiled once per term and cached on it, one line per entry, value for
+value the fold; a tape of more than :data:`_KERNEL_MAX_ENTRIES` entries
+is folded.
 
 Concrete syntax (see :func:`parse`)::
 
@@ -167,6 +171,15 @@ class Expr:
             tape.append((node, args, tuple(set(args) - used)))
             used.update(args)
         return tape[::-1]
+
+    @cached_property
+    def _kernel(self) -> Callable | None:
+        """:func:`eval_pointwise`'s compiled tape, or None above :data:`_KERNEL_MAX_ENTRIES`."""
+        return _compile_pointwise(self.tape) if len(self.tape) <= _KERNEL_MAX_ENTRIES else None
+
+    def __getstate__(self):
+        """Pickled without the kernel, which is compiled code; it is rebuilt on first use."""
+        return {key: value for key, value in self.__dict__.items() if key != "_kernel"}
 
 
 def _children(node: Expr) -> tuple[Expr, ...]:
@@ -379,6 +392,46 @@ def eval_real(e: Expr, assignment: Assignment) -> float:
     return fold(e, {**_REAL, Var: _lookup(assignment, float)})
 
 
+#: Longest tape :func:`eval_pointwise` compiles.  A short tape's entry costs
+#: some twenty folds of it to compile, and the cost per entry grows with the
+#: tape (seconds and over 100 MB traced for 33,334 entries), so a longer tape
+#: is folded.
+_KERNEL_MAX_ENTRIES = 1024
+
+
+def _compile_pointwise(tape) -> Callable:
+    """``kernel(env, product)``: the fold of ``tape`` with the :data:`_POINTWISE`
+    ops as straight-line code, one line per entry, the same numpy calls on the
+    same operands in the same order, each value deleted after its last use.
+
+    Variables are loaded first, in tape order, so a ``KeyError`` from a load
+    comes before any other; scaling coefficients are bound as globals ``kI``,
+    never printed, so each keeps its type and the sign of a zero.
+    """
+    namespace = {"maximum": np.maximum}
+    loads, lines = [], []
+    for i, (node, args, last_uses) in enumerate(tape):
+        kind = type(node)
+        if kind is Var:
+            loads.append(f" v{i} = env[{node.name!r}]")
+            continue
+        if kind is Zero:
+            value = "0.0"
+        elif kind is Scale:
+            namespace[f"k{i}"] = node.coeff
+            value = f"k{i} * v{args[0]}"
+        else:
+            left, right = args
+            value = {Add: f"v{left} + v{right}", Join: f"maximum(v{left}, v{right})",
+                     Mul: f"product(v{left}, v{right})"}[kind]
+        lines.append(f" v{i} = {value}")
+        if last_uses:
+            lines.append(" del " + ", ".join(f"v{k}" for k in last_uses))
+    source = "\n".join(["def kernel(env, product):", *loads, *lines, f" return v{i}"])
+    exec(compile(source, "<eval_pointwise kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"],
                    product: Callable = operator.mul):
     """Vectorized evaluation: variables may be bound to numpy arrays.
@@ -388,8 +441,23 @@ def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"],
     broadcast against each other, and 0 is the scalar ``0.0``.  Returns an
     array (or a scalar if every binding is scalar, or ``e`` has no variable).
     Raises :class:`MissingVariableError` if a free variable is not bound.
+
+    The term's tape runs as a kernel compiled on the first call and cached
+    on the term, bit for bit the fold with these ops and freeing each value
+    where the fold does; a tape of more than :data:`_KERNEL_MAX_ENTRIES`
+    entries is folded instead.
     """
-    return fold(e, {**_POINTWISE, Var: _lookup(env), Mul: lambda node, a, b: product(a, b)})
+    kernel = e._kernel
+    if kernel is None:
+        return fold(e, {**_POINTWISE, Var: _lookup(env), Mul: lambda node, a, b: product(a, b)})
+    try:
+        return kernel(env, product)
+    except KeyError:  # the first unbound variable in tape order, if any, as the fold names it
+        lookup = _lookup(env)
+        for node, _, _ in e.tape:
+            if type(node) is Var:
+                lookup(node)
+        raise
 
 
 # ---------------------------------------------------------------------------

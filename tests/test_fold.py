@@ -1,16 +1,20 @@
 import math
+import operator
+import pickle
 import random
 import tracemalloc
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latalg.discretize import error_budget
 from latalg.expr import (
-    MAX_NESTING, Abs, Add, Join, Mul, Scale, Var, Zero, eval_pointwise,
-    eval_real, fold, parse, print_expr, random_expr,
+    _KERNEL_MAX_ENTRIES, _POINTWISE, MAX_NESTING, Abs, Add, Join, MissingVariableError, Mul,
+    Scale, Var, Zero, _lookup, eval_pointwise, eval_real, fold, parse, print_expr, random_expr,
+    substitute, variables,
 )
 from latalg.models import WeightedGridModel, ZeroProductModel
 from latalg.rewrite import NormalFormBudgetError, normal_form, polynomial_majorant, product_kill
@@ -129,6 +133,102 @@ def test_fold_drops_values_after_last_use():
         tracemalloc.stop()
     assert total[0] == -667.0 + 1333.0
     assert peak <= 2 * points.nbytes + 2 ** 14  # two arrays and a little bookkeeping
+
+
+def _folded(e, env, product=operator.mul):
+    """``eval_pointwise`` as a fold of the tape, the kernel's reference."""
+    return fold(e, {**_POINTWISE, Var: _lookup(env), Mul: lambda node, a, b: product(a, b)})
+
+
+def _same_bits(a, b):
+    """Equal type, dtype, shape and bytes, so a ``-0.0`` against ``0.0`` differs."""
+    a_arr, b_arr = np.asarray(a), np.asarray(b)
+    return (type(a) is type(b) and a_arr.dtype == b_arr.dtype and a_arr.shape == b_arr.shape
+            and a_arr.tobytes() == b_arr.tobytes())
+
+
+def test_kernel_is_bit_identical_to_the_fold():
+    points = np.random.default_rng(3)
+    weights = points.uniform(0.0, 1.0, 6)
+    arrays = {name: points.choice([-0.0, 0.0, 0.5, -1.5, *points.uniform(-2, 2, 4)], 6)
+              for name in "xyz"}
+    scalars = {"x": -0.0, "y": 0.75, "z": -1.25}
+    for s in range(600):
+        rng = random.Random(s)
+        e = random_expr(rng, ("x", "y", "z"), 7) if s % 2 else _shared_term(rng)
+        if s % 5 == 0:  # shared children, entries with ``args == (i, i)``, and a -0.0 scaling
+            e = Add(Mul(e, e), Scale(-0.0, Join(e, e)))
+        if s % 7 == 0:  # no variables
+            e = substitute(e, dict.fromkeys("xyz", Scale(-0.0, Zero())))
+        for env, product in ((arrays, operator.mul), (arrays, lambda a, b: weights * a * b),
+                             (scalars, operator.mul)):
+            assert _same_bits(eval_pointwise(e, env, product), _folded(e, env, product)), s
+        assert e._kernel is not None
+        for missing in ({}, {"x": 1.0}, {"z": 1.0}):  # the first unbound name in tape order
+            if set(variables(e)) <= missing.keys():
+                continue
+            with pytest.raises(MissingVariableError) as kernel_error:
+                eval_pointwise(e, missing)
+            with pytest.raises(MissingVariableError) as fold_error:
+                _folded(e, missing)
+            assert str(kernel_error.value) == str(fold_error.value), s
+
+    def failing_product(a, b):
+        raise KeyError("raised by the product")
+
+    with pytest.raises(KeyError, match="raised by the product"):  # not a missing variable
+        eval_pointwise(Mul(Var("x"), Var("y")), {"x": 1.0, "y": 2.0}, failing_product)
+
+
+def test_kernel_drops_values_after_last_use():
+    # As the fold does, the kernel keeps the running sum and the next array only.
+    points = np.linspace(-1.0, 1.0, 100_000)
+    e = parse(" + ".join("y" if i % 3 else "x" for i in range(600)))
+    env = {"x": points, "y": points[::-1].copy()}
+    eval_pointwise(e, {"x": 0.0, "y": 0.0})  # compiles the cached kernel
+    assert e._kernel is not None
+    tracemalloc.start()
+    try:
+        total = eval_pointwise(e, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total[0] == -200.0 + 400.0
+    assert peak <= 2 * points.nbytes + 2 ** 14
+
+
+def _left_sum(entries):
+    """``x + y + x + y + ...`` with a tape of ``entries`` entries: two variables, then sums."""
+    e = Add(Var("x"), Var("y"))
+    for i in range(entries - 3):
+        e = Add(e, Var("y" if i % 2 else "x"))
+    assert len(e.tape) == entries
+    return e
+
+
+def test_tapes_above_the_cap_are_folded_not_compiled():
+    at_cap, above = _left_sum(_KERNEL_MAX_ENTRIES), _left_sum(_KERNEL_MAX_ENTRIES + 1)
+    assert at_cap._kernel is not None and above._kernel is None
+    assert eval_pointwise(above, {"x": 1.0, "y": 2.0}) == _folded(above, {"x": 1.0, "y": 2.0})
+    # Compiling a tape this long traces over 100 MB; folding it, a few values at a time.
+    long = _left_sum(33_334)
+    tracemalloc.start()
+    try:
+        total = eval_pointwise(long, {"x": 1.0, "y": 2.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 16_667 * 1.0 + 16_666 * 2.0
+    assert long._kernel is None
+    assert peak <= 2 ** 16
+
+
+def test_evaluated_terms_pickle_without_their_kernel():
+    e = parse("x*x + 2*y \\/ 0")
+    assert eval_pointwise(e, {"x": 3.0, "y": 1.0}) == 11.0
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and "_kernel" in vars(e) and "_kernel" not in vars(copy)
+    assert eval_pointwise(copy, {"x": 3.0, "y": 1.0}) == 11.0
 
 
 def test_fold_runs_children_before_parents():
