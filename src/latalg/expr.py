@@ -24,11 +24,11 @@ subterm, so an op's value depends on its fields, not on the occurrence.
 :func:`eval_pointwise` is the one evaluator over numpy arrays: every array
 model (the reals, weighted grids, diagonal algebras, the zero-product
 lattice, the cylinder and the norm search's one-atom algebras) multiplies
-pointwise with a weight, so each passes its product to it.  A term is
-evaluated there many times, so it runs the term's tape as a kernel
-compiled once per term and cached on it, one line per entry, value for
-value the fold; a tape of more than :data:`_KERNEL_MAX_ENTRIES` entries
-is folded.
+pointwise with a weight, so each passes its product to it.  It folds a
+term's first :data:`_FOLDS_BEFORE_KERNEL` evaluations; from the next on it
+runs the term's tape as a kernel compiled once and cached on the term, one
+line per entry, value for value the fold.  A tape of more than
+:data:`_KERNEL_MAX_ENTRIES` entries is always folded.
 
 Concrete syntax (see :func:`parse`)::
 
@@ -178,7 +178,7 @@ class Expr:
         return _compile_pointwise(self.tape) if len(self.tape) <= _KERNEL_MAX_ENTRIES else None
 
     def __getstate__(self):
-        """Pickled without the kernel, which is compiled code; it is rebuilt on first use."""
+        """Pickled without the kernel, which is compiled code; it is rebuilt on use."""
         return {key: value for key, value in self.__dict__.items() if key != "_kernel"}
 
 
@@ -398,6 +398,14 @@ def eval_real(e: Expr, assignment: Assignment) -> float:
 #: is folded.
 _KERNEL_MAX_ENTRIES = 1024
 
+#: Evaluations of a term that :func:`eval_pointwise` folds before it compiles
+#: the tape.  Compiling costs about what 30 kernel calls save, at any tape
+#: length, so it pays only for a term evaluated many times.  Per term,
+#: check-identity's real-line check makes 3 calls in one variable and 4 in
+#: two, the ball kernel check 1-2 and a cylinder extension 1: those only
+#: fold, while the 41-model transport compiles.
+_FOLDS_BEFORE_KERNEL = 4
+
 
 def _compile_pointwise(tape) -> Callable:
     """``kernel(env, product)``: the fold of ``tape`` with the :data:`_POINTWISE`
@@ -442,13 +450,17 @@ def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"],
     array (or a scalar if every binding is scalar, or ``e`` has no variable).
     Raises :class:`MissingVariableError` if a free variable is not bound.
 
-    The term's tape runs as a kernel compiled on the first call and cached
-    on the term, bit for bit the fold with these ops and freeing each value
-    where the fold does; a tape of more than :data:`_KERNEL_MAX_ENTRIES`
-    entries is folded instead.
+    A term's first :data:`_FOLDS_BEFORE_KERNEL` evaluations fold its tape.
+    Later ones run it as a kernel compiled once and cached on the term, bit
+    for bit the fold with these ops and freeing each value where the fold
+    does; a tape of more than :data:`_KERNEL_MAX_ENTRIES` entries is always
+    folded.
     """
-    kernel = e._kernel
-    if kernel is None:
+    state = vars(e)
+    folds = state.get("_folds", 0)
+    kernel = e._kernel if folds >= _FOLDS_BEFORE_KERNEL else None
+    if kernel is None:  # one of the term's first evaluations, or a tape above the cap
+        state["_folds"] = folds + 1
         return fold(e, {**_POINTWISE, Var: _lookup(env), Mul: lambda node, a, b: product(a, b)})
     try:
         return kernel(env, product)

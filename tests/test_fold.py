@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latalg.ball import BallGrid, transport_residual, vanishes_on_ball, vanishes_on_reals
 from latalg.discretize import error_budget
 from latalg.expr import (
-    _KERNEL_MAX_ENTRIES, _POINTWISE, MAX_NESTING, Abs, Add, Join, MissingVariableError, Mul,
-    Scale, Var, Zero, _lookup, eval_pointwise, eval_real, fold, parse, print_expr, random_expr,
-    substitute, variables,
+    _FOLDS_BEFORE_KERNEL, _KERNEL_MAX_ENTRIES, _POINTWISE, MAX_NESTING, Abs, Add, Join,
+    MissingVariableError, Mul, Scale, Var, Zero, _lookup, eval_pointwise, eval_real, fold, parse,
+    print_expr, random_expr, substitute, variables,
 )
 from latalg.models import WeightedGridModel, ZeroProductModel
 from latalg.rewrite import NormalFormBudgetError, normal_form, polynomial_majorant, product_kill
@@ -147,6 +148,13 @@ def _same_bits(a, b):
             and a_arr.tobytes() == b_arr.tobytes())
 
 
+def _warm(e, env):
+    """Evaluates ``e`` as often as ``eval_pointwise`` folds it; the next evaluation compiles."""
+    for _ in range(_FOLDS_BEFORE_KERNEL):
+        eval_pointwise(e, env)
+    assert "_kernel" not in vars(e)
+
+
 def test_kernel_is_bit_identical_to_the_fold():
     points = np.random.default_rng(3)
     weights = points.uniform(0.0, 1.0, 6)
@@ -160,10 +168,11 @@ def test_kernel_is_bit_identical_to_the_fold():
             e = Add(Mul(e, e), Scale(-0.0, Join(e, e)))
         if s % 7 == 0:  # no variables
             e = substitute(e, dict.fromkeys("xyz", Scale(-0.0, Zero())))
+        _warm(e, scalars)
         for env, product in ((arrays, operator.mul), (arrays, lambda a, b: weights * a * b),
                              (scalars, operator.mul)):
             assert _same_bits(eval_pointwise(e, env, product), _folded(e, env, product)), s
-        assert e._kernel is not None
+        assert vars(e)["_kernel"] is not None
         for missing in ({}, {"x": 1.0}, {"z": 1.0}):  # the first unbound name in tape order
             if set(variables(e)) <= missing.keys():
                 continue
@@ -176,8 +185,10 @@ def test_kernel_is_bit_identical_to_the_fold():
     def failing_product(a, b):
         raise KeyError("raised by the product")
 
+    e = Mul(Var("x"), Var("y"))
+    _warm(e, {"x": 1.0, "y": 2.0})
     with pytest.raises(KeyError, match="raised by the product"):  # not a missing variable
-        eval_pointwise(Mul(Var("x"), Var("y")), {"x": 1.0, "y": 2.0}, failing_product)
+        eval_pointwise(e, {"x": 1.0, "y": 2.0}, failing_product)
 
 
 def test_kernel_drops_values_after_last_use():
@@ -185,8 +196,9 @@ def test_kernel_drops_values_after_last_use():
     points = np.linspace(-1.0, 1.0, 100_000)
     e = parse(" + ".join("y" if i % 3 else "x" for i in range(600)))
     env = {"x": points, "y": points[::-1].copy()}
+    _warm(e, {"x": 0.0, "y": 0.0})
     eval_pointwise(e, {"x": 0.0, "y": 0.0})  # compiles the cached kernel
-    assert e._kernel is not None
+    assert vars(e)["_kernel"] is not None
     tracemalloc.start()
     try:
         total = eval_pointwise(e, env)
@@ -212,6 +224,7 @@ def test_tapes_above_the_cap_are_folded_not_compiled():
     assert eval_pointwise(above, {"x": 1.0, "y": 2.0}) == _folded(above, {"x": 1.0, "y": 2.0})
     # Compiling a tape this long traces over 100 MB; folding it, a few values at a time.
     long = _left_sum(33_334)
+    _warm(long, {"x": 1.0, "y": 2.0})
     tracemalloc.start()
     try:
         total = eval_pointwise(long, {"x": 1.0, "y": 2.0})
@@ -219,16 +232,45 @@ def test_tapes_above_the_cap_are_folded_not_compiled():
     finally:
         tracemalloc.stop()
     assert total == 16_667 * 1.0 + 16_666 * 2.0
-    assert long._kernel is None
+    assert vars(long)["_kernel"] is None
     assert peak <= 2 ** 16
 
 
 def test_evaluated_terms_pickle_without_their_kernel():
     e = parse("x*x + 2*y \\/ 0")
+    _warm(e, {"x": 3.0, "y": 1.0})
     assert eval_pointwise(e, {"x": 3.0, "y": 1.0}) == 11.0
     copy = pickle.loads(pickle.dumps(e))
     assert copy == e and "_kernel" in vars(e) and "_kernel" not in vars(copy)
     assert eval_pointwise(copy, {"x": 3.0, "y": 1.0}) == 11.0
+
+
+def test_terms_evaluated_a_few_times_are_folded_not_compiled():
+    e = parse("x*y + 2*x \\/ y")
+    env = {"x": np.array([1.0, -2.0]), "y": np.array([3.0, 0.5])}
+    expected = _folded(e, env)
+    for _ in range(_FOLDS_BEFORE_KERNEL):
+        assert _same_bits(eval_pointwise(e, env), expected)
+    assert "_kernel" not in vars(e)
+    assert _same_bits(eval_pointwise(e, env), expected)
+    assert vars(e)["_kernel"] is not None
+
+
+def test_only_check_identity_transport_compiles():
+    # check-identity's real-line check and the kernel check evaluate a term in
+    # one or two variables a few times, too few to repay compiling its tape;
+    # the 41-model transport evaluates it 41 times.
+    for text in ("x*x + 2*x", "x*y + 2*x \\/ y"):
+        e = parse(text)
+        vanishes_on_reals(e, samples=10_000)
+        assert "_kernel" not in vars(e)
+        names = variables(e)
+        checked = parse(text)
+        vanishes_on_ball(checked, {n: np.eye(len(names))[i] for i, n in enumerate(names)},
+                         BallGrid(len(names), 101))
+        assert "_kernel" not in vars(checked)
+        transport_residual(e)
+        assert vars(e)["_kernel"] is not None
 
 
 def test_fold_runs_children_before_parents():
