@@ -178,6 +178,7 @@ class DiscreteGenerators:
     discretes: list[np.ndarray]
     weights: np.ndarray
     coefficients: np.ndarray  # shape (generators, atoms)
+    radial_cells: int  # k_r: atom s * k_r + t is sphere class s in radial cell t
 
 
 def discretize_generators(values: Sequence[np.ndarray], grid: CylinderGrid,
@@ -204,7 +205,7 @@ def discretize_generators(values: Sequence[np.ndarray], grid: CylinderGrid,
     weights = np.maximum(partition.lower(r_cells), partition.cuts[1])
     return DiscreteGenerators(atoms, [np.broadcast_to(part, grid.shape) for part in parts],
                               list(lower.T), np.tile(weights, sphere.atom_count),
-                              np.ascontiguousarray((lower[:, 0::2] - lower[:, 1::2]).T))
+                              np.ascontiguousarray((lower[:, 0::2] - lower[:, 1::2]).T), k_r)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,12 @@ the term on the reals with product ``w a b``, each generator ``v`` read as
 The budget cuts this stream and every atom depends only on those before
 it, so a larger budget never lowers the bound; the first atom attaining
 the best value wins.  The sign atoms, each discretized operator and each
-round are evaluated in one fold of the term's tape over arrays with one
-entry per atom.  Only the winner is
-built as an :class:`OperatorIntoAlgebra`, and the reported bound is its
-value replayed by :func:`evaluate_operator`.
+round are evaluated in one fold of the term's tape.  A discretized
+operator is kept as its ``k_r`` radial weights and one column row per
+sphere class: the term is evaluated once per class and only its products
+broadcast against the weights, so the values come out in atom order.  Only
+the winner is built as an :class:`OperatorIntoAlgebra`, and the reported
+bound is its value replayed by :func:`evaluate_operator`.
 
 Every row but the ascent's moves depends on ``n`` and the config alone, not
 on the term or the generators, so each process builds it once: the sign
@@ -44,10 +46,11 @@ fixed rows read the seed only when ``2**n`` exceeds :data:`SIGN_PATTERN_CAP`;
 below that their key holds ``None`` in its place, so every seed shares them.
 The tables are read-only; entries are kept least recently used first within
 :data:`~latalg.ball.REAL_GRID_CAP` float entries in all, each charged its
-tables' entries plus 64 for its Python objects.  A config is cached whole
-or not at all: a larger entry (the fixed tables from 5 variables on) is
-built, used and dropped per call, evicting nothing.  Every row evaluated is
-still checked for contraction.
+tables' entries plus 64 for its Python objects; at the default config the
+fixed tables of every dimension that runs the discretized source fit
+(766,579 entries at 6 variables).  A config is cached whole or not at all:
+a larger entry is built, used and dropped per call, evicting nothing.
+Every row evaluated is still checked for contraction.
 
 Upper bounds evaluate the polynomial majorant at the generator norms.  For
 product-free terms a second lower bound is available from tuples of
@@ -155,19 +158,22 @@ class SearchConfig:
     seed: int = 0
 
 
-def _atom_values(e: Expr, vectors: Mapping[str, np.ndarray], atoms: np.ndarray) -> np.ndarray:
-    """Sup norm of ``e`` through the one-atom operator of each row
-    ``(weight, column...)`` of ``atoms``, after checking the contraction.
+def _atom_values(e: Expr, vectors: Mapping[str, np.ndarray], weights: np.ndarray,
+                 columns: np.ndarray) -> np.ndarray:
+    """Sup norm of ``e`` through the one-atom operator ``(weights[s, t],
+    columns[s])`` of each atom of a table, after checking the contraction.
 
-    This is :meth:`FiniteModel.evaluate` on a diagonal algebra (product
-    ``weights * a * b``) over arrays with one entry per atom.
+    ``weights`` is ``(k, 1)`` against ``k`` rows of ``columns``, or ``(1, k_r)``
+    against one row per sphere class; the values are ``(len(columns),
+    weights.shape[1])``.  This is :meth:`FiniteModel.evaluate` on a diagonal
+    algebra (product ``weights * a * b``) once per row of ``columns``: only
+    products broadcast against the weights.
     """
-    weights, columns = atoms[:, 0], atoms[:, 1:]
     _check_contraction(columns)
     # The product evaluate_operator computes for one atom, (n,) @ (n, 1), stacked.
-    images = {name: np.matmul(vec, columns[:, :, None])[:, 0] for name, vec in vectors.items()}
+    images = {name: np.matmul(vec, columns[:, :, None]) for name, vec in vectors.items()}
     values = eval_pointwise(e, images, lambda a, b: weights * a * b)
-    return np.abs(np.broadcast_to(values, (len(atoms),)))
+    return np.abs(np.broadcast_to(values, (len(columns), weights.shape[1])))
 
 
 def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
@@ -178,22 +184,25 @@ def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
     return seeded_rng(seed, key).choice([-1.0, 1.0], size=(cap, n))
 
 
-def _mesh_atoms(grid: CylinderGrid, delta: float) -> np.ndarray:
+def _mesh_atoms(grid: CylinderGrid, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """The atoms of the basis generators at the sphere points of ``grid``,
-    scaled by ``1/(1 + delta)`` and discretized at mesh ``delta``."""
+    scaled by ``1/(1 + delta)`` and discretized at mesh ``delta``, as the
+    radial weights ``(1, k_r)`` and one column row per sphere class."""
     scale = 1.0 / (1.0 + delta)
     discrete = discretize_generators(list(scale * grid.sphere_points.T), grid, delta)
-    return np.column_stack([discrete.weights, discrete.coefficients.T])
+    k_r = discrete.radial_cells  # copies, so that the expanded arrays are freed
+    return discrete.weights[None, :k_r].copy(), np.ascontiguousarray(discrete.coefficients[:, ::k_r].T)
 
 
 def _fixed_atoms(n: int, seed: int, delta_list: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The sign atoms, then the atoms of each mesh parameter in ``delta_list``
-    unless the cylinder grid would exceed :data:`REAL_GRID_CAP` points."""
+    unless the cylinder grid would exceed :data:`REAL_GRID_CAP` points: the
+    weights and the columns of each table in turn."""
     signs = _sign_rows(n, SIGN_PATTERN_CAP, seed, 41)
-    tables = [np.column_stack([np.ones(len(signs)), signs])]
+    tables = [np.ones((len(signs), 1)), signs]
     if delta_list and CylinderGrid.regular_size(n, R_LEVELS, FACE_POINTS) <= REAL_GRID_CAP:
         grid = CylinderGrid.regular(n, r_levels=R_LEVELS, face_points=FACE_POINTS)
-        tables += [_mesh_atoms(grid, delta) for delta in delta_list]
+        tables += [table for delta in delta_list for table in _mesh_atoms(grid, delta)]
     return tuple(tables)
 
 
@@ -265,21 +274,23 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
                          f"entries, more than the grid budget of {REAL_GRID_CAP}")
     best_value, best = -1.0, None
 
-    def consider(atoms: np.ndarray) -> bool:
-        """Keep the first atom beating the best value; True when one did."""
+    def consider(weights: np.ndarray, columns: np.ndarray) -> bool:
+        """Keep the first atom, in C order of the values, beating the best
+        value; True when one did."""
         nonlocal best_value, best
-        values = _atom_values(e, vectors, atoms)
-        i = int(np.argmax(np.where(np.isnan(values), -1.0, values)))  # NaN never wins
-        if values[i] > best_value:
-            best_value, best = float(values[i]), atoms[i].copy()
+        values = _atom_values(e, vectors, weights, columns)
+        i = np.unravel_index(np.argmax(np.where(np.isnan(values), -1.0, values)), values.shape)
+        if values[i] > best_value:  # NaN never wins
+            best_value = float(values[i])
+            best = np.r_[np.broadcast_to(weights, values.shape)[i], columns[i[0]]]
             return True
         return False
 
     seed, delta_list = config.seed, tuple(config.delta_list)
     sign_seed = seed if 2 ** n > SIGN_PATTERN_CAP else None  # below the cap no fixed row reads it
-    for table in _ROWS.get(("fixed", n, sign_seed, delta_list),
-                           lambda: _fixed_atoms(n, seed, delta_list)):
-        consider(table)
+    tables = _ROWS.get(("fixed", n, sign_seed, delta_list), lambda: _fixed_atoms(n, seed, delta_list))
+    for weights, columns in zip(tables[::2], tables[1::2]):
+        consider(weights, columns)
 
     step, left, round_ = 0.25, config.search_iters, 0
     if left > 0:
@@ -288,7 +299,7 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     while left > 0:
         draws, = _ROWS.get(("draws", seed, n, round_), lambda: (_drawn_atoms(seed, n, round_),))
         atoms = draws if best is None else np.vstack([np.clip(best + step * moves, low, 1.0), draws])
-        if not consider(atoms[:left]):
+        if not consider(atoms[:left, :1], atoms[:left, 1:]):
             step /= 2
         left -= len(atoms)
         round_ += 1

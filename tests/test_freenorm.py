@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from latalg.expr import Mul, Scale, Var, Zero, parse, random_expr
+from latalg.expr import Mul, Scale, Var, Zero, contains_product, parse, random_expr
 from latalg.ball import REAL_GRID_CAP, generator_vectors
 from latalg.cylinder import CylinderGrid, generator
 from latalg.discretize import (
@@ -20,6 +20,18 @@ from latalg.models import DiagonalAlgebra
 import latalg.freenorm as freenorm
 
 FAST = SearchConfig(search_iters=300)
+
+
+def _tables(fixed):
+    """The ``(weights, columns)`` pairs of a fixed-rows entry, in turn."""
+    return list(zip(fixed[::2], fixed[1::2]))
+
+
+def _expanded(weights, columns):
+    """The rows ``(weight, column...)`` of a table of factors, in the order the
+    search considers its atoms: entry ``(s, t)`` is row ``s * k + t``."""
+    return np.column_stack([np.tile(weights.reshape(-1), len(columns) // len(weights)),
+                            np.repeat(columns, weights.shape[1], axis=0)])
 
 
 def test_lower_bound_generator():
@@ -86,10 +98,77 @@ def test_compiled_term_matches_evaluate_operator():
         atoms = np.column_stack([1.0 - rng.random(12), rng.uniform(-1.0, 1.0, (12, n))])
         expected = [evaluate_operator(e, gens, OperatorIntoAlgebra(DiagonalAlgebra(a[:1]), a[1:, None]))
                     for a in atoms]
-        assert _atom_values(e, generator_vectors(e, gens, n)[0], atoms).tolist() == expected
+        values = _atom_values(e, generator_vectors(e, gens, n)[0], atoms[:, :1], atoms[:, 1:])
+        assert values.shape == (12, 1) and values[:, 0].tolist() == expected
     atoms[3, 1] = 1.5
     with pytest.raises(ContractionError):
-        _atom_values(e, generator_vectors(e, gens, n)[0], atoms)
+        _atom_values(e, generator_vectors(e, gens, n)[0], atoms[:, :1], atoms[:, 1:])
+
+
+def test_factored_tables_evaluate_as_their_expanded_rows():
+    # Every fixed table is evaluated on its factors, one row per sphere class
+    # with only the products broadcast against the radial weights.  In C
+    # order the values equal those of the expanded rows bit for bit, and the
+    # search keeps the first expanded row of the best value: NaN never wins,
+    # and where the k_r radial cells of a class tie (terms without products)
+    # the first cell of the first best class wins.  Generators on and off the
+    # basis, terms without variables, and overflows to inf - inf = NaN.
+    rng = np.random.default_rng(24)
+    config = SearchConfig(search_iters=0)
+    # big is NaN at |x0| > 0.9, else 0.  The product beside it is inf where
+    # w x0^2 > 0.11: a tie of classes that reach it at different radial cells.
+    big = "(1e308*x0 + 1e308*x0) - (1e308*x0 + 1e308*x0)"
+    special = [parse(big), parse(f"x0 \\/ ({big})"), parse(f"(4e154*x0)*(4e154*x0) + {big}"),
+               parse("(2e155*x0)*(2e155*x0) - (2e155*x0)*(2e155*x0)"),
+               Zero(), Mul(Zero(), Zero()), Scale(-0.5, Mul(Mul(Zero(), Zero()), Zero()))]
+    cases = []
+    for i in range(320):
+        n = 1 + i % 4
+        names = tuple(f"x{j}" for j in range(n))
+        e = special[i // 4] if i < 4 * len(special) else random_expr(
+            random.Random(2400 + i), names, 7, allow_product=i % 3 != 0)
+        gens = dict(zip(names, np.eye(n) if i % 2 else rng.uniform(-1.0, 1.0, (n, n))))
+        cases.append((n, e, gens))
+    fixed = {n: _tables(freenorm._fixed_atoms(n, 0, config.delta_list)) for n in range(1, 5)}
+    ties = first_cell_wins = nan_cases = 0
+    with np.errstate(all="ignore"):
+        for n, e, gens in cases:
+            vectors = generator_vectors(e, gens, n)[0]
+            values, rows = [], []
+            for weights, columns in fixed[n]:
+                factored = _atom_values(e, vectors, weights, columns)
+                expanded = _expanded(weights, columns)
+                rowwise = _atom_values(e, vectors, expanded[:, :1], expanded[:, 1:])
+                assert factored.shape == (len(columns), weights.shape[1])
+                assert factored.tobytes() == rowwise.tobytes()
+                if weights.shape[0] == 1 and not contains_product(e):
+                    assert np.array_equal(factored, np.repeat(factored[:, :1], weights.shape[1], axis=1),
+                                          equal_nan=True)
+                    ties += 1
+                values.append(factored.reshape(-1))
+                rows.append(expanded)
+            starts = np.cumsum([0, *map(len, rows)])
+            values, rows = np.concatenate(values), np.concatenate(rows)
+            nan_cases += bool(np.isnan(values).any())
+            if np.isnan(values).all():  # no candidate at all
+                with pytest.raises(ValueError, match="no candidate"):
+                    operator_lower_bound(e, gens, config, n)
+                continue
+            first = int(np.argmax(np.where(np.isnan(values), -1.0, values)))
+            _, op = operator_lower_bound(e, gens, config, n)
+            winner = np.r_[op.algebra.weights, op.columns[:, 0]]
+            assert not np.isnan(values[first]) and winner.tobytes() == rows[first].tobytes()
+            table = int(np.searchsorted(starts, first, side="right")) - 1
+            k_r = fixed[n][table][0].shape[1]
+            if k_r > 1 and not contains_product(e):
+                assert (first - starts[table]) % k_r == 0
+                first_cell_wins += 1
+    assert ties and first_cell_wins and nan_cases
+    weights, columns = fixed[2][1]
+    broken = columns.copy()
+    broken[-1, -1] = 1.5
+    with pytest.raises(ContractionError):
+        _atom_values(parse("x0 * x1"), {"x0": np.eye(2)[0], "x1": np.eye(2)[1]}, weights, broken)
 
 
 def test_discretized_operator_certified():
@@ -98,19 +177,19 @@ def test_discretized_operator_certified():
     # parameter; off the basis one of them can win.
     grid = CylinderGrid.regular(2, r_levels=freenorm.R_LEVELS, face_points=freenorm.FACE_POINTS)
     deltas = (2.0 ** -4, 2.0 ** -5)
-    _, *mesh = freenorm._fixed_atoms(2, 0, deltas)
+    _, *mesh = _tables(freenorm._fixed_atoms(2, 0, deltas))
     for delta, table in zip(deltas, mesh, strict=True):
         discrete = discretize_generators(
             [grid.sphere_points @ basis / (1.0 + delta) for basis in np.eye(2)], grid, delta)
         op = OperatorIntoAlgebra(DiagonalAlgebra(discrete.weights), discrete.coefficients)
         op.certify()
         assert op.algebra.size > 1 and np.all(op.algebra.weights > 0.0)
-        assert np.array_equal(table, np.column_stack([discrete.weights, discrete.coefficients.T]))
+        assert np.array_equal(_expanded(*table), np.column_stack([discrete.weights, discrete.coefficients.T]))
     gens = {"u": [0.3647975870165865, 0.355302514932059, 0.31102339878434215],
             "v": [-0.2385536385835234, -0.4228005422815786, 0.44646578044606333]}
     config = SearchConfig(search_iters=0)
     value, best = operator_lower_bound(parse("u*v*u"), gens, config)
-    signs, *mesh = freenorm._fixed_atoms(3, 0, config.delta_list)
+    signs, *mesh = [_expanded(*table) for table in _tables(freenorm._fixed_atoms(3, 0, config.delta_list))]
     row = np.r_[best.algebra.weights, best.columns[:, 0]]
     assert best.algebra.size == 1 and not (signs == row).all(axis=1).any()
     assert any((table == row).all(axis=1).any() for table in mesh)
@@ -124,9 +203,9 @@ def test_discretized_atom_table_matches_full_grid_pipeline(monkeypatch, n):
     # grid, for each mesh parameter.
     tables, real_atom_values = [], freenorm._atom_values
 
-    def record(e, vectors, atoms):
-        tables.append(atoms.copy())
-        return real_atom_values(e, vectors, atoms)
+    def record(e, vectors, weights, columns):
+        tables.append(_expanded(weights, columns))
+        return real_atom_values(e, vectors, weights, columns)
 
     monkeypatch.setattr(freenorm, "_atom_values", record)
     names = [f"x{i}" for i in range(n)]
@@ -382,18 +461,20 @@ def test_cached_rows_are_read_only(monkeypatch):
     freenorm._ROWS.clear()
     seen, real_atom_values = [], freenorm._atom_values
 
-    def record(e, vectors, atoms):
-        seen.append(atoms)
-        return real_atom_values(e, vectors, atoms)
+    def record(e, vectors, weights, columns):
+        seen.append((weights, columns))
+        return real_atom_values(e, vectors, weights, columns)
 
     monkeypatch.setattr(freenorm, "_atom_values", record)
-    # The sign and mesh rows as one entry, then one entry of draws.
+    # The weights and columns of the sign and mesh tables as one entry, then
+    # one entry of draws.
     operator_lower_bound(parse("x * y"), {"x": [1, 0], "y": [0, 1]},
                          SearchConfig(search_iters=5, delta_list=(2.0 ** -4,)))
     entries = list(freenorm._ROWS._tables.values())
     assert list(freenorm._ROWS._tables) == [("fixed", 2, None, (2.0 ** -4,)), ("draws", 0, 2, 0)]
-    assert [len(tables) for tables in entries] == [2, 1] and len(seen) == 3
-    for table in [*seen[:2], *(table for tables in entries for table in tables)]:
+    assert [len(tables) for tables in entries] == [4, 1] and len(seen) == 3
+    for table in [*(table for pair in seen[:2] for table in pair),
+                  *(table for tables in entries for table in tables)]:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
 
@@ -437,9 +518,9 @@ def test_each_config_field_keys_the_rows(monkeypatch, change):
             freenorm._ROWS.clear()
         tables = []
 
-        def record(e, vectors, atoms):
-            tables.append(atoms.copy())
-            return real_atom_values(e, vectors, atoms)
+        def record(e, vectors, weights, columns):
+            tables.append(_expanded(weights, columns))
+            return real_atom_values(e, vectors, weights, columns)
 
         monkeypatch.setattr(freenorm, "_atom_values", record)
         operator_lower_bound(e, gens, config)
@@ -486,9 +567,9 @@ def test_row_cache_evicts_least_recently_used_within_its_budget():
 
 
 def test_row_cache_stays_within_the_grid_budget(monkeypatch):
-    # Three n = 5 mesh tables hold about 2.07 M entries, more than the budget
-    # together, so the n = 5 fixed rows are built, used and dropped without
-    # evicting the n <= 4 entries; the n = 594 round holds about 1.06 M.
+    # Kept as factors, the n = 5 fixed rows hold 101,523 entries (2.07 M
+    # expanded): they are cached beside the n <= 4 entries, and repeated n = 4
+    # and n = 5 searches build no row; the n = 594 round holds about 1.06 M.
     def search(n):
         names = [f"x{i}" for i in range(n)]
         operator_lower_bound(parse(" \\/ ".join(names)), dict(zip(names, np.eye(n))),
@@ -501,11 +582,14 @@ def test_row_cache_stays_within_the_grid_budget(monkeypatch):
     search(5)
     assert freenorm._ROWS.entries <= REAL_GRID_CAP
     assert set(kept) <= set(freenorm._ROWS._tables)
-    assert not [key for key in freenorm._ROWS._tables if key[:2] == ("fixed", 5)]
+    fixed = [key for key in freenorm._ROWS._tables if key[:2] == ("fixed", 5)]
+    assert len(fixed) == 1
+    assert sum(table.size for table in freenorm._ROWS._tables[fixed[0]]) == 101_523
     built = []
     for builder in ("_fixed_atoms", "_drawn_atoms"):
         real = getattr(freenorm, builder)
         monkeypatch.setattr(freenorm, builder, lambda *args, real=real: built.append(args) or real(*args))
+    search(5)
     search(4)
     assert built == []
     test_search_dimension_budget()
