@@ -9,6 +9,10 @@ function, the pipeline is:
    right-open; the top cut exceeds 1 so the value 1 falls inside a cell).
 2. :func:`atomize` -- the atoms are the distinct cell fingerprints of the
    grid points; on the cylinder, classes of sphere points times radial cells.
+   One sort of one int64 key per point numbers them: the key holds the
+   point's cell indices as digits in radix ``N + 1``, so keys order as the
+   fingerprints do, and a dense re-rank before a digit would overflow keeps
+   that order.
 3. :func:`discretize_function` -- replace a function by the lower cell
    endpoint on each atom, giving ``0 <= f_d <= f`` and ``f - f_d < delta``.
 4. :func:`discrete_weight` -- same for the weight, floored at ``c_1`` so
@@ -63,11 +67,29 @@ class PartitionSpec:
         return float(np.max(np.diff(self.cuts)))
 
     def cell_index(self, values) -> np.ndarray:
-        """Index i with ``c_i <= v < c_{i+1}`` per value; raises outside range."""
+        """Index i with ``c_i <= v < c_{i+1}`` per value; raises outside range.
+        A scalar or 0-d value gives a numpy integer, an array an array.
+
+        Relies on the uniform cuts of :func:`build_partition`: ``c_i`` is
+        ``i * top / K`` to a few ulps for its ``K`` cells.  The guess
+        ``floor(v * K / top)``, clipped to ``K - 1``, rounds by a few ulps
+        too, and with ``K <= 11^6`` that is far below one cell, so for the
+        true cell ``i`` the guess is ``i - 1``, ``i`` or ``i + 1``.  One
+        comparison with the real cuts each way (down when ``c_guess > v``,
+        then up when ``c_{guess+1} <= v``) gives exactly the cell a binary
+        search of the cuts would.
+        """
         v = np.asarray(values, dtype=float)
-        if not np.all((v >= 0.0) & (v < self.cuts[-1])):  # NaN fails both
-            raise ValueError(f"values must lie in [0, {self.cuts[-1]})")
-        return np.searchsorted(self.cuts, v, side="right") - 1
+        top = self.cuts[-1]
+        if not np.all((v >= 0.0) & (v < top)):  # NaN fails both
+            raise ValueError(f"values must lie in [0, {top})")
+        cells = self.cuts.shape[0] - 1
+        idx = np.empty(v.shape, dtype=np.intp)
+        np.multiply(v, cells / top, out=idx, casting="unsafe")  # v >= 0: truncation floors
+        np.minimum(idx, cells - 1, out=idx)
+        idx -= self.cuts[idx] > v
+        idx += self.cuts[1:][idx] <= v
+        return idx if idx.ndim else idx[()]
 
     def lower(self, idx) -> np.ndarray:
         return self.cuts[np.asarray(idx)]
@@ -116,25 +138,43 @@ class AtomDecomposition:
 def atomize(split_fns: Sequence, w, partition: PartitionSpec) -> AtomDecomposition:
     """Fingerprint grid points by the partition cells of every function.
 
-    All function values must lie in ``[0, 1 + delta)``; two points share an
-    atom exactly when all their cell indices agree.
+    All function values must lie in ``[0, 1 + delta)``, one per grid point;
+    two points share an atom exactly when all their cell indices agree.
+
+    Each point's cell indices are packed into one int64 key, as digits in
+    radix ``K`` (the cell count) with the first function most significant.
+    Digits lie in ``[0, K)``, so keys compare as the index tuples do
+    lexicographically (the order of ``np.unique(axis=0)``), and one sort of
+    the keys numbers the atoms in sorted fingerprint order.  Before a digit
+    could overflow the key (``span * K >= 2**62``, on Python ints), the key
+    is replaced by its dense rank among the points, which keeps that order.
     """
-    columns = [partition.cell_index(_values(f)) for f in split_fns]
-    columns.append(partition.cell_index(_values(w)))
-    # Points in lexicographic order of their cell indices, first function
-    # most significant (the order of np.unique(axis=0)); an atom starts
-    # wherever a point's indices differ from those of the point before it.
-    # Working one column at a time keeps no (points, functions) array alive.
-    order = np.lexsort(columns[::-1])
-    starts = np.zeros(order.shape[0], dtype=bool)
+    columns = [partition.cell_index(_values(f)) for f in [*split_fns, w]]
+    if len({column.shape for column in columns}) > 1:
+        raise ValueError("need one value per grid point for every function")
+    radix = partition.cuts.shape[0] - 1
+    key, span = columns[0].astype(np.int64), radix  # keys lie in [0, span)
+    for column in columns[1:]:
+        if span * radix >= 2 ** 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = distinct.shape[0]
+        key *= radix
+        key += column
+        span *= radix
+    # An atom starts wherever a sorted key differs from the one before it.
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.empty(order.shape[0], dtype=bool)
     starts[:1] = True
-    for column in columns:
-        ordered = column[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
     atom_of_point = np.empty(order.shape[0], dtype=np.intp)
     atom_of_point[order] = np.cumsum(starts) - 1
     first = order[starts]
-    return AtomDecomposition(atom_of_point, np.stack([column[first] for column in columns], axis=1))
+    # Filled one column at a time, so one gathered column is alive at once.
+    fingerprints = np.empty((first.shape[0], len(columns)), dtype=np.intp)
+    for j, column in enumerate(columns):
+        fingerprints[:, j] = column[first]
+    return AtomDecomposition(atom_of_point, fingerprints)
 
 
 def lift_to_grid(coeffs: np.ndarray, atoms: AtomDecomposition) -> np.ndarray:

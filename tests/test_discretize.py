@@ -63,6 +63,22 @@ def test_atomize_edge_cases():
         atomize([np.array([0.5])], np.array([np.nan]), p)
 
 
+def _unique_reference(fns, w, p):
+    # Cells by binary search, atoms by np.unique over the stacked columns.
+    cells = np.stack([np.searchsorted(p.cuts, np.asarray(v, dtype=float).reshape(-1), side="right") - 1
+                      for v in [*fns, w]], axis=1)
+    fingerprints, inverse = np.unique(cells, axis=0, return_inverse=True)
+    return fingerprints, inverse.reshape(-1)
+
+
+def _assert_atoms_equal(atoms, reference):
+    fingerprints, inverse = reference
+    assert atoms.fingerprints.dtype == fingerprints.dtype
+    assert atoms.atom_of_point.dtype == inverse.dtype
+    assert np.array_equal(atoms.fingerprints, fingerprints)
+    assert np.array_equal(atoms.atom_of_point, inverse)
+
+
 @pytest.mark.parametrize("delta, functions, points", [
     (0.5, 1, 40), (0.25, 3, 500), (0.125, 4, 2000), (2.0 ** -5, 2, 3000), (0.3, 6, 1),
 ])
@@ -73,12 +89,84 @@ def test_atomize_matches_unique_when_atoms_merge(delta, functions, points):
     fns = [rng.uniform(0.0, 1.0, points) for _ in range(functions)]
     w = rng.uniform(0.0, 1.0, points)
     atoms = atomize(fns, w, p)
-    stacked = np.stack([p.cell_index(v) for v in fns + [w]], axis=1)
-    fingerprints, inverse = np.unique(stacked, axis=0, return_inverse=True)
     assert atoms.atom_count < points or points == 1
-    assert atoms.fingerprints.dtype == fingerprints.dtype
-    assert np.array_equal(atoms.fingerprints, fingerprints)
-    assert np.array_equal(atoms.atom_of_point, inverse.reshape(-1))
+    _assert_atoms_equal(atoms, _unique_reference(fns, w, p))
+
+
+@pytest.mark.parametrize("delta", [2.0 ** -k for k in range(1, 21)]
+                         + [0.1, 0.3, 0.9, 1.0 / (2.0 + 1e-10), 1e-6])
+def test_cell_index_equals_a_binary_search_of_the_cuts(delta):
+    # The arithmetic guess is corrected once each way against the real cuts;
+    # values on every cut and one ulp either side of it are where it could slip.
+    p = build_partition(delta)
+    below, top = p.cuts[:-1], p.cuts[-1]
+    values = np.concatenate([below, np.nextafter(below, -np.inf), np.nextafter(below, np.inf),
+                             [0.0, -0.0, np.nextafter(top, 0.0)],
+                             np.random.default_rng(0).uniform(0.0, top, 10 ** 5)])
+    values = values[(values >= 0.0) & (values < top)]
+    got, want = p.cell_index(values), np.searchsorted(p.cuts, values, side="right") - 1
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_cell_index_keeps_the_type_of_scalars_and_arrays():
+    p = build_partition(0.25)
+    for value in (0.5, 0, np.float64(0.999), np.array(0.25), -0.0, [0.5], np.array([[0.1, 1.0]]), []):
+        got = p.cell_index(value)
+        want = np.searchsorted(p.cuts, np.asarray(value, dtype=float), side="right") - 1
+        assert type(got) is type(want) and got.dtype == want.dtype and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    for value in (np.nan, -1e-300, -0.5, 1.25, np.inf, [0.5, np.nan], np.array([[0.5, 1.3]])):
+        with pytest.raises(ValueError):
+            p.cell_index(value)
+
+
+def test_atomize_re_ranks_the_key_and_keeps_the_order(monkeypatch):
+    # Radix 1,000,001 fits three digits in an int64; after a re-rank, the rank
+    # and two more.  So 9 columns (8 functions and the weight) take three
+    # re-ranks.  Each column takes 0, 1 or one random level, so atoms merge
+    # on early columns and split on later ones.
+    p = build_partition(1e-6)
+    rng = np.random.default_rng(8)
+    fns = [rng.choice([0.0, 1.0, rng.uniform()], 3000) for _ in range(8)]
+    w = rng.choice([0.0, 1.0, rng.uniform()], 3000)
+    unique, re_ranks = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda a, **kw: re_ranks.append(a.shape) or unique(a, **kw))
+    atoms = atomize(fns, w, p)
+    monkeypatch.undo()
+    assert re_ranks == [(3000,)] * 3
+    assert 1 < atoms.atom_count < 3000
+    _assert_atoms_equal(atoms, _unique_reference(fns, w, p))
+
+
+def test_atomize_splits_every_point_of_the_n3_cylinder_grid():
+    # The dense_grids shape: 33 radial levels x 3,176 sphere points, 6 splits.
+    grid = CylinderGrid.regular(3, r_levels=33, face_points=24)
+    w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
+    values = [generator(basis, grid).values for basis in np.eye(3)]
+    splits = [part for v in values for part in (np.maximum(v, 0.0), np.maximum(-v, 0.0))]
+    p = build_partition(2.0 ** -7)
+    atoms = atomize(splits, w, p)
+    assert atoms.atom_count == grid.size == 33 * 3176
+    _assert_atoms_equal(atoms, _unique_reference(splits, w, p))
+
+
+def test_atomize_with_no_points_or_no_split_functions():
+    p = build_partition(0.25)
+    empty = atomize([np.empty(0), np.empty(0)], np.empty(0), p)
+    assert empty.atom_count == empty.grid_size == 0
+    _assert_atoms_equal(empty, _unique_reference([np.empty(0), np.empty(0)], np.empty(0), p))
+    w = np.random.default_rng(0).uniform(0.0, 1.0, 500)
+    weight_only = atomize([], w, p)
+    assert weight_only.atom_count == 4
+    _assert_atoms_equal(weight_only, _unique_reference([], w, p))
+
+
+def test_atomize_refuses_functions_of_different_lengths():
+    p = build_partition(0.25)
+    for fns, w in (([np.zeros(3)], np.zeros(4)), ([np.zeros(1)], np.zeros(4)), ([np.zeros(4)], np.zeros(1))):
+        with pytest.raises(ValueError, match="one value per grid point"):
+            atomize(fns, w, p)
 
 
 def test_discretize_function_trace(trace):
