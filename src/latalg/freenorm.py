@@ -24,26 +24,36 @@ the term on the reals with product ``w a b``, each generator ``v`` read as
 * ``search_iters`` atoms of a seeded ascent, in rounds: 2(n + 1) coordinate
   moves of the best atom so far by +-step (weight clipped to [2^-52, 1],
   entries to [-1, 1]), then 3(n + 1) atoms drawn from the stream
-  ``(seed, 42, round)``.  The step starts at 1/4 and halves after a round
+  ``(seed, 42, round)``; while no atom so far has a finite value, a round
+  holds the draws alone.  The step starts at 1/4 and halves after a round
   that did not raise the best value.  A round of 5(n + 1) atoms of n + 1
   entries must fit the grid budget, so the search refuses n above 594.
 
 The budget cuts this stream and every atom depends only on those before
 it, so a larger budget never lowers the bound; the first atom attaining
-the best value wins.  The sign atoms, each discretized operator and each
-round are evaluated in one fold of the term's tape.  A discretized
-operator is kept as its ``k_r`` radial weights and one column row per
-sphere class: the term is evaluated once per class and only its products
-broadcast against the weights, so the values come out in atom order.  Only
-the winner is built as an :class:`OperatorIntoAlgebra`, and the reported
-bound is its value replayed by :func:`evaluate_operator`.
+the best value wins.  The sign atoms and each discretized operator are
+evaluated in one fold of the term's tape each.  A discretized operator is
+kept as its ``k_r`` radial weights and one column row per sphere class: the
+term is evaluated once per class and only its products broadcast against
+the weights, so the values come out in atom order.  The ascent is evaluated
+in windows of rounds, one fold a window: a window assumes that none of its
+rounds raises the best value, so round j of it moves by step/2^j (exact:
+the steps are powers of two), and it is exact up to its first round that
+does.  That round's first best atom is kept with its step, and the next
+window starts after it.  A window holds at most :data:`~latalg.ball._CHUNK`
+entries, or one round when a round holds more; it starts at that cap,
+doubles (within it) after a window in which no round improved, and
+restarts at one round after one in which a round did.  Only the winner is built as an
+:class:`OperatorIntoAlgebra`, and the reported bound is its value replayed
+by :func:`evaluate_operator`.
 
 Every row but the ascent's moves depends on ``n`` and the config alone, not
 on the term or the generators, so each process builds it once: the sign
 rows and one table per mesh parameter as one entry ``("fixed", n, seed,
-delta_list)``, the draws of round ``r`` as ``("draws", seed, n, r)``.  The
-fixed rows read the seed only when ``2**n`` exceeds :data:`SIGN_PATTERN_CAP`;
-below that their key holds ``None`` in its place, so every seed shares them.
+delta_list)``, and the draws of a window's ``count`` rounds from round
+``r`` on as ``("draws", seed, n, r, count)``.  The fixed rows read the
+seed only when ``2**n`` exceeds :data:`SIGN_PATTERN_CAP`; below that their
+key holds ``None`` in its place, so every seed shares them.
 The tables are read-only; entries are kept least recently used first within
 :data:`~latalg.ball.REAL_GRID_CAP` float entries in all, each charged its
 tables' entries plus 64 for its Python objects; at the default config the
@@ -69,7 +79,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ball import REAL_GRID_CAP, generator_norms, generator_vectors, majorant_upper_bound
+from .ball import _CHUNK, REAL_GRID_CAP, generator_norms, generator_vectors, majorant_upper_bound
 from .cylinder import CylinderGrid
 from .discretize import discretize_generators
 from .expr import Expr, contains_product, eval_pointwise
@@ -206,11 +216,23 @@ def _fixed_atoms(n: int, seed: int, delta_list: Sequence[float]) -> tuple[np.nda
     return tuple(tables)
 
 
-def _drawn_atoms(seed: int, n: int, round_: int) -> np.ndarray:
-    """The 3(n + 1) atoms that ascent round ``round_`` draws: weights in (0, 1]."""
-    rng = seeded_rng(seed, 42, round_)
-    return np.column_stack([1.0 - rng.random(3 * (n + 1)),
-                            rng.uniform(-1.0, 1.0, (3 * (n + 1), n))])
+def _drawn_atoms(seed: int, n: int, rounds: range) -> np.ndarray:
+    """The 3(n + 1) atoms that each ascent round in ``rounds`` draws, as a
+    ``(len(rounds), 3(n + 1), n + 1)`` table: weights in (0, 1]."""
+    draws = np.empty((len(rounds), 3 * (n + 1), n + 1))
+    for table, round_ in zip(draws, rounds):
+        rng = seeded_rng(seed, 42, round_)
+        table[:, 0] = 1.0 - rng.random(3 * (n + 1))
+        table[:, 1:] = rng.uniform(-1.0, 1.0, (3 * (n + 1), n))
+    return draws
+
+
+def _first_best(values: np.ndarray) -> int:
+    """Flat index of the first atom, in C order, of the largest of ``values``.
+    NaN never wins: it is replaced by -1 in place, so ``values`` must be the
+    caller's own array."""
+    np.fmax(values, -1.0, out=values)
+    return int(np.argmax(values))
 
 
 class _RowCache:
@@ -262,10 +284,13 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     of the module docstring (sign atoms, discretized atoms, then the ascent
     cut at ``search_iters`` atoms), so enlarging the budget never decreases
     the result, and the first atom attaining the best value wins.  The
-    returned bound is that one-atom operator certified and replayed by
-    :func:`evaluate_operator`.  Operators act on the generators' dimension,
-    or ``dimension`` (for terms without variables).  Raises ValueError,
-    before allocating, when a round would exceed :data:`REAL_GRID_CAP` entries.
+    ascent's rounds are evaluated in windows, each as if none of its rounds
+    improved and kept up to the first that does, so the result is that of
+    evaluating them one by one.  The returned bound is the winning one-atom
+    operator certified and replayed by :func:`evaluate_operator`.  Operators
+    act on the generators' dimension, or ``dimension`` (for terms without
+    variables).  Raises ValueError, before allocating, when a round would
+    exceed :data:`REAL_GRID_CAP` entries.
     """
     config = config or SearchConfig()
     vectors, n = generator_vectors(e, gens, dimension)
@@ -273,36 +298,45 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
         raise ValueError(f"a search round in dimension {n} would hold {5 * (n + 1)} x {n + 1} "
                          f"entries, more than the grid budget of {REAL_GRID_CAP}")
     best_value, best = -1.0, None
-
-    def consider(weights: np.ndarray, columns: np.ndarray) -> bool:
-        """Keep the first atom, in C order of the values, beating the best
-        value; True when one did."""
-        nonlocal best_value, best
-        values = _atom_values(e, vectors, weights, columns)
-        i = np.unravel_index(np.argmax(np.where(np.isnan(values), -1.0, values)), values.shape)
-        if values[i] > best_value:  # NaN never wins
-            best_value = float(values[i])
-            best = np.r_[np.broadcast_to(weights, values.shape)[i], columns[i[0]]]
-            return True
-        return False
-
     seed, delta_list = config.seed, tuple(config.delta_list)
     sign_seed = seed if 2 ** n > SIGN_PATTERN_CAP else None  # below the cap no fixed row reads it
     tables = _ROWS.get(("fixed", n, sign_seed, delta_list), lambda: _fixed_atoms(n, seed, delta_list))
     for weights, columns in zip(tables[::2], tables[1::2]):
-        consider(weights, columns)
+        values = _atom_values(e, vectors, weights, columns)
+        s, t = divmod(_first_best(values), values.shape[1])
+        if values[s, t] > best_value:
+            best_value = float(values[s, t])
+            best = np.r_[np.broadcast_to(weights, values.shape)[s, t], columns[s]]
 
-    step, left, round_ = 0.25, config.search_iters, 0
+    step, left, round_, rounds = 0.25, config.search_iters, 0, np.inf
     if left > 0:
         moves = np.kron(np.eye(n + 1), [[1.0], [-1.0]])  # +-1 on each coordinate in turn
         low = np.r_[2.0 ** -52, -np.ones(n)]
     while left > 0:
-        draws, = _ROWS.get(("draws", seed, n, round_), lambda: (_drawn_atoms(seed, n, round_),))
-        atoms = draws if best is None else np.vstack([np.clip(best + step * moves, low, 1.0), draws])
-        if not consider(atoms[:left, :1], atoms[:left, 1:]):
-            step /= 2
-        left -= len(atoms)
-        round_ += 1
+        # A window of rounds that assumes none of them improves: round j
+        # moves by step / 2**j.  Rounds up to the first that does are exact.
+        size = (3 if best is None else 5) * (n + 1)
+        count = int(min(rounds, max(1, _CHUNK // (size * (n + 1))), -(-left // size)))
+        draws, = _ROWS.get(("draws", seed, n, round_, count),
+                           lambda: (_drawn_atoms(seed, n, range(round_, round_ + count)),))
+        atoms = draws
+        if best is not None:
+            steps = np.ldexp(step, -np.arange(count))[:, None, None]
+            atoms = np.concatenate([np.clip(best + steps * moves, low, 1.0), draws], axis=1)
+        atoms = atoms.reshape(-1, n + 1)[:left]
+        values = _atom_values(e, vectors, atoms[:, :1], atoms[:, 1:]).reshape(-1)
+        starts = np.arange(0, len(atoms), size)
+        hits = np.flatnonzero(np.fmax.reduceat(values, starts) > best_value)
+        misses = int(hits[0]) if len(hits) else count
+        step = float(np.ldexp(step, -misses))  # halved by each round that did not improve
+        if misses < count:  # round `misses` improves: keep its first best atom and its step
+            start = starts[misses]
+            i = start + _first_best(values[start:start + size])
+            best_value, best = float(values[i]), atoms[i].copy()
+        rounds = 1 if misses < count else 2 * count  # restart small after a hit, grow after a miss
+        done = min(misses + 1, count)
+        left -= done * size
+        round_ += done
 
     if best is None:
         raise ValueError("the search produced no candidate operator")

@@ -1,12 +1,15 @@
+import functools
 import hashlib
+import itertools
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latalg.expr import Mul, Scale, Var, Zero, contains_product, parse, random_expr
-from latalg.ball import REAL_GRID_CAP, generator_vectors
+from latalg.expr import Mul, Scale, Var, Zero, contains_product, parse, random_expr, variables
+from latalg.ball import _CHUNK, REAL_GRID_CAP, generator_vectors
 from latalg.cylinder import CylinderGrid, generator
 from latalg.discretize import (
     atomize, build_partition, discrete_weight, discretize_function, discretize_generators,
@@ -17,6 +20,7 @@ from latalg.freenorm import (
     operator_lower_bound, product_free_lower_bound,
 )
 from latalg.models import DiagonalAlgebra
+from latalg.seeding import seeded_rng
 import latalg.freenorm as freenorm
 
 FAST = SearchConfig(search_iters=300)
@@ -430,7 +434,7 @@ def test_first_round_of_draws_alone():
         with np.errstate(all="ignore"):
             value, op = operator_lower_bound(e, {"x": [1.0]}, SearchConfig(search_iters=10, seed=seed))
         row = np.r_[op.algebra.weights, op.columns[:, 0]]
-        draws = np.vstack([freenorm._drawn_atoms(seed, 1, round_) for round_ in (0, 1)])
+        draws = freenorm._drawn_atoms(seed, 1, range(2)).reshape(-1, 2)
         assert value == 0.0 and (draws == row).all(axis=1).any()
 
 
@@ -467,11 +471,12 @@ def test_cached_rows_are_read_only(monkeypatch):
 
     monkeypatch.setattr(freenorm, "_atom_values", record)
     # The weights and columns of the sign and mesh tables as one entry, then
-    # one entry of draws.
+    # one entry of draws for the one window of the ascent's 3 rounds (no
+    # round beats the sign atoms' value 1).
     operator_lower_bound(parse("x * y"), {"x": [1, 0], "y": [0, 1]},
-                         SearchConfig(search_iters=5, delta_list=(2.0 ** -4,)))
+                         SearchConfig(search_iters=40, delta_list=(2.0 ** -4,)))
     entries = list(freenorm._ROWS._tables.values())
-    assert list(freenorm._ROWS._tables) == [("fixed", 2, None, (2.0 ** -4,)), ("draws", 0, 2, 0)]
+    assert list(freenorm._ROWS._tables) == [("fixed", 2, None, (2.0 ** -4,)), ("draws", 0, 2, 0, 3)]
     assert [len(tables) for tables in entries] == [4, 1] and len(seen) == 3
     for table in [*(table for pair in seen[:2] for table in pair),
                   *(table for tables in entries for table in tables)]:
@@ -595,3 +600,159 @@ def test_row_cache_stays_within_the_grid_budget(monkeypatch):
     test_search_dimension_budget()
     tables = freenorm._ROWS._tables.values()
     assert sum(table.size for entry in tables for table in entry) < freenorm._ROWS.entries <= REAL_GRID_CAP
+
+
+_reference_fixed = functools.lru_cache(maxsize=None)(freenorm._fixed_atoms)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_draws(seed, n, round_):
+    """The draws of ascent round ``round_``, as the search drew them before windows."""
+    rng = seeded_rng(seed, 42, round_)
+    return np.column_stack([1.0 - rng.random(3 * (n + 1)), rng.uniform(-1.0, 1.0, (3 * (n + 1), n))])
+
+
+def _sequential_lower_bound(e, gens, config, dimension=None, improved=None):
+    """The operator search with the ascent round by round, one fold a round
+    (the implementation before windows): the reference the windowed ascent
+    must match bit for bit.  Appends each round that improves to ``improved``."""
+    vectors, n = generator_vectors(e, gens, dimension)
+    best_value, best = -1.0, None
+
+    def consider(weights, columns):
+        nonlocal best_value, best
+        values = freenorm._atom_values(e, vectors, weights, columns)
+        i = np.unravel_index(np.argmax(np.where(np.isnan(values), -1.0, values)), values.shape)
+        if values[i] > best_value:
+            best_value = float(values[i])
+            best = np.r_[np.broadcast_to(weights, values.shape)[i], columns[i[0]]]
+            return True
+        return False
+
+    for weights, columns in _tables(_reference_fixed(n, config.seed, tuple(config.delta_list))):
+        consider(weights, columns)
+    step, left, round_ = 0.25, config.search_iters, 0
+    moves = np.kron(np.eye(n + 1), [[1.0], [-1.0]])
+    low = np.r_[2.0 ** -52, -np.ones(n)]
+    while left > 0:
+        draws = _reference_draws(config.seed, n, round_)
+        atoms = draws if best is None else np.vstack([np.clip(best + step * moves, low, 1.0), draws])
+        if consider(atoms[:left, :1], atoms[:left, 1:]):
+            if improved is not None:
+                improved.append(round_)
+        else:
+            step /= 2
+        left -= len(atoms)
+        round_ += 1
+    op = OperatorIntoAlgebra(DiagonalAlgebra(best[:1]), best[1:, None])
+    return evaluate_operator(e, gens, op), op
+
+
+def _search_bytes(search, e, gens, config, dimension=None, **extra):
+    value, op = search(e, gens, config, dimension, **extra)
+    return value.hex(), op.algebra.weights.tobytes(), op.columns.tobytes()
+
+
+def _norm_search_inputs(monkeypatch, count):
+    """The first ``count`` seed-1 inputs of the benchmark's ``norm_search``
+    workload, as (term, basis generators, search config)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    workload = workloads.NormSearch(1)
+    config = workload.config(workload.search_iters)
+    return [(parse(text), workloads.basis_gens(names), config)
+            for names, text in itertools.islice(workload.inputs(), count)]
+
+
+def _corpus_b(iters, seed):
+    """ROADMAP's corpus B at ``iters`` ascent atoms and the given seed."""
+    for s in range(120):
+        e = random_expr(random.Random(1000 + s), ("u", "v", "w"), 7)
+        rng = np.random.default_rng(s)
+        gens = {name: rng.uniform(-0.5, 0.5, 3) for name in variables(e)}
+        yield e, gens, SearchConfig(search_iters=iters, seed=seed), 3
+
+
+def _off_basis_eleven():
+    """A term in 2 of 11 variables, each generator uniform in [-0.5, 0.5]^11."""
+    rng, names = np.random.default_rng(15), tuple(EYE11)
+    return random_expr(random.Random(15), names, 9), {name: rng.uniform(-0.5, 0.5, 11) for name in names}
+
+
+def _assert_windows_match_rounds(cases):
+    improved = []
+    for e, gens, config, *dimension in cases:
+        rounds = []
+        with np.errstate(all="ignore"):
+            expected = _search_bytes(_sequential_lower_bound, e, gens, config, *dimension, improved=rounds)
+            assert _search_bytes(operator_lower_bound, e, gens, config, *dimension) == expected, (e, config)
+        improved.append(rounds)
+    _reference_fixed.cache_clear()
+    _reference_draws.cache_clear()
+    return improved
+
+
+def test_windowed_ascent_matches_the_sequential_rounds_on_norm_search_inputs(monkeypatch):
+    _assert_windows_match_rounds(_norm_search_inputs(monkeypatch, 200))
+
+
+@pytest.mark.parametrize("iters", [0, 37, 500, 10_000])
+def test_windowed_ascent_matches_the_sequential_rounds_on_corpus_b(iters):
+    # At n = 3 a round holds 20 atoms of 4 entries, so the first window holds
+    # the first 75 rounds (ball._CHUNK entries) or all of them: a round that
+    # improves before its last is a mid-window hit, which cuts the window.
+    for seed in (0, 3):
+        improved = _assert_windows_match_rounds(_corpus_b(iters, seed))
+        if iters >= 500:
+            last = min(75, -(-iters // 20)) - 1
+            assert sum(round_ < last for rounds in improved for round_ in rounds) > 10
+
+
+def test_windowed_ascent_matches_the_sequential_rounds_at_the_edges():
+    nan_term = parse("(2e155*x)*(2e155*x) - (2e155*x)*(2e155*x)")  # test_first_round_of_draws_alone
+    cases = [(nan_term, {"x": [1.0]}, SearchConfig(search_iters=iters, seed=seed))
+             for seed in range(4) for iters in (10, 500)]
+    # Budgets that end inside a round.
+    cases += [(parse(text), gens, SearchConfig(**{**config, "search_iters": iters}))
+              for text, gens, config, *_ in GOLDEN for iters in (1, 7, 37)]
+    # n = 11 samples its sign rows (the term off the basis improves in 15 of
+    # its first 34 rounds at seed 0); n = 594 holds one round per window.
+    cases += [(e, gens, SearchConfig(search_iters=2_000, seed=seed))
+              for seed in (0, 5) for e, gens in ((parse(GOLDEN[-1][0]), EYE11), _off_basis_eleven())]
+    cases += [(parse(text), {"x": np.eye(594)[0], "y": np.eye(594)[593]}, SearchConfig(search_iters=10_000))
+              for text in ("x", "x * y - abs(y)")]
+    # Round 0 improves, then a drawn atom wins round 1.
+    e, rng = random_expr(random.Random(5163), ("u", "v"), 7), np.random.default_rng(163)
+    cases.append((e, {name: rng.uniform(-0.5, 0.5, 2) for name in variables(e)},
+                  SearchConfig(search_iters=2_000, seed=3, delta_list=())))
+    _assert_windows_match_rounds(cases)
+
+
+def test_each_ascent_fold_holds_at_most_a_chunk_or_one_round(monkeypatch):
+    # The ascent folds tables of at most ball._CHUNK entries (atoms times
+    # n + 1), or of one round; on the norm_search inputs it is one fold after
+    # the sign table and the three mesh tables.
+    sizes, real_atom_values = [], freenorm._atom_values
+
+    def record(e, vectors, weights, columns):
+        sizes.append(len(columns))
+        return real_atom_values(e, vectors, weights, columns)
+
+    def folds(e, gens, config, dimension=None):
+        sizes.clear()
+        with np.errstate(all="ignore"):
+            operator_lower_bound(e, gens, config, dimension)
+        return sizes[:]
+
+    norm_search = _norm_search_inputs(monkeypatch, 100)
+    monkeypatch.setattr(freenorm, "_atom_values", record)
+    assert max(len(folds(*case)) for case in norm_search) <= 5
+    cases = [(3, 4, case) for case in _corpus_b(10_000, 3)]  # (n, fixed tables, case)
+    cases += [(1, 4, (parse("(2e155*x)*(2e155*x) - (2e155*x)*(2e155*x)"), {"x": [1.0]},
+                      SearchConfig(search_iters=500, seed=1))),
+              (11, 1, (*_off_basis_eleven(), SearchConfig(search_iters=2_000))),
+              (594, 1, (parse("x * y - abs(y)"), {"x": np.eye(594)[0], "y": np.eye(594)[1]},
+                        SearchConfig(search_iters=10_000, delta_list=())))]
+    for n, fixed, case in cases:
+        for atoms in folds(*case)[fixed:]:
+            assert atoms * (n + 1) <= _CHUNK or atoms <= 5 * (n + 1)
