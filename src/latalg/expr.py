@@ -61,8 +61,8 @@ import numpy as np
 __all__ = [
     "Expr", "Zero", "Var", "Scale", "Add", "Join", "Mul",
     "Meet", "Pos", "NegPart", "Abs", "Neg",
-    "Assignment", "ParseError", "MissingVariableError", "MAX_NESTING", "MAX_TERM_SIZE",
-    "fold",
+    "Assignment", "ExprError", "ParseError", "MissingVariableError",
+    "MAX_NESTING", "MAX_TERM_SIZE", "fold",
     "parse", "print_expr", "complexity", "variables",
     "eval_real", "eval_pointwise", "substitute", "contains_product",
     "random_expr", "cosh_sinh_witness",

@@ -1,4 +1,5 @@
-"""Package hygiene: every exported name exists and no module-level import goes unused."""
+"""Package hygiene: every exported name exists, the package re-exports each
+module's public names, and no module-level import goes unused."""
 
 import ast
 import importlib
@@ -10,6 +11,8 @@ import pytest
 import latalg
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(latalg.__path__))
+#: The modules whose public names the package re-exports: all but the CLI entry point.
+LIBRARY = [name for name in MODULES if name != "cli"]
 SOURCES = sorted(Path(latalg.__file__).parent.glob("*.py"))
 
 
@@ -30,10 +33,27 @@ def test_no_unused_module_level_import(path):
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                if alias.name == "*":  # binds the source's public names
+                    source = importlib.import_module("." * node.level + (node.module or ""), "latalg")
+                    for name in source.__all__:
+                        imported[name] = node.lineno
+                else:
+                    imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     module = "latalg" if path.stem == "__init__" else f"latalg.{path.stem}"
     exported = set(getattr(importlib.import_module(module), "__all__", ()))
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used and name not in exported)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_package_reexports_every_public_name_once():
+    assert latalg.__all__[0] == "__version__"
+    repeated = sorted({name for name in latalg.__all__ if latalg.__all__.count(name) > 1})
+    assert not repeated, f"latalg.__all__ lists {repeated} more than once"
+    for module_name in LIBRARY:
+        module = importlib.import_module(f"latalg.{module_name}")
+        for name in module.__all__:
+            assert name in latalg.__all__, f"latalg.__all__ lacks {module_name}.{name}"
+            assert getattr(latalg, name) is getattr(module, name), \
+                f"latalg.{name} is not {module_name}.{name}"
