@@ -401,12 +401,12 @@ _KERNEL_MAX_ENTRIES = 1024
 #: Evaluations of a term that :func:`eval_pointwise` folds before it compiles
 #: the tape.  Compiling costs about what 30 kernel calls save, at any tape
 #: length, so it pays only for a term evaluated many times.  Per term, the
-#: norm search at the default config makes 6 calls when no ascent round
-#: improves (the sign table, three mesh tables, one window of the ascent and
-#: the replay), and one more per window after a round that does;
-#: check-identity's real-line check makes 3 calls in one variable and 4 in
-#: two, the ball kernel check 1-2 and a cylinder extension 1.  Those fold,
-#: while the 41-model transport compiles.
+#: norm search makes 3 calls when no ascent round improves (the fixed table,
+#: one window of the ascent and the replay), and one more per window after a
+#: round that does, so it compiles only past six windows; check-identity's
+#: real-line check makes 3 calls in one variable and 4 in two, the ball
+#: kernel check 1-2 and a cylinder extension 1.  Those fold, while the
+#: 41-model transport compiles.
 _FOLDS_BEFORE_KERNEL = 8
 
 

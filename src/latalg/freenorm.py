@@ -31,35 +31,36 @@ the term on the reals with product ``w a b``, each generator ``v`` read as
 
 The budget cuts this stream and every atom depends only on those before
 it, so a larger budget never lowers the bound; the first atom attaining
-the best value wins.  The sign atoms and each discretized operator are
-evaluated in one fold of the term's tape each.  A discretized operator is
-kept as its ``k_r`` radial weights and one column row per sphere class: the
-term is evaluated once per class and only its products broadcast against
-the weights, so the values come out in atom order.  The ascent is evaluated
-in windows of rounds, one fold a window: a window assumes that none of its
-rounds raises the best value, so round j of it moves by step/2^j (exact:
-the steps are powers of two), and it is exact up to its first round that
-does.  That round's first best atom is kept with its step, and the next
-window starts after it.  A window holds at most :data:`~latalg.ball._CHUNK`
-entries, or one round when a round holds more; it starts at that cap,
-doubles (within it) after a window in which no round improved, and
-restarts at one round after one in which a round did.  Only the winner is built as an
-:class:`OperatorIntoAlgebra`, and the reported bound is its value replayed
-by :func:`evaluate_operator`.
+the best value wins.  The sign rows (weight 1) and each discretized
+operator's sphere-class rows (its ``k_r`` radial weights, padded to the
+most by repeating the last) form one table, evaluated in one fold of the
+term's tape: only products broadcast against the weights, so the values
+come out in atom order and a padded copy never displaces its original.
+The ascent is evaluated in windows of rounds, one fold a window: a window
+assumes that none of its rounds raises the best value, so round j of it
+moves by step/2^j (exact: the steps are powers of two), and it is exact up
+to its first round that does.  That round's first best atom is kept with
+its step, and the next window starts after it.  A window holds at most
+:data:`~latalg.ball._CHUNK` entries, or one round when a round holds more;
+it starts at that cap, doubles (within it) after a window in which no
+round improved, and restarts at one round after one in which a round did.
+Only the winner is built as an :class:`OperatorIntoAlgebra`, and the
+reported bound is its value replayed by :func:`evaluate_operator`.
 
 Every row but the ascent's moves depends on ``n`` and the config alone, not
-on the term or the generators, so each process builds it once: the sign
-rows and one table per mesh parameter as one entry ``("fixed", n, seed,
-delta_list)``, and the draws of a window's ``count`` rounds from round
-``r`` on as ``("draws", seed, n, r, count)``.  The fixed rows read the
-seed only when ``2**n`` exceeds :data:`SIGN_PATTERN_CAP`; below that their
-key holds ``None`` in its place, so every seed shares them.
-The tables are read-only; entries are kept least recently used first within
-:data:`~latalg.ball.REAL_GRID_CAP` float entries in all, each charged its
-tables' entries plus 64 for its Python objects; at the default config the
-fixed tables of every dimension that runs the discretized source fit
-(766,579 entries at 6 variables).  A config is cached whole or not at all:
-a larger entry is built, used and dropped per call, evicting nothing.
+on the term or the generators, so each process builds it once: the fixed
+table as one entry ``("fixed", n, seed, delta_list)`` (a weight row and a
+row count per source, and the column rows), and the draws of a window's
+``count`` rounds from round ``r`` on as ``("draws", seed, n, r, count)``.
+The fixed rows read the seed only when ``2**n`` exceeds
+:data:`SIGN_PATTERN_CAP`; below that their key holds ``None`` in its place,
+so every seed shares them.  The tables are read-only; entries are kept
+least recently used first within :data:`~latalg.ball.REAL_GRID_CAP` float
+entries in all, each charged its tables' entries plus 64 for its Python
+objects; at the default config the fixed table of every dimension that
+runs the discretized source fits (766,536 entries at 6 variables).  A
+config is cached whole or not at all: a larger entry is built, used and
+dropped per call, evicting nothing.
 Every row evaluated is still checked for contraction.
 
 Upper bounds evaluate the polynomial majorant at the generator norms.  For
@@ -173,17 +174,16 @@ def _atom_values(e: Expr, vectors: Mapping[str, np.ndarray], weights: np.ndarray
     """Sup norm of ``e`` through the one-atom operator ``(weights[s, t],
     columns[s])`` of each atom of a table, after checking the contraction.
 
-    ``weights`` is ``(k, 1)`` against ``k`` rows of ``columns``, or ``(1, k_r)``
-    against one row per sphere class; the values are ``(len(columns),
-    weights.shape[1])``.  This is :meth:`FiniteModel.evaluate` on a diagonal
-    algebra (product ``weights * a * b``) once per row of ``columns``: only
-    products broadcast against the weights.
+    ``weights`` holds one row per row of ``columns`` (width 1 for the ascent,
+    the radial cells for the fixed table); the values have its shape.  This is
+    :meth:`FiniteModel.evaluate` on a diagonal algebra (product ``weights * a *
+    b``) once per row of ``columns``: only products broadcast against the weights.
     """
     _check_contraction(columns)
     # The product evaluate_operator computes for one atom, (n,) @ (n, 1), stacked.
     images = {name: np.matmul(vec, columns[:, :, None]) for name, vec in vectors.items()}
     values = eval_pointwise(e, images, lambda a, b: weights * a * b)
-    return np.abs(np.broadcast_to(values, (len(columns), weights.shape[1])))
+    return np.abs(np.broadcast_to(values, weights.shape))
 
 
 def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
@@ -197,23 +197,24 @@ def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
 def _mesh_atoms(grid: CylinderGrid, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """The atoms of the basis generators at the sphere points of ``grid``,
     scaled by ``1/(1 + delta)`` and discretized at mesh ``delta``, as the
-    radial weights ``(1, k_r)`` and one column row per sphere class."""
+    ``k_r`` radial weights and one column row per sphere class."""
     scale = 1.0 / (1.0 + delta)
     discrete = discretize_generators(list(scale * grid.sphere_points.T), grid, delta)
-    k_r = discrete.radial_cells  # copies, so that the expanded arrays are freed
-    return discrete.weights[None, :k_r].copy(), np.ascontiguousarray(discrete.coefficients[:, ::k_r].T)
+    k_r = discrete.radial_cells  # copies, so that each expanded table is freed before the next
+    return discrete.weights[:k_r].copy(), discrete.coefficients[:, ::k_r].T.copy()
 
 
 def _fixed_atoms(n: int, seed: int, delta_list: Sequence[float]) -> tuple[np.ndarray, ...]:
-    """The sign atoms, then the atoms of each mesh parameter in ``delta_list``
-    unless the cylinder grid would exceed :data:`REAL_GRID_CAP` points: the
-    weights and the columns of each table in turn."""
-    signs = _sign_rows(n, SIGN_PATTERN_CAP, seed, 41)
-    tables = [np.ones((len(signs), 1)), signs]
+    """The sign atoms (weight 1), then each mesh parameter's unless the grid
+    exceeds :data:`REAL_GRID_CAP` points, as one table: per source its weights
+    (padded with the last one to the most cells) and row count, then all rows."""
+    tables = [(np.ones(1), _sign_rows(n, SIGN_PATTERN_CAP, seed, 41))]
     if delta_list and CylinderGrid.regular_size(n, R_LEVELS, FACE_POINTS) <= REAL_GRID_CAP:
         grid = CylinderGrid.regular(n, r_levels=R_LEVELS, face_points=FACE_POINTS)
-        tables += [table for delta in delta_list for table in _mesh_atoms(grid, delta)]
-    return tuple(tables)
+        tables += [_mesh_atoms(grid, delta) for delta in delta_list]
+    k = max(len(weights) for weights, _ in tables)
+    return (np.array([np.pad(weights, (0, k - len(weights)), "edge") for weights, _ in tables]),
+            np.array([len(columns) for _, columns in tables]), np.concatenate([c for _, c in tables]))
 
 
 def _drawn_atoms(seed: int, n: int, rounds: range) -> np.ndarray:
@@ -297,16 +298,15 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     if 5 * (n + 1) ** 2 > REAL_GRID_CAP:
         raise ValueError(f"a search round in dimension {n} would hold {5 * (n + 1)} x {n + 1} "
                          f"entries, more than the grid budget of {REAL_GRID_CAP}")
-    best_value, best = -1.0, None
     seed, delta_list = config.seed, tuple(config.delta_list)
     sign_seed = seed if 2 ** n > SIGN_PATTERN_CAP else None  # below the cap no fixed row reads it
-    tables = _ROWS.get(("fixed", n, sign_seed, delta_list), lambda: _fixed_atoms(n, seed, delta_list))
-    for weights, columns in zip(tables[::2], tables[1::2]):
-        values = _atom_values(e, vectors, weights, columns)
-        s, t = divmod(_first_best(values), values.shape[1])
-        if values[s, t] > best_value:
-            best_value = float(values[s, t])
-            best = np.r_[np.broadcast_to(weights, values.shape)[s, t], columns[s]]
+    weights, counts, columns = _ROWS.get(("fixed", n, sign_seed, delta_list),
+                                         lambda: _fixed_atoms(n, seed, delta_list))
+    weights = np.repeat(weights, counts, axis=0)  # one weight row per column row
+    values = _atom_values(e, vectors, weights, columns)
+    s, t = divmod(_first_best(values), values.shape[1])
+    best_value = float(values[s, t])  # -1 when every fixed atom is NaN
+    best = np.r_[weights[s, t], columns[s]] if best_value > -1.0 else None
 
     step, left, round_, rounds = 0.25, config.search_iters, 0, np.inf
     if left > 0:

@@ -26,16 +26,38 @@ import latalg.freenorm as freenorm
 FAST = SearchConfig(search_iters=300)
 
 
-def _tables(fixed):
-    """The ``(weights, columns)`` pairs of a fixed-rows entry, in turn."""
-    return list(zip(fixed[::2], fixed[1::2]))
+def _tables(weights, columns, counts, cells):
+    """Each source's ``(weights, columns)`` in a fixed table of one weight row
+    per column row, in turn: its ``counts[i]`` rows, each with its first
+    ``cells[i]`` weights (the rest pad it to the widest source)."""
+    cut = np.cumsum(counts)[:-1]
+    return [(w[:, :k], c) for w, c, k in zip(np.split(weights, cut), np.split(columns, cut), cells, strict=True)]
+
+
+def _radial_cells(n, delta_list, sources):
+    """The radial cells of each of the ``sources`` of the fixed rows in
+    dimension ``n``: 1 for the signs, then each mesh parameter's, as
+    discretize_generators counts them (none when the grid budget skips them)."""
+    if sources == 1:
+        return [1]
+    grid = CylinderGrid.regular(n, r_levels=freenorm.R_LEVELS, face_points=freenorm.FACE_POINTS)
+    return [1] + [discretize_generators(list(grid.sphere_points.T / (1.0 + delta)), grid, delta).radial_cells
+                  for delta in delta_list]
+
+
+def _fixed_tables(n, seed, delta_list):
+    """The ``(weights, columns)`` of each source of the fixed-rows entry, without
+    the padding: the tables the search considered one at a time before they were
+    stacked, in turn."""
+    weights, counts, columns = freenorm._fixed_atoms(n, seed, delta_list)
+    return _tables(np.repeat(weights, counts, axis=0), columns, counts,
+                   _radial_cells(n, delta_list, len(counts)))
 
 
 def _expanded(weights, columns):
     """The rows ``(weight, column...)`` of a table of factors, in the order the
     search considers its atoms: entry ``(s, t)`` is row ``s * k + t``."""
-    return np.column_stack([np.tile(weights.reshape(-1), len(columns) // len(weights)),
-                            np.repeat(columns, weights.shape[1], axis=0)])
+    return np.column_stack([weights.reshape(-1), np.repeat(columns, weights.shape[1], axis=0)])
 
 
 def test_lower_bound_generator():
@@ -133,7 +155,7 @@ def test_factored_tables_evaluate_as_their_expanded_rows():
             random.Random(2400 + i), names, 7, allow_product=i % 3 != 0)
         gens = dict(zip(names, np.eye(n) if i % 2 else rng.uniform(-1.0, 1.0, (n, n))))
         cases.append((n, e, gens))
-    fixed = {n: _tables(freenorm._fixed_atoms(n, 0, config.delta_list)) for n in range(1, 5)}
+    fixed = {n: _fixed_tables(n, 0, config.delta_list) for n in range(1, 5)}
     ties = first_cell_wins = nan_cases = 0
     with np.errstate(all="ignore"):
         for n, e, gens in cases:
@@ -145,7 +167,7 @@ def test_factored_tables_evaluate_as_their_expanded_rows():
                 rowwise = _atom_values(e, vectors, expanded[:, :1], expanded[:, 1:])
                 assert factored.shape == (len(columns), weights.shape[1])
                 assert factored.tobytes() == rowwise.tobytes()
-                if weights.shape[0] == 1 and not contains_product(e):
+                if weights.shape[1] > 1 and not contains_product(e):
                     assert np.array_equal(factored, np.repeat(factored[:, :1], weights.shape[1], axis=1),
                                           equal_nan=True)
                     ties += 1
@@ -181,7 +203,7 @@ def test_discretized_operator_certified():
     # parameter; off the basis one of them can win.
     grid = CylinderGrid.regular(2, r_levels=freenorm.R_LEVELS, face_points=freenorm.FACE_POINTS)
     deltas = (2.0 ** -4, 2.0 ** -5)
-    _, *mesh = _tables(freenorm._fixed_atoms(2, 0, deltas))
+    _, *mesh = _fixed_tables(2, 0, deltas)
     for delta, table in zip(deltas, mesh, strict=True):
         discrete = discretize_generators(
             [grid.sphere_points @ basis / (1.0 + delta) for basis in np.eye(2)], grid, delta)
@@ -193,7 +215,7 @@ def test_discretized_operator_certified():
             "v": [-0.2385536385835234, -0.4228005422815786, 0.44646578044606333]}
     config = SearchConfig(search_iters=0)
     value, best = operator_lower_bound(parse("u*v*u"), gens, config)
-    signs, *mesh = [_expanded(*table) for table in _tables(freenorm._fixed_atoms(3, 0, config.delta_list))]
+    signs, *mesh = [_expanded(*table) for table in _fixed_tables(3, 0, config.delta_list)]
     row = np.r_[best.algebra.weights, best.columns[:, 0]]
     assert best.algebra.size == 1 and not (signs == row).all(axis=1).any()
     assert any((table == row).all(axis=1).any() for table in mesh)
@@ -202,13 +224,13 @@ def test_discretized_operator_certified():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_discretized_atom_table_matches_full_grid_pipeline(monkeypatch, n):
-    # At the default config the rows that the discretized source adds equal
-    # those of atomize + discrete_weight + discretize_function over the whole
-    # grid, for each mesh parameter.
-    tables, real_atom_values = [], freenorm._atom_values
+    # At the default config the one fold of the fixed rows holds the sign
+    # rows, then for each mesh parameter the rows of atomize + discrete_weight
+    # + discretize_function over the whole grid.
+    calls, real_atom_values = [], freenorm._atom_values
 
     def record(e, vectors, weights, columns):
-        tables.append(_expanded(weights, columns))
+        calls.append((weights, columns))
         return real_atom_values(e, vectors, weights, columns)
 
     monkeypatch.setattr(freenorm, "_atom_values", record)
@@ -217,7 +239,12 @@ def test_discretized_atom_table_matches_full_grid_pipeline(monkeypatch, n):
     operator_lower_bound(parse(" \\/ ".join(names)), dict(zip(names, np.eye(n))), config)
     grid = CylinderGrid.regular(n, r_levels=freenorm.R_LEVELS, face_points=freenorm.FACE_POINTS)
     w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
+    (weights, columns), = calls
+    counts = freenorm._fixed_atoms(n, 0, config.delta_list)[1]
+    cells = _radial_cells(n, config.delta_list, len(counts))
+    tables = [_expanded(*table) for table in _tables(weights, columns, counts, cells)]
     assert len(tables) == 1 + len(config.delta_list)
+    assert np.array_equal(tables[0], np.column_stack([np.ones(2 ** n), freenorm._sign_rows(n, 2 ** n, 0, 41)]))
     for table, delta in zip(tables[1:], config.delta_list):
         partition = build_partition(delta)
         values = [1.0 / (1.0 + delta) * generator(basis, grid).values for basis in np.eye(n)]
@@ -470,16 +497,17 @@ def test_cached_rows_are_read_only(monkeypatch):
         return real_atom_values(e, vectors, weights, columns)
 
     monkeypatch.setattr(freenorm, "_atom_values", record)
-    # The weights and columns of the sign and mesh tables as one entry, then
-    # one entry of draws for the one window of the ascent's 3 rounds (no
-    # round beats the sign atoms' value 1).
+    # The weights, row counts and columns of the sign and mesh rows as one
+    # entry, then one entry of draws for the one window of the ascent's 3
+    # rounds (no round beats the sign atoms' value 1).  The fold of the fixed
+    # rows reads the cached columns; its weights are expanded per call.
     operator_lower_bound(parse("x * y"), {"x": [1, 0], "y": [0, 1]},
                          SearchConfig(search_iters=40, delta_list=(2.0 ** -4,)))
     entries = list(freenorm._ROWS._tables.values())
     assert list(freenorm._ROWS._tables) == [("fixed", 2, None, (2.0 ** -4,)), ("draws", 0, 2, 0, 3)]
-    assert [len(tables) for tables in entries] == [4, 1] and len(seen) == 3
-    for table in [*(table for pair in seen[:2] for table in pair),
-                  *(table for tables in entries for table in tables)]:
+    assert [len(tables) for tables in entries] == [3, 1] and len(seen) == 2
+    assert [table.shape for table in entries[0]] == [(2, 17), (2,), (24, 2)] and seen[0][1] is entries[0][2]
+    for table in (table for tables in entries for table in tables):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
 
@@ -513,7 +541,8 @@ def test_each_config_field_keys_the_rows(monkeypatch, change):
     # rows it uses on a cleared cache, and those differ from the base's (an
     # empty delta_list keys a fixed entry of the sign rows alone, a larger
     # search_iters reads more rounds of draws, and a delta_list given as a
-    # list keys the same entry as the tuple).
+    # list keys the same entry as the tuple).  The first fold holds the fixed
+    # rows: one mesh parameter more appends its rows.
     gens = {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1]}
     e = parse("(x * y) \\/ z")
     real_atom_values = freenorm._atom_values
@@ -542,7 +571,7 @@ def test_each_config_field_keys_the_rows(monkeypatch, change):
     warm = rows_used(changed, clear=False)
     assert same(warm, cold)
     if len(change.get("delta_list", ())) == 2:
-        assert same(cold[:2], base[:2]) and len(cold) > len(base)  # one mesh parameter more
+        assert np.array_equal(cold[0][:len(base[0])], base[0]) and len(cold[0]) > len(base[0])
     else:
         assert not same(cold, base)
 
@@ -572,9 +601,10 @@ def test_row_cache_evicts_least_recently_used_within_its_budget():
 
 
 def test_row_cache_stays_within_the_grid_budget(monkeypatch):
-    # Kept as factors, the n = 5 fixed rows hold 101,523 entries (2.07 M
-    # expanded): they are cached beside the n <= 4 entries, and repeated n = 4
-    # and n = 5 searches build no row; the n = 594 round holds about 1.06 M.
+    # Kept as factors, the n = 5 fixed rows hold 101,512 entries (2.07 M
+    # expanded) and the n = 6 ones 766,536: both are cached beside the n <= 4
+    # entries, and repeated n = 4, 5 and 6 searches build no row; the n = 594
+    # round holds about 1.06 M.
     def search(n):
         names = [f"x{i}" for i in range(n)]
         operator_lower_bound(parse(" \\/ ".join(names)), dict(zip(names, np.eye(n))),
@@ -585,24 +615,27 @@ def test_row_cache_stays_within_the_grid_budget(monkeypatch):
         search(n)
     kept = list(freenorm._ROWS._tables)
     search(5)
+    search(6)
     assert freenorm._ROWS.entries <= REAL_GRID_CAP
     assert set(kept) <= set(freenorm._ROWS._tables)
-    fixed = [key for key in freenorm._ROWS._tables if key[:2] == ("fixed", 5)]
-    assert len(fixed) == 1
-    assert sum(table.size for table in freenorm._ROWS._tables[fixed[0]]) == 101_523
+    for n, entries in ((5, 101_512), (6, 766_536)):
+        fixed = [key for key in freenorm._ROWS._tables if key[:2] == ("fixed", n)]
+        assert len(fixed) == 1
+        assert sum(table.size for table in freenorm._ROWS._tables[fixed[0]]) == entries
     built = []
     for builder in ("_fixed_atoms", "_drawn_atoms"):
         real = getattr(freenorm, builder)
         monkeypatch.setattr(freenorm, builder, lambda *args, real=real: built.append(args) or real(*args))
+    search(6)
     search(5)
     search(4)
-    assert built == []
+    assert built == [] and freenorm._ROWS.entries <= REAL_GRID_CAP
     test_search_dimension_budget()
     tables = freenorm._ROWS._tables.values()
     assert sum(table.size for entry in tables for table in entry) < freenorm._ROWS.entries <= REAL_GRID_CAP
 
 
-_reference_fixed = functools.lru_cache(maxsize=None)(freenorm._fixed_atoms)
+_reference_fixed = functools.lru_cache(maxsize=None)(_fixed_tables)
 
 
 @functools.lru_cache(maxsize=None)
@@ -613,9 +646,11 @@ def _reference_draws(seed, n, round_):
 
 
 def _sequential_lower_bound(e, gens, config, dimension=None, improved=None):
-    """The operator search with the ascent round by round, one fold a round
-    (the implementation before windows): the reference the windowed ascent
-    must match bit for bit.  Appends each round that improves to ``improved``."""
+    """The operator search with each fixed source in its own fold and the
+    ascent round by round, one fold a round (the implementation before the
+    fixed rows were stacked and the rounds windowed), each fold's first best
+    atom kept only when strictly greater: the reference the search must match
+    bit for bit.  Appends each round that improves to ``improved``."""
     vectors, n = generator_vectors(e, gens, dimension)
     best_value, best = -1.0, None
 
@@ -625,11 +660,11 @@ def _sequential_lower_bound(e, gens, config, dimension=None, improved=None):
         i = np.unravel_index(np.argmax(np.where(np.isnan(values), -1.0, values)), values.shape)
         if values[i] > best_value:
             best_value = float(values[i])
-            best = np.r_[np.broadcast_to(weights, values.shape)[i], columns[i[0]]]
+            best = np.r_[weights[i], columns[i[0]]]
             return True
         return False
 
-    for weights, columns in _tables(_reference_fixed(n, config.seed, tuple(config.delta_list))):
+    for weights, columns in _reference_fixed(n, config.seed, tuple(config.delta_list)):
         consider(weights, columns)
     step, left, round_ = 0.25, config.search_iters, 0
     moves = np.kron(np.eye(n + 1), [[1.0], [-1.0]])
@@ -664,13 +699,13 @@ def _norm_search_inputs(monkeypatch, count):
             for names, text in itertools.islice(workload.inputs(), count)]
 
 
-def _corpus_b(iters, seed):
-    """ROADMAP's corpus B at ``iters`` ascent atoms and the given seed."""
+def _corpus_b(iters, seed, delta_list=SearchConfig.delta_list):
+    """ROADMAP's corpus B at ``iters`` ascent atoms, the given seed and mesh parameters."""
     for s in range(120):
         e = random_expr(random.Random(1000 + s), ("u", "v", "w"), 7)
         rng = np.random.default_rng(s)
         gens = {name: rng.uniform(-0.5, 0.5, 3) for name in variables(e)}
-        yield e, gens, SearchConfig(search_iters=iters, seed=seed), 3
+        yield e, gens, SearchConfig(search_iters=iters, seed=seed, delta_list=delta_list), 3
 
 
 def _off_basis_eleven():
@@ -731,7 +766,7 @@ def test_windowed_ascent_matches_the_sequential_rounds_at_the_edges():
 def test_each_ascent_fold_holds_at_most_a_chunk_or_one_round(monkeypatch):
     # The ascent folds tables of at most ball._CHUNK entries (atoms times
     # n + 1), or of one round; on the norm_search inputs it is one fold after
-    # the sign table and the three mesh tables.
+    # the fold of the fixed rows.
     sizes, real_atom_values = [], freenorm._atom_values
 
     def record(e, vectors, weights, columns):
@@ -746,13 +781,87 @@ def test_each_ascent_fold_holds_at_most_a_chunk_or_one_round(monkeypatch):
 
     norm_search = _norm_search_inputs(monkeypatch, 100)
     monkeypatch.setattr(freenorm, "_atom_values", record)
-    assert max(len(folds(*case)) for case in norm_search) <= 5
-    cases = [(3, 4, case) for case in _corpus_b(10_000, 3)]  # (n, fixed tables, case)
-    cases += [(1, 4, (parse("(2e155*x)*(2e155*x) - (2e155*x)*(2e155*x)"), {"x": [1.0]},
-                      SearchConfig(search_iters=500, seed=1))),
-              (11, 1, (*_off_basis_eleven(), SearchConfig(search_iters=2_000))),
-              (594, 1, (parse("x * y - abs(y)"), {"x": np.eye(594)[0], "y": np.eye(594)[1]},
-                        SearchConfig(search_iters=10_000, delta_list=())))]
-    for n, fixed, case in cases:
-        for atoms in folds(*case)[fixed:]:
+    assert max(len(folds(*case)) for case in norm_search) <= 2
+    cases = [(3, case) for case in _corpus_b(10_000, 3)]
+    cases += [(1, (parse("(2e155*x)*(2e155*x) - (2e155*x)*(2e155*x)"), {"x": [1.0]},
+                   SearchConfig(search_iters=500, seed=1))),
+              (11, (*_off_basis_eleven(), SearchConfig(search_iters=2_000))),
+              (594, (parse("x * y - abs(y)"), {"x": np.eye(594)[0], "y": np.eye(594)[1]},
+                     SearchConfig(search_iters=10_000, delta_list=())))]
+    for n, case in cases:
+        for atoms in folds(*case)[1:]:
             assert atoms * (n + 1) <= _CHUNK or atoms <= 5 * (n + 1)
+
+
+@pytest.mark.parametrize("delta_list", [(), (0.6,), (0.25, 2.0 ** -5), SearchConfig.delta_list])
+def test_one_fold_holds_every_fixed_row(monkeypatch, delta_list):
+    # The sign rows and the sphere classes of every mesh parameter are scored
+    # in the search's first _atom_values call, one weight row per class (its
+    # table's radial weights, padded with the last one to the most cells);
+    # without an ascent it is the only call, and the ascent's folds follow it.
+    calls, real_atom_values = [], freenorm._atom_values
+
+    def record(e, vectors, weights, columns):
+        calls.append((weights, columns))
+        return real_atom_values(e, vectors, weights, columns)
+
+    monkeypatch.setattr(freenorm, "_atom_values", record)
+    for n in range(1, 5):
+        names = [f"x{i}" for i in range(n)]
+        grid = CylinderGrid.regular(n, r_levels=freenorm.R_LEVELS, face_points=freenorm.FACE_POINTS)
+        meshes = [discretize_generators(list(1.0 / (1.0 + delta) * grid.sphere_points.T), grid, delta)
+                  for delta in delta_list]
+        signs = freenorm._sign_rows(n, 2 ** n, 0, 41)
+        k = max([1] + [mesh.radial_cells for mesh in meshes])
+        rows = [(np.ones(k), signs)] + [(mesh.weights[np.minimum(np.arange(k), mesh.radial_cells - 1)],
+                                         mesh.coefficients[:, ::mesh.radial_cells].T) for mesh in meshes]
+        for iters in (0, 300):
+            calls.clear()
+            operator_lower_bound(parse(" * ".join(names)), dict(zip(names, np.eye(n))),
+                                 SearchConfig(search_iters=iters, delta_list=delta_list))
+            (weights, columns), *ascent = calls
+            assert len(ascent) == (iters > 0) and all(w.shape[1] == 1 for w, _ in ascent)
+            assert np.array_equal(columns, np.concatenate([c for _, c in rows]))
+            assert np.array_equal(weights, np.concatenate([np.tile(w, (len(c), 1)) for w, c in rows]))
+
+
+def test_unequal_radial_cells_match_the_per_table_rule(monkeypatch):
+    # At mesh parameters 0.25 and 2**-5 the tables have 5 and 17 radial cells,
+    # so the sign rows and the 0.25 table are padded to 17 cells.  On corpus B
+    # and four corpus-B-style inputs at which the 0.25 table wins (three of
+    # them at its last cell, tied with its 12 padded copies) the search equals the
+    # per-table reference bit for bit, and the first best atom of the fold of
+    # the fixed rows is always a real radial cell of its table.
+    deltas = (0.25, 2.0 ** -5)
+    cases = {3: list(_corpus_b(0, 0, deltas))}
+    for n, s in ((2, 5941), (2, 8919), (3, 387), (3, 1103)):
+        e, rng = random_expr(random.Random(7000 + s), ("u", "v", "w"), 7), np.random.default_rng(s)
+        gens = {name: rng.uniform(-0.5, 0.5, n) for name in variables(e)}
+        cases.setdefault(n, []).append((e, gens, SearchConfig(search_iters=0, delta_list=deltas), n))
+    for iters, seed in ((0, 0), (200, 0), (500, 3)):
+        _assert_windows_match_rounds((e, gens, SearchConfig(search_iters=iters, seed=seed, delta_list=deltas), n)
+                                     for n in cases for e, gens, _, _ in cases[n])
+    folds, real_atom_values = [], freenorm._atom_values
+
+    def record(e, vectors, weights, columns):
+        values = real_atom_values(e, vectors, weights, columns)
+        folds.append(values.copy())
+        return values
+
+    monkeypatch.setattr(freenorm, "_atom_values", record)
+    wins, padded_ties = [0, 0, 0], 0
+    for n in cases:
+        cells = _radial_cells(n, deltas, 3)
+        assert cells == [1, 5, 17]
+        ends = np.cumsum(freenorm._fixed_atoms(n, 0, deltas)[1])
+        for e, gens, config, _ in cases[n]:
+            folds.clear()
+            with np.errstate(all="ignore"):
+                operator_lower_bound(e, gens, config, n)
+            values = np.where(np.isnan(folds[0]), -1.0, folds[0])
+            s, t = divmod(int(np.argmax(values)), values.shape[1])
+            table = int(np.searchsorted(ends, s, side="right"))
+            assert t < cells[table]
+            wins[table] += 1
+            padded_ties += table == 1 and t == 4 and bool((values[s, 5:] == values[s, t]).all())
+    assert wins[0] and wins[1] == 4 and padded_ties == 3
