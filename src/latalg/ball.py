@@ -11,7 +11,9 @@ The verdicts rest on three vanishing checks, :func:`vanishes_on_ball`,
 :func:`vanishes_on_reals` and :func:`transport_residual` (to the finite
 models), and all three are one chunked scan: the first point of the
 strictly largest ``|value| / (1 + bound)`` is the witness, and a point whose
-value or bound is not finite scores ``inf``.  No grid is ever built whole.
+value or bound is not finite scores ``inf``.  No grid is ever built whole:
+both grid scans draw their points as views of one reused block of at most
+6,000 points, each valid until the next is drawn.
 """
 
 from __future__ import annotations
@@ -135,8 +137,7 @@ def vanishes_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGri
     threshold = tol * (1.0 + bound)
 
     def chunks():
-        for columns in _grid_chunks(np.linspace(-1.0, 1.0, grid.points_per_axis), grid.dimension):
-            points = np.column_stack(columns)
+        for points in _grid_chunks(np.linspace(-1.0, 1.0, grid.points_per_axis), grid.dimension):
             values = eval_pointwise(e, {name: points @ vec for name, vec in vectors.items()})
             yield values, 0.0, lambda i: tuple(points[i])
 
@@ -165,20 +166,26 @@ _CHUNK = 6_000
 
 
 def _grid_chunks(axis: np.ndarray, k: int):
-    """Columns of the grid ``axis^k`` in C order, in chunks of ``rows`` points of the
-    leading k - m axes, each with the whole block of the trailing m axes."""
+    """The grid ``axis^k`` in C order, as ``(size, k)`` blocks of ``rows`` points of the
+    leading k - m axes, each with the whole block of the trailing m axes.
+
+    Every block is a C-order view of one buffer allocated per call: the
+    trailing coordinates are written into it once, and each block writes
+    only its leading ones.  A block is valid until the next one is drawn."""
     g = axis.size
-    if g == 1:  # the single point: a (k - 1)-axis meshgrid fails from 33 axes on
-        yield [axis] * k
-        return
     m = max(j for j in range(k) if g ** j <= _CHUNK)
     leads, block = g ** (k - m), g ** m
     rows = _CHUNK // block
-    tiled = [np.tile(c.reshape(-1), rows) for c in np.meshgrid(*([axis] * m), indexing="ij")]
+    buffer = np.empty((rows * block, k))
+    for j in range(m):  # trailing axis j is constant over g^(m-1-j) points, repeated in cycles
+        buffer.reshape(rows * g ** j, g, g ** (m - 1 - j), k)[..., k - m + j] = axis[:, None]
+    by_row = buffer.reshape(rows, block, k)
     for start in range(0, leads, rows):
         lead = np.unravel_index(np.arange(start, min(start + rows, leads)), (g,) * (k - m))
-        size = lead[0].size * block
-        yield [np.repeat(axis[i], block) for i in lead] + [c[:size] for c in tiled]
+        count = lead[0].size
+        for j, index in enumerate(lead):  # one column at a time: runs of block points
+            by_row[:count, :, j] = axis[index][:, None]
+        yield buffer[:count * block]
 
 
 def _worst_point(chunks, worst: float = 0.0) -> tuple[float, object]:
@@ -186,14 +193,19 @@ def _worst_point(chunks, worst: float = 0.0) -> tuple[float, object]:
     witness_at)``, each point scoring ``|value| / (1 + bound)`` (``inf`` if
     either is not finite) and ``witness_at`` mapping a point's index in its
     chunk to its witness.  Returns the largest score above ``worst`` and the
-    witness of its first point, or ``(worst, None)``."""
+    witness of its first point, or ``(worst, None)``.
+
+    ``argmax`` comes first: a chunk whose largest score and bound are finite
+    holds no NaN (``argmax`` would have returned it) and no ``inf``, so only
+    other chunks pay for the non-finite masking."""
     witness = None
     with np.errstate(all="ignore"):
         for values, bound, witness_at in chunks:
             scores = np.ravel(np.abs(values) / (1.0 + bound))
-            if not (np.isfinite(scores).all() and np.isfinite(bound).all()):
-                scores = np.where(np.isfinite(values) & np.isfinite(bound), scores, np.inf)
             idx = int(np.argmax(scores))
+            if not (math.isfinite(scores[idx]) and np.isfinite(bound).all()):
+                scores = np.where(np.isfinite(values) & np.isfinite(bound), scores, np.inf)
+                idx = int(np.argmax(scores))
             if scores[idx] > worst:
                 worst, witness = float(scores[idx]), witness_at(idx)
     return worst, witness
@@ -228,21 +240,21 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
         while g > 1 and g ** k > REAL_GRID_CAP:
             g -= 2
 
-    def chunks(column_chunks):
-        for columns in column_chunks:
-            env = dict(zip(names, columns))
+    def chunks(point_chunks):
+        for points in point_chunks:
+            env = dict(zip(names, points.T))
             values = eval_pointwise(e, env)
             bound = majorant.evaluate({n: np.abs(c) for n, c in env.items()})
             yield values, bound, lambda i: {n: float(c[i]) for n, c in env.items()}
 
     if k == 0:
-        column_chunks = [[]]
+        point_chunks = [np.empty((1, 0))]
     else:
         rng = seeded_rng(seed, 11)
-        draws = (list(rng.uniform(-scale, scale, (min(_CHUNK, samples - start), k)).T)
+        draws = (rng.uniform(-scale, scale, (min(_CHUNK, samples - start), k))
                  for start in range(0, samples, _CHUNK))
-        column_chunks = itertools.chain(_grid_chunks(np.linspace(-scale, scale, g), k), draws)
-    worst, witness = _worst_point(chunks(column_chunks))
+        point_chunks = itertools.chain(_grid_chunks(np.linspace(-scale, scale, g), k), draws)
+    worst, witness = _worst_point(chunks(point_chunks))
     return RealLineReport(worst <= tol, worst, tol, None if worst <= tol else witness, g, capped)
 
 

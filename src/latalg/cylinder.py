@@ -81,8 +81,11 @@ class CylinderGrid:
 
     @classmethod
     def regular(cls, dimension: int, r_levels: int = 33, face_points: int = 8) -> "CylinderGrid":
-        """Uniform grid: per-face lattices on the 2n cube faces, shared edge
-        points deduplicated in canonical face order (axis 0 +, axis 0 -, ...).
+        """Uniform grid: per-face lattices on the 2n cube faces in canonical
+        order (axis 0 +, axis 0 -, axis 1 +, ...), each shared edge point kept
+        on its first face only.  A point of face ``(i, +-)`` lies on an earlier
+        face exactly when one of its first ``i`` free coordinates (axes 0 to
+        i - 1) is +-1, so those points are dropped from it.
 
         Raises ValueError, before building anything, for a grid of more than
         :data:`~latalg.ball.REAL_GRID_CAP` points.
@@ -97,11 +100,14 @@ class CylinderGrid:
         r = np.linspace(0.0, 1.0, r_levels)
         axis = np.linspace(-1.0, 1.0, face_points)
         cells = np.indices((face_points,) * (dimension - 1))
-        free = axis[cells.reshape(dimension - 1, face_points ** (dimension - 1)).T]
-        faces = np.concatenate([np.insert(free, i, sign, axis=1)
-                                for i in range(dimension) for sign in (1.0, -1.0)])
-        _, first = np.unique(faces, axis=0, return_index=True)  # first occurrence of each row
-        return cls.from_points(r, faces[np.sort(first)])
+        cells = cells.reshape(dimension - 1, face_points ** (dimension - 1)).T
+        # on_edge[:, i - 1]: one of the first i free coordinates is an end of the axis.
+        on_edge = np.logical_or.accumulate((cells == 0) | (cells == face_points - 1), axis=1)
+        faces = []
+        for i in range(dimension):
+            free = axis[cells if i == 0 else cells[~on_edge[:, i - 1]]]
+            faces += [np.insert(free, i, sign, axis=1) for sign in (1.0, -1.0)]
+        return cls.from_points(r, np.concatenate(faces))
 
 
 @dataclass(eq=False)

@@ -121,6 +121,8 @@ class AtomDecomposition:
     ``fingerprints[a]`` holds the cell index of every fingerprinted function
     (inputs first, the weight last) on atom ``a``; atoms are numbered in
     sorted fingerprint order, so the decomposition is deterministic.
+    :func:`atomize` stores ``fingerprints`` function-major (the transpose of
+    a C-order ``(functions, atoms)`` array), so no caller may assume C order.
     """
 
     atom_of_point: np.ndarray
@@ -170,11 +172,12 @@ def atomize(split_fns: Sequence, w, partition: PartitionSpec) -> AtomDecompositi
     atom_of_point = np.empty(order.shape[0], dtype=np.intp)
     atom_of_point[order] = np.cumsum(starts) - 1
     first = order[starts]
-    # Filled one column at a time, so one gathered column is alive at once.
-    fingerprints = np.empty((first.shape[0], len(columns)), dtype=np.intp)
-    for j, column in enumerate(columns):
-        fingerprints[:, j] = column[first]
-    return AtomDecomposition(atom_of_point, fingerprints)
+    # Function-major: each column is gathered straight into one contiguous row
+    # (``first`` is in range, and "clip" spares the copy "raise" makes of ``out``).
+    fingerprints = np.empty((len(columns), first.shape[0]), dtype=np.intp)
+    for column, row in zip(columns, fingerprints):
+        np.take(column, first, out=row, mode="clip")
+    return AtomDecomposition(atom_of_point, fingerprints.T)
 
 
 def lift_to_grid(coeffs: np.ndarray, atoms: AtomDecomposition) -> np.ndarray:

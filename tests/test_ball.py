@@ -258,6 +258,83 @@ def test_random_samples_are_drawn_in_chunks(monkeypatch):
     assert sum(sizes) == 27 + 20_000 and max(sizes) <= ball._CHUNK
 
 
+@pytest.mark.parametrize("g, k", [(1, 1), (1, 4), (1001, 1), (101, 3), (21, 4), (3, 7)])
+def test_grid_chunks_stack_to_the_c_order_grid(g, k):
+    # (1, k): the single point; (1001, 1): no trailing axes; (101, 3): a
+    # short last chunk; (21, 4): two trailing axes.
+    axis = np.linspace(-1.0, 1.0, g)
+    blocks, buffers = [], set()
+    for points in ball._grid_chunks(axis, k):
+        assert points.shape[1] == k and points.shape[0] <= ball._CHUNK
+        assert points.flags.c_contiguous
+        buffers.add(id(points.base))
+        blocks.append(points.copy())
+    expected = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
+    stacked = np.concatenate(blocks)
+    assert stacked.shape == expected.shape
+    assert np.array_equal(stacked.view(np.int64), expected.view(np.int64))
+    assert len(buffers) == 1  # every block is a view of one buffer
+    if (g, k) == (101, 3):
+        assert len(blocks) == 173 and blocks[-1].shape[0] < blocks[0].shape[0]
+
+
+def test_grid_chunk_is_reused_and_witnesses_are_copies():
+    # A block is overwritten by the next one ...
+    chunks = ball._grid_chunks(np.linspace(-1.0, 1.0, 101), 3)
+    first = next(chunks)
+    first_point = first[0].copy()
+    next(chunks)
+    assert not np.array_equal(first[0], first_point)
+    # ... but the scans read their witness before drawing the next block: the
+    # worst point is the first one, in the first of many blocks.
+    gens = {"x": [1.0, 0.0, 0.0], "y": [0.0, 1.0, 0.0], "z": [0.0, 0.0, 1.0]}
+    corner = parse("neg(x) /\\ neg(y) /\\ neg(z)")  # largest at the first point alone
+    report = vanishes_on_ball(corner, gens, BallGrid(3, 101))
+    assert report.witness == (-1.0, -1.0, -1.0) and report.max_residual == 1.0
+    report = vanishes_on_reals(corner, samples=0)
+    assert report.witness == {"x": -3.0, "y": -3.0, "z": -3.0}
+
+
+def _old_worst_point(chunks, worst=0.0):
+    """The worst-point rule before ``argmax`` came first: a copy to compare against."""
+    witness = None
+    with np.errstate(all="ignore"):
+        for values, bound, witness_at in chunks:
+            scores = np.ravel(np.abs(values) / (1.0 + bound))
+            if not (np.isfinite(scores).all() and np.isfinite(bound).all()):
+                scores = np.where(np.isfinite(values) & np.isfinite(bound), scores, np.inf)
+            idx = int(np.argmax(scores))
+            if scores[idx] > worst:
+                worst, witness = float(scores[idx]), witness_at(idx)
+    return worst, witness
+
+
+def test_worst_point_matches_the_old_rule_on_non_finite_chunks():
+    rng = np.random.default_rng(29)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -1.0])
+    for trial in range(400):
+        chunks = []
+        for c in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(1, 40))
+            values = rng.uniform(-2.0, 2.0, size)
+            hits = rng.random(size) < rng.choice([0.0, 0.05, 0.3])
+            values[hits] = rng.choice(specials[:3], int(hits.sum()))
+            kind = trial % 3
+            if kind == 0:
+                bound = float(rng.choice([0.0, 1.5, np.inf, np.nan, -1.0]))
+            elif kind == 1:
+                bound = rng.uniform(0.0, 3.0, size)
+                marks = rng.random(size) < rng.choice([0.0, 0.1])
+                bound[marks] = rng.choice(specials, int(marks.sum()))
+            else:
+                bound = 0.0
+            chunks.append((values, bound, lambda i, c=c: (c, i)))
+        worst = float(rng.choice([0.0, -1.0]))
+        new = ball._worst_point(iter(chunks), worst=worst)
+        old = _old_worst_point(iter(chunks), worst=worst)
+        assert repr(new) == repr(old), (trial, new, old)
+
+
 def test_grid_budget_checked_before_allocation():
     assert BallGrid(6, 11).size == REAL_GRID_CAP
     with pytest.raises(ValueError, match="budget"):

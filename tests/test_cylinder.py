@@ -77,6 +77,27 @@ def test_regular_sphere_matches_seen_set_reference(dimension):
         assert np.array_equal(points.view(np.int64), expected.view(np.int64))
 
 
+def unique_sphere(dimension, face_points):
+    # Oracle: the former construction, every face's lattice in canonical face
+    # order, then the first occurrence of each row by np.unique.
+    axis = np.linspace(-1.0, 1.0, face_points)
+    cells = np.indices((face_points,) * (dimension - 1))
+    free = axis[cells.reshape(dimension - 1, face_points ** (dimension - 1)).T]
+    faces = np.concatenate([np.insert(free, i, sign, axis=1)
+                            for i in range(dimension) for sign in (1.0, -1.0)])
+    _, first = np.unique(faces, axis=0, return_index=True)
+    return faces[np.sort(first)]
+
+
+@pytest.mark.parametrize("dimension, face_points",
+                         [(n, p) for n in range(1, 7) for p in range(2, 9)] + [(3, 24)])
+def test_regular_sphere_matches_unique_oracle(dimension, face_points):
+    points = CylinderGrid.regular(dimension, r_levels=2, face_points=face_points).sphere_points
+    expected = unique_sphere(dimension, face_points)
+    assert points.shape == expected.shape
+    assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+
+
 def test_regular_grid_budget():
     for n, r, p in ((1, 5, 8), (2, 3, 4), (3, 2, 5), (5, 2, 4), (6, 2, 4), (7, 2, 4)):
         assert CylinderGrid.regular(n, r, p).size == CylinderGrid.regular_size(n, r, p)
