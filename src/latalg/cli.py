@@ -2,7 +2,9 @@
 command takes only the options ``_COMMANDS`` lists for it, echoed in ``params``.
 
 Reports are machine-readable JSON on stdout (byte-identical for identical
-configurations, seed included); human summaries go to stderr.  Exit codes:
+configurations, seed included); human summaries go to stderr.  The verdicts
+of ``check-identity`` and ``kernel`` rest on finitely many sampled points, and
+their reports say so: ``"method": "sampled"``.  Exit codes:
 0 success/consistent, 1 property violation found, 2 usage or parse error:
 every input the library refuses with a ValueError, reported in one
 ``error:`` line on stderr.
@@ -118,6 +120,7 @@ def _real_line_check(e, args: argparse.Namespace, report: dict, **kwargs):
 def cmd_check_identity(args: argparse.Namespace) -> int:
     e = parse(args.expr)
     report = _echo(args)
+    report["method"] = "sampled"
     real = _real_line_check(e, args, report, samples=args.iters * 100)
     report["vanishes_on_reals"] = real.vanishes
     if not real.vanishes:
@@ -149,6 +152,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     points = args.grid_sphere if args.grid_sphere % 2 == 1 else args.grid_sphere + 1
     ball = vanishes_on_ball(e, gens, BallGrid(dim, points), tol=args.tol)
     report = _echo(args)
+    report["method"] = "sampled"
     real = _real_line_check(e, args, report)
     if not ball.vanishes:
         verdict = "nonzero on ball"
@@ -196,8 +200,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
                           delta_list=tuple(args.delta or SearchConfig.delta_list))
     sandwich = norm_sandwich(e, gens, config, n)
     report = _echo(args)
-    report.update({"lower": sandwich.lower, "upper": sandwich.upper,
-                   "witness": sandwich.witness.to_json()})
+    report.update(sandwich.to_json())
     _emit(report, f"norm in [{sandwich.lower:.6g}, {sandwich.upper:.6g}]")
     return 0
 

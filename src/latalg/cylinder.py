@@ -7,6 +7,8 @@ Continuous functions on the cylinder, ordered pointwise and multiplied by
 form a Banach f-algebra under the sup norm; the canonical generators are
 ``(r, u) -> u . x``.  This module samples that model on finite grids: the
 sphere is gridded per cube face, the radial coordinate by explicit levels.
+S is the dual sphere of the absolute-sum norm, the one domain modelled, so
+every grid is a cube grid.
 The extension of a term along generators evaluates it with the cylinder
 product directly on the rows with r > 0; the r = 0 row, where that product
 vanishes, is computed symbolically through the product-kill transform.
@@ -28,7 +30,7 @@ from .seeding import seeded_rng
 __all__ = [
     "CylinderGrid", "StarFunction", "star_product", "generator", "constant_one",
     "cylinder_extension", "strong_unit_candidate", "UnitCandidate", "unit_norm",
-    "check_star_axioms", "transport_to_cube", "CubeTransport",
+    "check_star_axioms",
 ]
 
 
@@ -36,10 +38,8 @@ __all__ = [
 class CylinderGrid:
     """Finite sampling of [0,1] x S: radial levels times sphere points.
 
-    ``r_levels`` must contain 0 and 1.  ``sphere_points`` are rows with
-    max-coordinate magnitude exactly 1 for cube grids; transported samples
-    of another dual sphere may be stored unvalidated (see
-    :func:`transport_to_cube`).
+    ``r_levels`` must contain 0 and 1.  Cube grids only: ``sphere_points``
+    are rows with max-coordinate magnitude exactly 1, checked on construction.
     """
 
     r_levels: np.ndarray
@@ -58,14 +58,14 @@ class CylinderGrid:
         return self.r_levels.shape[0] * self.sphere_points.shape[0]
 
     @classmethod
-    def from_points(cls, r_levels, sphere_points, validate: bool = True) -> "CylinderGrid":
+    def from_points(cls, r_levels, sphere_points) -> "CylinderGrid":
         r = np.asarray(r_levels, dtype=float)
         pts = np.asarray(sphere_points, dtype=float)
         if r.ndim != 1 or pts.ndim != 2:
             raise ValueError("r_levels must be a vector, sphere_points a matrix")
         if 0.0 not in r or 1.0 not in r:
             raise ValueError("r_levels must contain 0 and 1")
-        if validate and pts.size and np.any(np.max(np.abs(pts), axis=1) != 1.0):
+        if pts.size and np.any(np.max(np.abs(pts), axis=1) != 1.0):
             raise ValueError("sphere points must have max-coordinate magnitude exactly 1")
         return cls(r, pts)
 
@@ -128,10 +128,6 @@ class StarFunction:
     def _check(self, other: "StarFunction") -> None:
         if other.grid is not self.grid:
             raise ValueError("star functions live on different grids")
-
-    def join(self, other):
-        self._check(other)
-        return StarFunction(self.grid, np.maximum(self.values, other.values))
 
     def to_csv(self, path) -> None:
         n = self.grid.dimension
@@ -265,40 +261,3 @@ def check_star_axioms(grid: CylinderGrid, trials: int = 100, seed: int = 0,
         if np.any(bad):
             report.record(law="semiprime_positive_r", trial=trial, points=int(np.sum(bad)))
     return report
-
-
-@dataclass
-class CubeTransport:
-    """Composition operator between a sampled dual sphere and the cube sphere.
-
-    ``pull`` rewrites a function on the cube grid as a function on the
-    source samples via ``u -> u / max|u|``; the identification is pointwise,
-    so lattice operations and the weighted product transport exactly.
-    """
-
-    source_grid: CylinderGrid
-    target_grid: CylinderGrid
-
-    def pull(self, f: StarFunction) -> StarFunction:
-        if f.grid is not self.target_grid:
-            raise ValueError("function does not live on the transported cube grid")
-        return StarFunction(self.source_grid, f.values.copy())
-
-
-def transport_to_cube(sphere_points, r_levels=None) -> CubeTransport:
-    """Build the cube transport for samples of a finite-dimensional dual sphere.
-
-    Every sample is normalized by its max-coordinate magnitude; zero vectors
-    are rejected.  On cube samples the transport is the identity.
-    """
-    pts = np.asarray(sphere_points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("need a nonempty matrix of sphere samples")
-    norms = np.max(np.abs(pts), axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero vector is not a sphere point")
-    cube = pts / norms[:, None]
-    r = np.linspace(0.0, 1.0, 33) if r_levels is None else np.asarray(r_levels, dtype=float)
-    source = CylinderGrid.from_points(r, pts, validate=False)
-    target = CylinderGrid.from_points(r, cube, validate=True)
-    return CubeTransport(source, target)

@@ -29,7 +29,8 @@ For cylinder generators, sampled once per sphere point, steps 1-4 are one call
 used by the ``discretize`` command and :mod:`latalg.freenorm`:
 ``discretize_generators(values, grid, delta)``.  Generators do not depend on
 ``r`` and the weight is ``r``, so two grid points share an atom exactly when
-their sphere points share every split's cell and their levels the cell of ``r``.
+their sphere points share every split's cell and their levels the cell of ``r``:
+its atoms come from two :func:`atomize` calls, over the sphere points and the levels.
 
 On a finite grid every sampled function is simple, which is exactly why the
 construction is exact here.
@@ -228,7 +229,8 @@ def discretize_generators(values: Sequence[np.ndarray], grid: CylinderGrid,
                           delta: float) -> DiscreteGenerators:
     """Split, atomize and discretize generators sampled once per sphere point
     of ``grid`` against the weight ``r``: atom ``s * k_r + t`` is sphere class
-    ``s`` in the ``t``-th of ``k_r`` radial cells.  Equals :func:`atomize` over
+    ``s`` (one :func:`atomize` of the splits) in radial cell ``t`` (one of ``r``
+    alone, weighted by :func:`discrete_weight`).  Equals :func:`atomize` over
     the whole grid, then :func:`discrete_weight` and :func:`discretize_function`,
     bit for bit.  Raises :class:`ValueError` when a generator is not one value
     per sphere point, or a split or ``r`` leaves ``[0, 1 + delta)``."""
@@ -239,13 +241,14 @@ def discretize_generators(values: Sequence[np.ndarray], grid: CylinderGrid,
     # The zero weight puts every sphere point in cell 0, so it splits no class.
     sphere = atomize(parts, np.zeros(grid.sphere_points.shape[:1]), partition)
     sphere_cells = sphere.fingerprints[:, :-1]
-    r_cells, r_rank = np.unique(partition.cell_index(grid.r_levels), return_inverse=True)
-    k_r = r_cells.shape[0]
-    atoms = AtomDecomposition((sphere.atom_of_point * k_r + r_rank[:, None]).reshape(-1),
-                              np.column_stack([np.repeat(sphere_cells, k_r, axis=0),
-                                               np.tile(r_cells, sphere.atom_count)]))
+    radial = atomize([], grid.r_levels, partition)  # one atom per radial cell
+    k_r = radial.atom_count
+    atom_of_point = sphere.atom_of_point * k_r + radial.atom_of_point[:, None]
+    cells = np.column_stack([np.repeat(sphere_cells, k_r, axis=0),
+                             np.tile(radial.fingerprints, (sphere.atom_count, 1))])
+    atoms = AtomDecomposition(atom_of_point.reshape(-1), cells)
     lower = np.repeat(partition.lower(sphere_cells), k_r, axis=0)  # one column per split
-    weights = np.maximum(partition.lower(r_cells), partition.cuts[1])
+    weights = discrete_weight(grid.r_levels, radial, partition)
     return DiscreteGenerators(atoms, [np.broadcast_to(part, grid.shape) for part in parts],
                               list(lower.T), np.tile(weights, sphere.atom_count),
                               np.ascontiguousarray((lower[:, 0::2] - lower[:, 1::2]).T), k_r)

@@ -28,7 +28,7 @@ __all__ = [
     "WeightedGridModel", "DiagonalAlgebra", "ZeroProductModel",
     "check_f_algebra_condition", "check_semiprime",
     "check_fstar", "check_submultiplicative", "square_zero_witness",
-    "ConditionReport", "model_to_json", "model_from_json",
+    "ConditionReport", "model_to_json",
     "random_weighted_grid", "random_diagonal", "model_suite",
 ]
 
@@ -279,17 +279,6 @@ def model_to_json(model: FiniteModel) -> dict:
     if isinstance(model, WeightedGridModel):
         return {"kind": "weighted_grid", "weights": model.weights.tolist()}
     raise ModelError(f"cannot serialize model kind {model.kind!r}")
-
-
-def model_from_json(data: dict) -> FiniteModel:
-    kind = data["kind"]
-    if kind == "diagonal":
-        return DiagonalAlgebra(data["weights"])
-    if kind == "weighted_grid":
-        return WeightedGridModel(data["weights"])
-    if kind == "zero_product":
-        return ZeroProductModel(data["points"])
-    raise ModelError(f"unknown model kind {kind!r}")
 
 
 def random_weighted_grid(rng: np.random.Generator, size: int) -> WeightedGridModel:

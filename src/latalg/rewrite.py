@@ -96,12 +96,6 @@ class Polynomial:
             out[mono] = out.get(mono, 0.0) + coeff
         return Polynomial(out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial({m: factor * c for m, c in self.terms.items()})
 
@@ -189,23 +183,6 @@ class NormalForm:
 
     def evaluate(self, assignment: Mapping[str, "np.ndarray | float"]):
         return self.evaluate_split(self.split_env(assignment))
-
-    def to_json(self) -> dict:
-        def poly(p: Polynomial):
-            return [{"monomial": list(m), "coeff": c} for m, c in p.sorted_terms()]
-
-        return {"pos": [poly(p) for p in self.pos], "neg": [poly(q) for q in self.neg]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "NormalForm":
-        def poly(items) -> Polynomial:
-            terms: dict[Monomial, float] = {}
-            for item in items:
-                mono = tuple(item["monomial"])
-                terms[mono] = terms.get(mono, 0.0) + float(item["coeff"])
-            return Polynomial(terms)
-
-        return cls(tuple(poly(p) for p in data["pos"]), tuple(poly(q) for q in data["neg"]))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,29 @@ def test_kernel_classifications(capsys):
     assert json.loads(out)["verdict"] == "identity"
 
 
+# One input per verdict branch of check-identity and kernel.  The cone term is
+# nonzero only where |x - y/100| < 9y/1000: the real grid of --iters 0 misses
+# it and the model transport's random draws hit it.
+VERDICTS = [
+    (["check-identity", "--expr", "x \\/ 0", "--iters", "10"], "non-identity", 0),
+    (["check-identity", "--expr", "pos(x)*neg(x)", "--iters", "10"], "identity", 0),
+    (["check-identity", "--expr", "pos(0.009*y - abs(x - 0.01*y))", "--iters", "0"],
+     "transport-violation", 1),
+    (["kernel", "--expr", "x"], "nonzero on ball", 0),
+    (["kernel", "--expr", "pos(pos(x)*pos(x)-pos(x))", "--grid-sphere", "101"],
+     "ball-kernel witness", 0),
+    (["kernel", "--expr", "pos(x)*neg(x)"], "identity", 0),
+]
+
+
+@pytest.mark.parametrize("argv, verdict, expected", VERDICTS,
+                         ids=[f"{argv[0]}-{verdict}" for argv, verdict, _ in VERDICTS])
+def test_every_verdict_is_labelled_sampled(capsys, argv, verdict, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert (code, report["verdict"], report["method"]) == (expected, verdict, "sampled")
+
+
 def test_surface_outputs(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "surface", "--n", "2", "--out", str(tmp_path),
                            "--grid-r", "5", "--grid-sphere", "4")
@@ -472,9 +495,9 @@ def test_large_sum_against_its_negation(capsys):
 # must stay byte-identical.
 README_REPORTS = [
     (["check-identity", "--expr", "pos(x)*neg(x)"],
-     "c147d7fc83f69bd2129a871945bd51876ec5fad718bdb67c46a4f33abae3c9e6"),
+     "45ac5d79f6ecdf038f93c000aeaa0b3aa25a3666289a3c1bdb92ca150c71bf92"),
     (["kernel", "--expr", "pos(pos(x)*pos(x)-pos(x))", "--grid-sphere", "101"],
-     "ea370f703644cfe8ab1ef2359ab2f4f140bfd020da303b380c9a71aacf14a2f7"),
+     "cca2a564187149dc80a588dd9c45c821ac1db7f1be6e5b968a081696d2794bf4"),
     (["surface", "--n", "2", "--out", "surfaces", "--expr", "v*w"],
      "46dfb39a85afbdc48ee5654ecd05a721a208d610301963450cfa3d3bee5922fd"),
     (["norm", "--expr", "x1*x1", "--iters", "10000"],

@@ -259,22 +259,11 @@ def test_split_decomposition_one_variable():
             assert abs(minus - eval_real(e, {"x": -lam})) <= 1e-9 * (1 + abs(minus))
 
 
-def test_normal_form_json_round_trip():
-    nf = normal_form(parse("x*y + (x \\/ 0)"))
-    data = nf.to_json()
-    assert set(data) == {"pos", "neg"}
-    back = NormalForm.from_json(data)
-    for i in range(20):
-        rng = random.Random(i)
-        a = {"x": rng.uniform(-2, 2), "y": rng.uniform(-2, 2)}
-        assert float(nf.evaluate(a)) == float(back.evaluate(a))
-
-
 def test_polynomial_invariants():
     with pytest.raises(ValueError):
         Polynomial({(): 1.0})
     p = Polynomial({("x",): 1.0, ("y",): -1.0})
-    assert (p - p).is_zero()
+    assert (p + p.scaled(-1.0)).is_zero()
     q = Polynomial.symbol("x") * Polynomial.symbol("x")
     assert q.terms == {("x", "x"): 1.0}
 
