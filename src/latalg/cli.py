@@ -25,7 +25,7 @@ from . import __version__
 from .ball import BallGrid, transport_residual, vanishes_on_ball, vanishes_on_reals
 from .cylinder import CylinderGrid, constant_one, cylinder_extension, generator, star_product
 from .discretize import build_partition, discretize_generators, verify_bounds
-from .expr import parse, variables
+from .expr import contains_product, eval_pointwise, parse, variables
 from .freenorm import SearchConfig, norm_sandwich
 from .models import model_to_json
 
@@ -139,9 +139,15 @@ def cmd_check_identity(args: argparse.Namespace) -> int:
     consistent = worst <= args.tol
     report["verdict"] = "identity" if consistent else "transport-violation"
     if not consistent:
-        report["violating_model"] = model_to_json(witness[0])
+        model, coordinates = witness
+        report["violating_model"] = model_to_json(model)
+        if not contains_product(e):  # the weights never enter: each model point is a real one
+            values = eval_pointwise(e, {name: np.array(v) for name, v in coordinates.items()})
+            point = int(np.argmax(np.abs(values)))  # its scaled real residual is at least worst
+            report["witness"] = {name: v[point] for name, v in coordinates.items()}
+            report["verdict"] = "non-identity"
     _emit(report, f"identity transport residual {worst:.3e}")
-    return 0 if consistent else VIOLATION
+    return VIOLATION if report["verdict"] == "transport-violation" else 0
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:

@@ -29,7 +29,7 @@ from .seeding import seeded_rng
 
 __all__ = [
     "CylinderGrid", "StarFunction", "star_product", "generator", "constant_one",
-    "cylinder_extension", "strong_unit_candidate", "UnitCandidate", "unit_norm",
+    "cylinder_extension", "strong_unit_candidate", "UnitCandidate",
     "check_star_axioms",
 ]
 
@@ -205,14 +205,6 @@ def strong_unit_candidate(family: Sequence[Sequence[float]], grid: CylinderGrid)
         sups = g if sups is None else np.maximum(sups, g)
     grid_min = float(np.min(sups))
     return UnitCandidate(StarFunction(grid, sups), grid_min, grid_min >= 0.5)
-
-
-def unit_norm(f: StarFunction, e_unit: StarFunction) -> float:
-    """Order-unit norm: max of |f| / e_unit over the grid."""
-    f._check(e_unit)
-    if np.any(e_unit.values <= 0.0):
-        raise ValueError("the unit must be strictly positive on the grid")
-    return float(np.max(np.abs(f.values) / e_unit.values, initial=0.0))
 
 
 def check_star_axioms(grid: CylinderGrid, trials: int = 100, seed: int = 0,

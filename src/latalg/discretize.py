@@ -63,10 +63,6 @@ class PartitionSpec:
     cuts: np.ndarray
     delta: float
 
-    @property
-    def mesh(self) -> float:
-        return float(np.max(np.diff(self.cuts)))
-
     def cell_index(self, values) -> np.ndarray:
         """Index i with ``c_i <= v < c_{i+1}`` per value; raises outside range.
         A scalar or 0-d value gives a numpy integer, an array an array.

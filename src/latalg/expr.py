@@ -6,7 +6,9 @@ part, negative part, absolute value and arithmetic negation are notation:
 :func:`Meet`, :func:`Pos`, :func:`NegPart`, :func:`Abs` and :func:`Neg`
 build the core term that spells them, so every term holds the six kinds
 only.  Terms are immutable and hashable, so they may be shared freely
-across threads; every operation in this module is pure.
+across threads; every operation in this module is pure, except that
+:func:`eval_pointwise` records on a term how often it was folded
+(``_folds``) and caches its compiled kernel (``_kernel``) there.
 
 Every traversal of a term runs over its tape, :attr:`Expr.tape`: one entry
 per structurally distinct subterm, children before parents, left before
@@ -415,16 +417,17 @@ def _compile_pointwise(tape) -> Callable:
     ops as straight-line code, one line per entry, the same numpy calls on the
     same operands in the same order, each value deleted after its last use.
 
-    Variables are loaded first, in tape order, so a ``KeyError`` from a load
-    comes before any other; scaling coefficients are bound as globals ``kI``,
-    never printed, so each keeps its type and the sign of a zero.
+    Variables are loaded first, in tape order, and an unbound one raises
+    :class:`MissingVariableError` with the fold's message; scaling
+    coefficients are bound as globals ``kI``, never printed, so each keeps its
+    type and the sign of a zero.
     """
-    namespace = {"maximum": np.maximum}
+    namespace = {"maximum": np.maximum, "MissingVariableError": MissingVariableError}
     loads, lines = [], []
     for i, (node, args, last_uses) in enumerate(tape):
         kind = type(node)
         if kind is Var:
-            loads.append(f" v{i} = env[{node.name!r}]")
+            loads.append(f"  name = {node.name!r}; v{i} = env[name]")
             continue
         if kind is Zero:
             value = "0.0"
@@ -438,6 +441,9 @@ def _compile_pointwise(tape) -> Callable:
         lines.append(f" v{i} = {value}")
         if last_uses:
             lines.append(" del " + ", ".join(f"v{k}" for k in last_uses))
+    if loads:  # the message of _lookup, for the first unbound name in tape order
+        loads = [" try:", *loads, " except KeyError:",
+                 '  raise MissingVariableError(f"no value for variable {name!r}") from None']
     source = "\n".join(["def kernel(env, product):", *loads, *lines, f" return v{i}"])
     exec(compile(source, "<eval_pointwise kernel>", "exec"), namespace)
     return namespace["kernel"]
@@ -465,14 +471,7 @@ def eval_pointwise(e: Expr, env: Mapping[str, "np.ndarray | float"],
     if kernel is None:  # one of the term's first evaluations, or a tape above the cap
         state["_folds"] = folds + 1
         return fold(e, {**_POINTWISE, Var: _lookup(env), Mul: lambda node, a, b: product(a, b)})
-    try:
-        return kernel(env, product)
-    except KeyError:  # the first unbound variable in tape order, if any, as the fold names it
-        lookup = _lookup(env)
-        for node, _, _ in e.tape:
-            if type(node) is Var:
-                lookup(node)
-        raise
+    return kernel(env, product)
 
 
 # ---------------------------------------------------------------------------

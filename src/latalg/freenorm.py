@@ -40,18 +40,20 @@ The ascent is evaluated in windows of rounds, one fold a window: a window
 assumes that none of its rounds raises the best value, so round j of it
 moves by step/2^j (exact: the steps are powers of two), and it is exact up
 to its first round that does.  That round's first best atom is kept with
-its step, and the next window starts after it.  A window holds at most
-:data:`~latalg.ball._CHUNK` entries, or one round when a round holds more;
-it starts at that cap, doubles (within it) after a window in which no
-round improved, and restarts at one round after one in which a round did.
+its step, and the next window starts after it.  The rounds are cut into
+blocks of as many rounds of 5(n + 1) atoms as fit in
+:data:`~latalg.ball._CHUNK` entries (at least one), and a window never
+crosses the end of its block: it starts at the whole block, doubles
+(within it) after a window in which no round improved, and restarts at
+one round after one in which a round did.
 Only the winner is built as an :class:`OperatorIntoAlgebra`, and the
 reported bound is its value replayed by :func:`evaluate_operator`.
 
 Every row but the ascent's moves depends on ``n`` and the config alone, not
 on the term or the generators, so each process builds it once: the fixed
 table as one entry ``("fixed", n, seed, delta_list)`` (a weight row and a
-row count per source, and the column rows), and the draws of a window's
-``count`` rounds from round ``r`` on as ``("draws", seed, n, r, count)``.
+row count per source, and the column rows), and the draws of each block
+``b`` of rounds as ``("draws", seed, n, b)``, of which a window is a view.
 The fixed rows read the seed only when ``2**n`` exceeds
 :data:`SIGN_PATTERN_CAP`; below that their key holds ``None`` in its place,
 so every seed shares them.  The tables are read-only; entries are kept
@@ -186,12 +188,12 @@ def _atom_values(e: Expr, vectors: Mapping[str, np.ndarray], weights: np.ndarray
     return np.abs(np.broadcast_to(values, weights.shape))
 
 
-def _sign_rows(n: int, cap: int, seed: int, key: int) -> np.ndarray:
-    """The ``2**n`` rows of +-1 entries in binary order, or ``cap`` seeded
-    random ones (stream ``key``) when there are more."""
-    if 2 ** n <= cap:
+def _sign_rows(n: int, seed: int, key: int) -> np.ndarray:
+    """The ``2**n`` rows of +-1 entries in binary order, or :data:`SIGN_PATTERN_CAP`
+    seeded random ones (stream ``key``) when there are more."""
+    if 2 ** n <= SIGN_PATTERN_CAP:
         return 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) - 1.0
-    return seeded_rng(seed, key).choice([-1.0, 1.0], size=(cap, n))
+    return seeded_rng(seed, key).choice([-1.0, 1.0], size=(SIGN_PATTERN_CAP, n))
 
 
 def _mesh_atoms(grid: CylinderGrid, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +214,7 @@ def _fixed_atoms(n: int, seed: int, delta_list: Sequence[float]) -> tuple[np.nda
     """The sign atoms (weight 1), then each mesh parameter's unless the grid
     exceeds :data:`REAL_GRID_CAP` points, as one table: per source its weights
     (padded with the last one to the most cells) and row count, then all rows."""
-    tables = [(np.ones(1), _sign_rows(n, SIGN_PATTERN_CAP, seed, 41))]
+    tables = [(np.ones(1), _sign_rows(n, seed, 41))]
     if delta_list and CylinderGrid.regular_size(n, R_LEVELS, FACE_POINTS) <= REAL_GRID_CAP:
         grid = CylinderGrid.regular(n, r_levels=R_LEVELS, face_points=FACE_POINTS)
         tables += [_mesh_atoms(grid, delta) for delta in delta_list]
@@ -316,14 +318,16 @@ def operator_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     if left > 0:
         moves = np.kron(np.eye(n + 1), [[1.0], [-1.0]])  # +-1 on each coordinate in turn
         low = np.r_[2.0 ** -52, -np.ones(n)]
+    block = max(1, _CHUNK // (5 * (n + 1) ** 2))  # rounds of one cached table of draws
     while left > 0:
         # A window of rounds that assumes none of them improves: round j
         # moves by step / 2**j.  Rounds up to the first that does are exact.
         size = (3 if best is None else 5) * (n + 1)
-        count = int(min(rounds, max(1, _CHUNK // (size * (n + 1))), -(-left // size)))
-        draws, = _ROWS.get(("draws", seed, n, round_, count),
-                           lambda: (_drawn_atoms(seed, n, range(round_, round_ + count)),))
-        atoms = draws
+        first = round_ - round_ % block
+        count = int(min(rounds, -(-left // size), first + block - round_))
+        table, = _ROWS.get(("draws", seed, n, first // block),
+                           lambda: (_drawn_atoms(seed, n, range(first, first + block)),))
+        atoms = draws = table[round_ - first:round_ - first + count]
         if best is not None:
             steps = np.ldexp(step, -np.arange(count))[:, None, None]
             atoms = np.concatenate([np.clip(best + steps * moves, low, 1.0), draws], axis=1)
@@ -410,7 +414,7 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
     for i in range(min(k, n)):
         identity[i, i] = 1.0
     consider(identity)
-    for corner in _sign_rows(n, SIGN_PATTERN_CAP, seed, 51):
+    for corner in _sign_rows(n, seed, 51):
         tuples = np.zeros((k, n))
         tuples[0] = corner
         consider(tuples)

@@ -80,10 +80,6 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def symbol(cls, name: str) -> "Polynomial":
         return cls({(name,): 1.0})
 
@@ -168,13 +164,6 @@ class NormalForm:
     def term_count(self) -> int:
         return sum(1 + len(p.terms) for p in self.pos + self.neg)
 
-    def split_env(self, assignment: Mapping[str, "np.ndarray | float"]) -> dict:
-        env = {}
-        for name, value in assignment.items():
-            env[split_pos(name)] = np.maximum(value, 0.0)
-            env[split_neg(name)] = np.maximum(-np.asarray(value, dtype=float), 0.0)
-        return env
-
     def evaluate_split(self, env: Mapping[str, "np.ndarray | float"]):
         """Evaluate with split symbols bound directly."""
         pos = reduce(np.maximum, (p.evaluate(env) for p in self.pos))
@@ -182,7 +171,11 @@ class NormalForm:
         return pos - neg
 
     def evaluate(self, assignment: Mapping[str, "np.ndarray | float"]):
-        return self.evaluate_split(self.split_env(assignment))
+        env = {}
+        for name, value in assignment.items():
+            env[split_pos(name)] = np.maximum(value, 0.0)
+            env[split_neg(name)] = np.maximum(-np.asarray(value, dtype=float), 0.0)
+        return self.evaluate_split(env)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +274,7 @@ class _Builder:
                 self._emit(acc, p + q)
 
     def zero(self) -> NormalForm:
-        z = Polynomial.zero()
+        z = Polynomial()
         return NormalForm((z,), (z,))
 
     def var(self, name: str) -> NormalForm:
@@ -414,7 +407,7 @@ def _majorant_join(node: Join, left: Polynomial, right: Polynomial) -> Polynomia
 
 
 _MAJORANT = {
-    Zero: lambda node: Polynomial.zero(),
+    Zero: lambda node: Polynomial(),
     Var: lambda node: Polynomial.symbol(node.name),
     Scale: lambda node, child: child.scaled(abs(node.coeff)),
     Add: lambda node, left, right: left + right,

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from latalg import ball, freenorm
 from latalg.cli import _COMMANDS, _OPTIONS, main
+from latalg.expr import eval_real, parse
 from latalg.models import WeightedGridModel
+from latalg.rewrite import polynomial_majorant
 
 TEN_VARIABLES = " \\/ ".join(f"x{i}" for i in range(10))
 
@@ -69,12 +71,13 @@ def test_kernel_classifications(capsys):
 
 # One input per verdict branch of check-identity and kernel.  The cone term is
 # nonzero only where |x - y/100| < 9y/1000: the real grid of --iters 0 misses
-# it and the model transport's random draws hit it.
+# it and the model transport's random draws hit it.  Its product with pos(y)
+# keeps a product, so the hit stays a transport violation.
+CONE = "pos(0.009*y - abs(x - 0.01*y))"
 VERDICTS = [
     (["check-identity", "--expr", "x \\/ 0", "--iters", "10"], "non-identity", 0),
     (["check-identity", "--expr", "pos(x)*neg(x)", "--iters", "10"], "identity", 0),
-    (["check-identity", "--expr", "pos(0.009*y - abs(x - 0.01*y))", "--iters", "0"],
-     "transport-violation", 1),
+    (["check-identity", "--expr", f"{CONE}*pos(y)", "--iters", "0"], "transport-violation", 1),
     (["kernel", "--expr", "x"], "nonzero on ball", 0),
     (["kernel", "--expr", "pos(pos(x)*pos(x)-pos(x))", "--grid-sphere", "101"],
      "ball-kernel witness", 0),
@@ -88,6 +91,18 @@ def test_every_verdict_is_labelled_sampled(capsys, argv, verdict, expected):
     code, out, _ = run_cli(capsys, *argv)
     report = json.loads(out)
     assert (code, report["verdict"], report["method"]) == (expected, verdict, "sampled")
+
+
+def test_product_free_model_hit_is_a_real_witness(capsys):
+    # Without a product the model's value at its points is the real value
+    # there, so the transport's hit is reported as a real non-identity.
+    code, out, _ = run_cli(capsys, "check-identity", "--expr", CONE, "--iters", "0")
+    report = json.loads(out)
+    assert (code, report["verdict"], report["vanishes_on_reals"]) == (0, "non-identity", True)
+    assert report["violating_model"]["kind"] == "weighted_grid"
+    e, point = parse(CONE), report["witness"]
+    bound = polynomial_majorant(e).evaluate({name: abs(value) for name, value in point.items()})
+    assert abs(eval_real(e, point)) / (1.0 + bound) >= report["model_residual"] > 1e-9
 
 
 def test_surface_outputs(tmp_path, capsys):

@@ -9,7 +9,6 @@ from latalg.ball import REAL_GRID_CAP
 from latalg.cylinder import (
     CylinderGrid, StarFunction, check_star_axioms, constant_one,
     cylinder_extension, generator, star_product, strong_unit_candidate,
-    unit_norm,
 )
 from latalg.expr import Join, Mul, Var, eval_pointwise, random_expr
 from latalg.freenorm import majorant_upper_bound
@@ -238,16 +237,6 @@ def test_strong_unit_validation(grid2):
         strong_unit_candidate([[1.0, 1.0]], grid2)  # absolute-sum norm 2
     with pytest.raises(ValueError):
         strong_unit_candidate([[np.nan, 0.0]], grid2)  # absolute-sum norm NaN
-
-
-def test_unit_norm_examples(grid2):
-    one = constant_one(grid2)
-    assert unit_norm(one, one) == 1.0
-    assert unit_norm(StarFunction(grid2, np.zeros(grid2.shape)), one) == 0.0
-    eta1 = generator([1.0, 0.0], grid2)
-    assert unit_norm(star_product(eta1, eta1), one) == 1.0
-    with pytest.raises(ValueError):
-        unit_norm(one, StarFunction(grid2, np.zeros(grid2.shape)))
 
 
 def test_star_axioms_pass(grid2):

@@ -34,7 +34,7 @@ def test_partition_mesh_and_top_cut():
     # 1 / delta just above 2 once took one cell too few: mesh delta + 1.7e-11.
     for delta in (0.25, 0.3, 2.0 ** -5, 0.07, 1.0 / (2.0 + 1e-10)):
         p = build_partition(delta)
-        assert p.mesh <= delta + 1e-12
+        assert np.diff(p.cuts).max() <= delta + 1e-12
         assert p.cuts[-1] == 1.0 + delta
         assert p.cuts[-2] >= 1.0 - 1e-12  # value 1 sits in the top cell
 

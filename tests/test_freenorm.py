@@ -244,7 +244,7 @@ def test_discretized_atom_table_matches_full_grid_pipeline(monkeypatch, n):
     cells = _radial_cells(n, config.delta_list, len(counts))
     tables = [_expanded(*table) for table in _tables(weights, columns, counts, cells)]
     assert len(tables) == 1 + len(config.delta_list)
-    assert np.array_equal(tables[0], np.column_stack([np.ones(2 ** n), freenorm._sign_rows(n, 2 ** n, 0, 41)]))
+    assert np.array_equal(tables[0], np.column_stack([np.ones(2 ** n), freenorm._sign_rows(n, 0, 41)]))
     for table, delta in zip(tables[1:], config.delta_list):
         partition = build_partition(delta)
         values = [1.0 / (1.0 + delta) * generator(basis, grid).values for basis in np.eye(n)]
@@ -498,18 +498,34 @@ def test_cached_rows_are_read_only(monkeypatch):
 
     monkeypatch.setattr(freenorm, "_atom_values", record)
     # The weights, row counts and columns of the sign and mesh rows as one
-    # entry, then one entry of draws for the one window of the ascent's 3
-    # rounds (no round beats the sign atoms' value 1).  The fold of the fixed
-    # rows reads the cached columns; its weights are expanded per call.
+    # entry, then the draws of the first block of rounds, 6000 // 45 = 133 of
+    # them, whose first 3 are the one window of the ascent's 3 rounds (no
+    # round beats the sign atoms' value 1).  The fold of the fixed rows reads
+    # the cached columns; its weights are expanded per call.
     operator_lower_bound(parse("x * y"), {"x": [1, 0], "y": [0, 1]},
                          SearchConfig(search_iters=40, delta_list=(2.0 ** -4,)))
     entries = list(freenorm._ROWS._tables.values())
-    assert list(freenorm._ROWS._tables) == [("fixed", 2, None, (2.0 ** -4,)), ("draws", 0, 2, 0, 3)]
+    assert list(freenorm._ROWS._tables) == [("fixed", 2, None, (2.0 ** -4,)), ("draws", 0, 2, 0)]
     assert [len(tables) for tables in entries] == [3, 1] and len(seen) == 2
     assert [table.shape for table in entries[0]] == [(2, 17), (2,), (24, 2)] and seen[0][1] is entries[0][2]
+    assert entries[1][0].shape == (133, 9, 3)
     for table in (table for tables in entries for table in tables):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.5
+
+
+def test_draws_are_cached_once_per_block_of_rounds():
+    # Windows start at term-specific rounds, but each is a view of its
+    # block's table: at n = 2 a block holds 6000 // 45 = 133 rounds, and
+    # 2,000 atoms span at most ceil(2000 / 9) = 223 rounds, two blocks.
+    freenorm._ROWS.clear()
+    for s in range(12):
+        e = random_expr(random.Random(1000 + s), ("u", "v"), 6)
+        gens = dict(zip(variables(e), np.random.default_rng(s).uniform(-0.5, 0.5, (2, 2))))
+        operator_lower_bound(e, gens, SearchConfig(search_iters=2000), dimension=2)
+    draws = {key: tables for key, tables in freenorm._ROWS._tables.items() if key[0] == "draws"}
+    assert set(draws) <= {("draws", 0, 2, 0), ("draws", 0, 2, 1)}
+    assert [table.shape for tables in draws.values() for table in tables] == [(133, 9, 3)] * len(draws)
 
 
 def test_fixed_rows_are_shared_by_every_seed_below_the_sign_cap(monkeypatch):
@@ -811,7 +827,7 @@ def test_one_fold_holds_every_fixed_row(monkeypatch, delta_list):
         grid = CylinderGrid.regular(n, r_levels=freenorm.R_LEVELS, face_points=freenorm.FACE_POINTS)
         meshes = [discretize_generators(list(1.0 / (1.0 + delta) * grid.sphere_points.T), grid, delta)
                   for delta in delta_list]
-        signs = freenorm._sign_rows(n, 2 ** n, 0, 41)
+        signs = freenorm._sign_rows(n, 0, 41)
         k = max([1] + [mesh.radial_cells for mesh in meshes])
         rows = [(np.ones(k), signs)] + [(mesh.weights[np.minimum(np.arange(k), mesh.radial_cells - 1)],
                                          mesh.coefficients[:, ::mesh.radial_cells].T) for mesh in meshes]

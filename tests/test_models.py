@@ -33,6 +33,36 @@ class InflatingModel(FiniteModel):
         return 2.0 * a * b
 
 
+class SmearingModel(FiniteModel):
+    """Negative control: squares are nonzero, but a point's product also reads
+    its neighbour's, so disjoint elements can multiply to nonzero."""
+
+    kind = "smearing"
+
+    def product_values(self, a, b):
+        return a * b + np.roll(a, 1) * b
+
+
+class SignedSquareModel(FiniteModel):
+    """Negative control: one point whose product drops negative values, so
+    elements of opposite signs multiply to zero although their meet is not."""
+
+    kind = "signed_square"
+
+    def product_values(self, a, b):
+        return np.maximum(a * b, 0.0)
+
+
+class SummingModel(FiniteModel):
+    """Negative control: every point holds the product of the coordinate sums,
+    1 on basis pairs but above sup|a| * sup|b| for spread-out elements."""
+
+    kind = "summing"
+
+    def product_values(self, a, b):
+        return np.full(a.shape, np.sum(a) * np.sum(b))
+
+
 def test_eval_zero_product_kills_squares():
     m = ZeroProductModel(4)
     x = m.element([1.0, -2.0, 3.0, 0.5])
@@ -122,11 +152,24 @@ def test_fstar_examples_and_agreement():
         model = (random_weighted_grid(rng, size) if i % 2 else random_diagonal(rng, size))
         assert check_fstar(model, 50, seed=i) == check_semiprime(model, 50, seed=i)
     assert check_fstar(ZeroProductModel(4)) == check_semiprime(ZeroProductModel(4))
+    # Off f-algebras the two part: these models are semiprime, and with no
+    # square-zero basis element each fails one of the two laws.  The smearing model fails the first (a disjoint pair with a
+    # nonzero product): its random pairs multiply to nonzero.  The one-point
+    # signed-square model fails the second (a zero product, a nonzero meet):
+    # one element of each of its disjoint pairs is zero.
+    for model in (SmearingModel(4), SignedSquareModel(1)):
+        assert square_zero_witness(model) is None and check_semiprime(model)
+        assert check_fstar(model) is False
 
 
 def test_submultiplicative():
     assert check_submultiplicative(WeightedGridModel(np.ones(5)), 100, seed=4)
     assert not check_submultiplicative(InflatingModel(5), 100, seed=5)
+    # Basis pairs multiply to 1 in the summing model: only a random pair fails.
+    summing = SummingModel(5)
+    assert all(summing.product_values(summing.basis(i).values, summing.basis(j).values).max() == 1.0
+               for i in range(5) for j in range(5))
+    assert not check_submultiplicative(summing, 100, seed=5)
     rng = np.random.default_rng(6)
     for i in range(100):
         model = random_weighted_grid(rng, int(rng.integers(1, 10)))

@@ -59,10 +59,14 @@ def test_normal_form_product_expansion():
     check_normal_form(Mul(Var("x"), Var("y")), nf, seed=1)
 
 
+def test_zero_scaling_is_the_zero_form():
+    assert normal_form(parse("0*x")) == NormalForm((Polynomial(),), (Polynomial(),))
+
+
 def test_normal_form_join_with_zero():
     e = parse("x \\/ 0")
     nf = normal_form(e)
-    assert (nf.pos, nf.neg) == ((Polynomial.symbol("x+"),), (Polynomial.zero(),))
+    assert (nf.pos, nf.neg) == ((Polynomial.symbol("x+"),), (Polynomial(),))
     check_normal_form(e, nf, seed=2)
 
 
@@ -78,7 +82,7 @@ def test_disjoint_join_with_zero_is_the_positive_side(text, pos, used):
     # each one-variable case and 52 on pos(x)*pos(y).
     builder = _Builder(1_000_000)
     nf = builder.build(parse(text))
-    assert (nf.pos, nf.neg) == ((Polynomial(pos),), (Polynomial.zero(),))
+    assert (nf.pos, nf.neg) == ((Polynomial(pos),), (Polynomial(),))
     assert builder.used == used
 
 
@@ -104,7 +108,7 @@ def test_polynomial_disjoint():
     assert (xp * yp).disjoint(xm + xm * ym) and (xp * yp).disjoint(xm.scaled(-2.0))
     assert not (xp + ym).disjoint(xm + yp)
     assert not xp.disjoint(yp) and not xp.disjoint(xp)
-    assert Polynomial.zero().disjoint(xp) and xp.disjoint(Polynomial.zero())
+    assert Polynomial().disjoint(xp) and xp.disjoint(Polynomial())
     # plain majorant symbols carry no sign to oppose
     assert not Polynomial.symbol("x").disjoint(Polynomial.symbol("x"))
 
@@ -154,7 +158,7 @@ def test_normal_form_to_expr_examples():
     for v in (-2.0, -0.5, 0.0, 1.5):
         assert eval_real(e, {"x": v}) == v
 
-    single = NormalForm((Polynomial({("x+", "y-"): 2.0}),), (Polynomial.zero(),))
+    single = NormalForm((Polynomial({("x+", "y-"): 2.0}),), (Polynomial(),))
     e2 = normal_form_to_expr(single)
     assert eval_real(e2, {"x": 3.0, "y": -2.0}) == pytest.approx(2.0 * 3.0 * 2.0)
 
