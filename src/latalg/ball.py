@@ -5,7 +5,9 @@ For generators living in the n-dimensional absolute-sum-normed space, the
 dual unit ball is the cube.  :func:`vanishes_on_ball` samples the function
 ``x* -> e(x*(x_1), ..., x*(x_k))`` on a uniform cube grid, which is the
 concrete face of the restriction representation; grid vanishing is a
-surrogate for kernel membership, not a proof.
+surrogate for kernel membership, not a proof.  A generator that is exactly
+the basis vector ``e_j`` acts as coordinate ``j``, which the scan reads in
+place of the product; every other generator takes one product per point.
 
 The verdicts rest on three vanishing checks, :func:`vanishes_on_ball`,
 :func:`vanishes_on_reals` and :func:`transport_residual` (to the finite
@@ -104,6 +106,19 @@ def generator_vectors(e: Expr, gens: Mapping[str, Sequence[float]],
     return {name: arrays[name] for name in names}, dimension
 
 
+def _basis_index(vec: np.ndarray) -> int | None:
+    """``j`` when ``vec`` is exactly the unit vector ``e_j``: one nonzero
+    entry, and that entry 1.0.  Otherwise None.
+
+    A finite point ``p`` whose coordinate ``j`` is not -0.0 then has
+    ``p[j] == p @ vec`` bit for bit, since every other term of the sum is an
+    exact zero: the scans read the coordinate instead of the product."""
+    nonzero = np.flatnonzero(vec)
+    if nonzero.size == 1 and vec[nonzero[0]] == 1.0:
+        return int(nonzero[0])
+    return None
+
+
 def generator_norms(gens: Mapping[str, Sequence[float]]) -> dict[str, float]:
     """The absolute-sum norm of every generator vector in ``gens``."""
     return {name: float(np.sum(np.abs(np.asarray(vec, dtype=float)))) for name, vec in gens.items()}
@@ -133,12 +148,14 @@ def vanishes_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGri
     non-finite value.
     """
     vectors, _ = generator_vectors(e, gens, grid.dimension)
+    coordinates = {name: _basis_index(vec) for name, vec in vectors.items()}
     bound = majorant_upper_bound(e, generator_norms(gens))
     threshold = tol * (1.0 + bound)
 
     def chunks():
         for points in _grid_chunks(np.linspace(-1.0, 1.0, grid.points_per_axis), grid.dimension):
-            values = eval_pointwise(e, {name: points @ vec for name, vec in vectors.items()})
+            values = eval_pointwise(e, {name: points @ vectors[name] if j is None else points[:, j]
+                                        for name, j in coordinates.items()})
             yield values, 0.0, lambda i: tuple(points[i])
 
     # Below every score: the first point is the witness even when all are 0.
@@ -201,11 +218,14 @@ def _worst_point(chunks, worst: float = 0.0) -> tuple[float, object]:
     witness = None
     with np.errstate(all="ignore"):
         for values, bound, witness_at in chunks:
-            scores = np.ravel(np.abs(values) / (1.0 + bound))
-            idx = int(np.argmax(scores))
+            scores = np.abs(values)
+            if not (isinstance(bound, float) and bound == 0.0):  # |v| / 1.0 is |v|
+                scores = scores / (1.0 + bound)
+            scores = scores.ravel()
+            idx = int(scores.argmax())
             if not (math.isfinite(scores[idx]) and np.isfinite(bound).all()):
                 scores = np.where(np.isfinite(values) & np.isfinite(bound), scores, np.inf)
-                idx = int(np.argmax(scores))
+                idx = int(scores.argmax())
             if scores[idx] > worst:
                 worst, witness = float(scores[idx]), witness_at(idx)
     return worst, witness

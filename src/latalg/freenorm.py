@@ -82,7 +82,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ball import _CHUNK, REAL_GRID_CAP, generator_norms, generator_vectors, majorant_upper_bound
+from .ball import (
+    _CHUNK, REAL_GRID_CAP, _basis_index, generator_norms, generator_vectors,
+    majorant_upper_bound,
+)
 from .cylinder import CylinderGrid
 from .discretize import discretize_generators
 from .expr import Expr, contains_product, eval_pointwise
@@ -180,10 +183,16 @@ def _atom_values(e: Expr, vectors: Mapping[str, np.ndarray], weights: np.ndarray
     the radial cells for the fixed table); the values have its shape.  This is
     :meth:`FiniteModel.evaluate` on a diagonal algebra (product ``weights * a *
     b``) once per row of ``columns``: only products broadcast against the weights.
+
+    A generator that is exactly the basis vector ``e_j`` reads column ``j``
+    of the table: its product with a row adds only exact zeros to that entry
+    (the columns are finite once checked), and no sup norm depends on the
+    sign of a zero.  Any other generator keeps one product per row.
     """
     _check_contraction(columns)
     # The product evaluate_operator computes for one atom, (n,) @ (n, 1), stacked.
-    images = {name: np.matmul(vec, columns[:, :, None]) for name, vec in vectors.items()}
+    images = {name: np.matmul(vec, columns[:, :, None]) if (j := _basis_index(vec)) is None
+              else columns[:, j, None] for name, vec in vectors.items()}
     values = eval_pointwise(e, images, lambda a, b: weights * a * b)
     return np.abs(np.broadcast_to(values, weights.shape))
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -363,6 +364,64 @@ def test_vanishes_on_ball_never_builds_the_grid(monkeypatch):
     gens = {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1]}
     report = vanishes_on_ball(parse("x*y - pos(z)"), gens, BallGrid(3, 41))
     assert not report.vanishes and report.max_residual == 2.0 and report.witness == (-1.0, 1.0, 1.0)
+
+
+def test_basis_index_only_for_exact_unit_vectors():
+    for n in range(1, 5):
+        for j in range(n):
+            assert ball._basis_index(np.eye(n)[j]) == j
+            assert ball._basis_index(2.0 * np.eye(n)[j]) is None
+            assert ball._basis_index(-np.eye(n)[j]) is None
+    assert ball._basis_index(np.array([-0.0, 1.0, 0.0])) == 1
+    assert ball._basis_index(np.array([1.0])) == 0
+    for vec in ([1.0, 1e-300], [np.nan, 0.0], [0.0, 0.0, 0.0]):
+        assert ball._basis_index(np.array(vec)) is None
+
+
+@pytest.mark.parametrize("g, k", [(101, 2), (41, 3), (15, 4)])
+def test_basis_coordinate_is_the_product_on_every_grid_block(g, k):
+    # Reading coordinate j of a block gives the floats of its product with
+    # e_j, the sign of every zero included.
+    blocks = 0
+    for points in ball._grid_chunks(np.linspace(-1.0, 1.0, g), k):
+        for j, unit in enumerate(np.eye(k)):
+            product = points @ unit
+            assert np.array_equal(points[:, j], product)
+            assert np.array_equal(np.signbit(points[:, j]), np.signbit(product))
+        blocks += 1
+    assert blocks > 1
+
+
+def _old_ball_scan(e, gens, grid, tol=1e-9):
+    """``vanishes_on_ball`` as it was before basis generators read their
+    coordinate: every generator by its product with each point."""
+    vectors, _ = ball.generator_vectors(e, gens, grid.dimension)
+    threshold = tol * (1.0 + ball.majorant_upper_bound(e, ball.generator_norms(gens)))
+
+    def chunks():
+        for points in ball._grid_chunks(np.linspace(-1.0, 1.0, grid.points_per_axis), grid.dimension):
+            values = eval_pointwise(e, {name: points @ vec for name, vec in vectors.items()})
+            yield values, 0.0, lambda i: tuple(points[i])
+
+    residual, witness = _old_worst_point(chunks(), worst=-1.0)
+    vanishes = math.isfinite(threshold) and residual <= threshold
+    return ball.BallReport(vanishes, residual, threshold, None if vanishes else witness)
+
+
+def test_basis_and_product_generators_in_one_scan_match_the_all_product_scan():
+    gens = {"x": [1.0, 0.0, 0.0], "y": [0.3, -0.2, 0.5], "z": [0.0, 0.0, 1.0]}
+    rng = random.Random(3232)
+    terms = [parse("x*y - pos(x)"), parse("x \\/ y"), WITNESS, parse("pos(x)*neg(y) - 0.5*x"),
+             parse("x*y - z"), parse("x*y - pos(z)"), parse("pos(x - z)")]
+    terms += [random_expr(rng, ("x", "y", "z"), 8) for _ in range(6)]
+    reports = set()
+    for e in terms:
+        gens_e = {v: gens[v] for v in variables(e)}
+        for grid in (BallGrid(3, 41), BallGrid(3, 5)):
+            new = vanishes_on_ball(e, gens_e, grid)
+            assert repr(new) == repr(_old_ball_scan(e, gens_e, grid))
+            reports.add(new.vanishes)
+    assert reports == {True, False}
 
 
 def test_non_finite_points_are_violations():

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latalg.expr import Mul, Scale, Var, Zero, contains_product, parse, random_expr, variables
+from latalg.expr import (
+    Mul, Scale, Var, Zero, contains_product, eval_pointwise, parse, random_expr, variables,
+)
 from latalg.ball import _CHUNK, REAL_GRID_CAP, generator_vectors
 from latalg.cylinder import CylinderGrid, generator
 from latalg.discretize import (
@@ -195,6 +197,38 @@ def test_factored_tables_evaluate_as_their_expanded_rows():
     broken[-1, -1] = 1.5
     with pytest.raises(ContractionError):
         _atom_values(parse("x0 * x1"), {"x0": np.eye(2)[0], "x1": np.eye(2)[1]}, weights, broken)
+
+
+def _product_atom_values(e, vectors, weights, columns):
+    """``_atom_values`` as it was before basis generators read their column:
+    every generator by its stacked product with each row."""
+    images = {name: np.matmul(vec, columns[:, :, None]) for name, vec in vectors.items()}
+    values = eval_pointwise(e, images, lambda a, b: weights * a * b)
+    return np.abs(np.broadcast_to(values, weights.shape))
+
+
+def test_basis_generators_read_their_column_bit_for_bit():
+    # The cached fixed table of n = 1 to 4 and one drawn window, with terms on
+    # basis generators alone and beside a generator off the basis.
+    delta_list = SearchConfig().delta_list
+    tables = []
+    for n in range(1, 5):
+        weights, counts, columns = freenorm._ROWS.get(
+            ("fixed", n, None, delta_list), lambda n=n: freenorm._fixed_atoms(n, 0, delta_list))
+        tables.append((n, np.repeat(weights, counts, axis=0), columns))
+    atoms = freenorm._drawn_atoms(0, 3, range(4)).reshape(-1, 4)
+    tables.append((3, atoms[:, :1], atoms[:, 1:]))
+    rng = random.Random(3200)
+    with np.errstate(all="ignore"):
+        for n, weights, columns in tables:
+            names = tuple(f"x{j}" for j in range(n))
+            off = np.linspace(-0.5, 0.5, n)
+            for i in range(12):
+                e = random_expr(rng, (*names, "y"), 8)
+                gens = {**dict(zip(names, np.eye(n))), "y": np.eye(n)[-1] if i % 2 else off}
+                vectors = generator_vectors(e, {v: gens[v] for v in variables(e)}, n)[0]
+                values = _atom_values(e, vectors, weights, columns)
+                assert values.tobytes() == _product_atom_values(e, vectors, weights, columns).tobytes()
 
 
 def test_discretized_operator_certified():
