@@ -311,16 +311,15 @@ def lattice_projection(e: Expr) -> Expr:
 
 def limit_profile(e: Expr, point: Mapping[str, float],
                   eps_list: Sequence[float]) -> list[tuple[float, float]]:
-    """Residuals ``|e(eps*a)/eps - e_0(a)|`` for each ``eps``.
+    """Residuals ``|e(eps*a)/eps - e_0(a)|`` for each ``eps``, ``e`` evaluated
+    at every ``eps`` in one call (join as ``np.maximum``, so a NaN propagates
+    and a zero keeps its sign).
 
     ``e_0`` is the product-killed term; the residual decays linearly in
     ``eps`` (exactly zero for product-free terms when ``eps`` is a power of
     two).
     """
-    killed = product_kill(e)
-    base = eval_real(killed, point)
-    out = []
-    for eps in eps_list:
-        scaled = {name: eps * value for name, value in point.items()}
-        out.append((float(eps), abs(eval_real(e, scaled) / eps - base)))
-    return out
+    base = eval_real(product_kill(e), point)
+    eps = np.asarray(eps_list, dtype=float)
+    values = eval_pointwise(e, {name: eps * value for name, value in point.items()})
+    return [(float(t), float(r)) for t, r in zip(eps, np.abs(values / eps - base))]

@@ -45,6 +45,18 @@ class CylinderGrid:
     r_levels: np.ndarray
     sphere_points: np.ndarray
 
+    def __post_init__(self):
+        r = np.asarray(self.r_levels, dtype=float)
+        pts = np.asarray(self.sphere_points, dtype=float)
+        if r.ndim != 1 or pts.ndim != 2:
+            raise ValueError("r_levels must be a vector, sphere_points a matrix")
+        if 0.0 not in r or 1.0 not in r:
+            raise ValueError("r_levels must contain 0 and 1")
+        if pts.size and np.any(np.max(np.abs(pts), axis=1) != 1.0):
+            raise ValueError("sphere points must have max-coordinate magnitude exactly 1")
+        object.__setattr__(self, "r_levels", r)  # frozen
+        object.__setattr__(self, "sphere_points", pts)
+
     @property
     def dimension(self) -> int:
         return self.sphere_points.shape[1]
@@ -56,18 +68,6 @@ class CylinderGrid:
     @property
     def size(self) -> int:
         return self.r_levels.shape[0] * self.sphere_points.shape[0]
-
-    @classmethod
-    def from_points(cls, r_levels, sphere_points) -> "CylinderGrid":
-        r = np.asarray(r_levels, dtype=float)
-        pts = np.asarray(sphere_points, dtype=float)
-        if r.ndim != 1 or pts.ndim != 2:
-            raise ValueError("r_levels must be a vector, sphere_points a matrix")
-        if 0.0 not in r or 1.0 not in r:
-            raise ValueError("r_levels must contain 0 and 1")
-        if pts.size and np.any(np.max(np.abs(pts), axis=1) != 1.0):
-            raise ValueError("sphere points must have max-coordinate magnitude exactly 1")
-        return cls(r, pts)
 
     @staticmethod
     def regular_size(dimension: int, r_levels: int, face_points: int) -> int:
@@ -107,7 +107,7 @@ class CylinderGrid:
         for i in range(dimension):
             free = axis[cells if i == 0 else cells[~on_edge[:, i - 1]]]
             faces += [np.insert(free, i, sign, axis=1) for sign in (1.0, -1.0)]
-        return cls.from_points(r, np.concatenate(faces))
+        return cls(r, np.concatenate(faces))
 
 
 @dataclass(eq=False)

@@ -7,8 +7,9 @@ part, negative part, absolute value and arithmetic negation are notation:
 build the core term that spells them, so every term holds the six kinds
 only.  Terms are immutable and hashable, so they may be shared freely
 across threads; every operation in this module is pure, except that
-:func:`eval_pointwise` records on a term how often it was folded
-(``_folds``) and caches its compiled kernel (``_kernel``) there.
+:func:`eval_pointwise` (and so :func:`eval_real`, which runs on it) records
+on a term how often it was folded (``_folds``) and caches its compiled
+kernel (``_kernel``) there.
 
 Every traversal of a term runs over its tape, :attr:`Expr.tape`: one entry
 per structurally distinct subterm, children before parents, left before
@@ -23,14 +24,14 @@ than :data:`MAX_TERM_SIZE` node occurrences.
 backend is an op table that maps each of the six node classes to
 ``f(node, *child_values)``; ``node`` stands for every occurrence of its
 subterm, so an op's value depends on its fields, not on the occurrence.
-:func:`eval_pointwise` is the one evaluator over numpy arrays: every array
-model (the reals, weighted grids, diagonal algebras, the zero-product
-lattice, the cylinder and the norm search's one-atom algebras) multiplies
-pointwise with a weight, so each passes its product to it.  It folds a
-term's first :data:`_FOLDS_BEFORE_KERNEL` evaluations; from the next on it
-runs the term's tape as a kernel compiled once and cached on the term, one
-line per entry, value for value the fold.  A tape of more than
-:data:`_KERNEL_MAX_ENTRIES` entries is always folded.
+:func:`eval_pointwise` is the one evaluator: every array model (the reals,
+weighted grids, diagonal algebras, the zero-product lattice, the cylinder
+and the norm search's one-atom algebras) multiplies pointwise with a
+weight, so each passes its product to it, and :func:`eval_real` is that
+evaluator on floats.  It folds a term's first :data:`_FOLDS_BEFORE_KERNEL`
+evaluations; from the next on it runs the term's tape as a kernel compiled
+once and cached on the term, one line per entry, value for value the fold.
+A tape of more than :data:`_KERNEL_MAX_ENTRIES` entries is always folded.
 
 Concrete syntax (see :func:`parse`)::
 
@@ -353,45 +354,31 @@ def contains_product(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _scale(node: Scale, child):
-    return node.coeff * child
-
-
-def _add(node: Add, left, right):
-    return left + right
-
-
-def _multiply(node: Mul, left, right):
-    return left * right
-
-
-_REAL = {Zero: lambda node: 0.0, Scale: _scale, Add: _add,
-         Join: lambda node, left, right: max(left, right), Mul: _multiply}
-
-_POINTWISE = {Zero: lambda node: 0.0, Scale: _scale, Add: _add,
+_POINTWISE = {Zero: lambda node: 0.0, Scale: lambda node, child: node.coeff * child,
+              Add: lambda node, left, right: left + right,
               Join: lambda node, left, right: np.maximum(left, right)}
 
 
-def _lookup(env: Mapping, convert=None):
-    """Op for variables: the value bound to the name in ``env``, passed
-    through ``convert`` when one is given."""
+def _lookup(env: Mapping):
+    """Op for variables: the value bound to the name in ``env``."""
 
     def value(node: Var):
         try:
-            bound = env[node.name]
+            return env[node.name]
         except KeyError:
             raise MissingVariableError(f"no value for variable {node.name!r}") from None
-        return bound if convert is None else convert(bound)
 
     return value
 
 
 def eval_real(e: Expr, assignment: Assignment) -> float:
-    """Evaluate ``e`` over the reals (join = max).
+    """Evaluate ``e`` over the reals: :func:`eval_pointwise` on the assignment's
+    values as floats, so a NaN propagates through a join and a tie between
+    zeros keeps the zero ``np.maximum`` keeps.
 
     Raises :class:`MissingVariableError` if a free variable is not covered.
     """
-    return fold(e, {**_REAL, Var: _lookup(assignment, float)})
+    return float(eval_pointwise(e, {name: float(value) for name, value in assignment.items()}))
 
 
 #: Longest tape :func:`eval_pointwise` compiles.  A short tape's entry costs

@@ -209,10 +209,11 @@ def _mesh_atoms(grid: CylinderGrid, delta: float) -> tuple[np.ndarray, np.ndarra
     """The atoms of the basis generators at the sphere points of ``grid``,
     scaled by ``1/(1 + delta)`` and discretized at mesh ``delta``, as the
     ``k_r`` radial weights and one column row per sphere class."""
-    # Keep the grid-sized expansion: building these tables without it slowed the
-    # warm norm_search tail by about 26 %.  Its multi-MB frees raise glibc's dynamic
-    # mmap threshold, so the warm fold's (3136 x 17) temporaries at n = 4 come from
-    # the heap, not fresh mmaps (ROADMAP item 11).
+    # Keep the grid-sized expansion: building these tables without it (bit-identical)
+    # slowed the warm norm_search tail by about 40 % and raised its minor faults per
+    # op from 0.3 to 53.  Its multi-MB frees raise glibc's dynamic mmap threshold, so
+    # the warm fold's (3136 x 17) temporaries at n = 4 come from the heap, not fresh
+    # mmaps (ROADMAP item 11).
     scale = 1.0 / (1.0 + delta)
     discrete = discretize_generators(list(scale * grid.sphere_points.T), grid, delta)
     k_r = discrete.radial_cells  # copies, so that each expanded table is freed before the next

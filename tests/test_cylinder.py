@@ -43,12 +43,16 @@ def test_regular_grid_shapes():
     # 4 faces x 4 points, 4 shared corners
     assert g2.sphere_points.shape == (12, 2)
     assert np.all(np.max(np.abs(g2.sphere_points), axis=1) == 1.0)
-    with pytest.raises(ValueError):
-        CylinderGrid.from_points([0.0, 0.5], [[1.0]])  # missing r=1
+    # A direct construction is checked too, and converts its rows to float arrays.
+    for r_levels in ([0.0, 0.5], [0.5, 1.0], np.array([0.5])):  # missing r=1 or r=0
+        with pytest.raises(ValueError, match="contain 0 and 1"):
+            CylinderGrid(r_levels, [[1.0]])
     s = 2.0 ** -0.5
-    for off_cube in ([[s, s]], [[0.0, 0.0]], [[1.0, 1.5]], [[float("nan"), 1.0]]):
+    for off_cube in ([[s, s]], [[0.0, 0.0]], [[1.0, 1.5]], [[float("nan"), 1.0]], [[0.3, 0.2]]):
         with pytest.raises(ValueError, match="max-coordinate magnitude"):
-            CylinderGrid.from_points([0.0, 1.0], [[1.0, 0.0], *off_cube])
+            CylinderGrid([0.0, 1.0], [[1.0, 0.0], *off_cube])
+    grid = CylinderGrid([0, 1], [[1, 0]])
+    assert grid.r_levels.dtype == grid.sphere_points.dtype == float
 
 
 def seen_set_sphere(dimension, face_points):

@@ -97,6 +97,8 @@ def test_eval_examples():
     wit = parse("pos(pos(x)*pos(x) - pos(x))")
     assert eval_real(wit, {"x": 2.0}) == 2.0
     assert eval_real(wit, {"x": 0.5}) == 0.0
+    for point in ({"x": 1.0, "y": math.nan}, {"x": math.nan, "y": 1.0}):  # from either side
+        assert math.isnan(eval_real(parse("x \\/ y"), point))
 
 
 def test_eval_missing_variable():

@@ -353,3 +353,15 @@ def test_deep_sum_through_every_backend():
         pass
     else:
         assert nf.term_count() <= 2000
+
+
+def test_eval_real_is_eval_pointwise_on_floats():
+    # Bit for bit, the sign of a zero included: a join keeps the zero np.maximum keeps.
+    for i in range(300):
+        e = random_expr(random.Random(i), ("x", "y", "z"), 8)
+        rng = random.Random(5000 + i)
+        point = {v: rng.uniform(-1, 1) for v in "xyz"}
+        real, pointwise = eval_real(e, point), eval_pointwise(e, point)
+        assert type(real) is float
+        assert real == pointwise and np.signbit(real) == np.signbit(pointwise), i
+
