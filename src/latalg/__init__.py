@@ -25,8 +25,7 @@ from .discretize import *
 from .freenorm import *
 from .seeding import *
 
-#: Each module's ``__all__`` once, in that order; ``ball`` and ``freenorm``
-#: both export ``majorant_upper_bound``, which is listed once.
-__all__ = ["__version__", *dict.fromkeys(
+#: Each module's ``__all__``, in that order; no name is in two of them.
+__all__ = ["__version__", *(
     name for module in (expr, rewrite, models, ball, cylinder, discretize, freenorm, seeding)
     for name in module.__all__)]

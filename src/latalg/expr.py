@@ -301,20 +301,12 @@ def fold(e: Expr, ops: Mapping[type, Callable]):
     return values[i]
 
 
-def _rebuild_scale(node: Scale, child: Expr) -> Expr:
-    return node if child is node.child else Scale(node.coeff, child)
-
-
-def _rebuild_binary(node: Expr, left: Expr, right: Expr) -> Expr:
-    if left is node.left and right is node.right:
-        return node
-    return type(node)(left, right)
-
-
-#: Copies a core term from its rewritten children, reusing every node whose
-#: children came back unchanged; transforms override the kinds they rewrite.
-_REBUILD = {Zero: lambda node: node, Var: lambda node: node, Scale: _rebuild_scale,
-            **dict.fromkeys(_BINARY, _rebuild_binary)}
+#: Builds a new term from the rewritten children, one node per tape entry (so
+#: a repeated subterm is built once and shared), keeping leaves as they are;
+#: transforms override the kinds they rewrite.
+_REBUILD = {Zero: lambda node: node, Var: lambda node: node,
+            Scale: lambda node, child: Scale(node.coeff, child),
+            **dict.fromkeys(_BINARY, lambda node, left, right: type(node)(left, right))}
 
 _COMPLEXITY = {Zero: lambda node: 1, Var: lambda node: 1, Scale: lambda node, child: 1 + child,
                **dict.fromkeys(_BINARY, lambda node, left, right: 1 + max(left, right))}
@@ -336,7 +328,10 @@ def variables(e: Expr) -> tuple[str, ...]:
 
 
 def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:
-    """Replace variables by expressions (simultaneously) in ``e``."""
+    """A new term: ``e`` with its variables replaced by expressions (simultaneously).
+
+    Leaves of ``e`` and the replacements are reused as they are.
+    """
     ops = {**_REBUILD, Var: lambda node: replacements.get(node.name, node)}
     return fold(e, ops)
 

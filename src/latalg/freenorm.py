@@ -94,7 +94,7 @@ from .seeding import seeded_rng
 
 __all__ = [
     "OperatorIntoAlgebra", "NormSandwich", "SearchConfig",
-    "operator_lower_bound", "majorant_upper_bound", "norm_sandwich",
+    "operator_lower_bound", "norm_sandwich",
     "product_free_lower_bound", "evaluate_operator", "ContractionError",
 ]
 
@@ -420,9 +420,7 @@ def product_free_lower_bound(e: Expr, gens: Mapping[str, Sequence[float]],
             best = value
         return value
 
-    identity = np.zeros((k, n))
-    for i in range(min(k, n)):
-        identity[i, i] = 1.0
+    identity = np.eye(k, n)
     consider(identity)
     for corner in _sign_rows(n, seed, 51):
         tuples = np.zeros((k, n))

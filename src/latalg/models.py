@@ -250,20 +250,21 @@ def check_fstar(model: FiniteModel, trials: int = 100, seed: int = 0) -> bool:
 
 
 def check_submultiplicative(model: FiniteModel, trials: int = 100, seed: int = 0) -> bool:
-    """Check ``sup|x*y| <= sup|x| * sup|y|`` on basis pairs and random pairs."""
+    """Check ``sup|x*y| <= sup|x| * sup|y|`` on basis pairs and random pairs; a NaN
+    product fails."""
     slack = 1.0 + 1e-12
     probe = min(model.size, 32)
     for i in range(probe):
         for j in range(probe):
             a, b = model.basis(i).values, model.basis(j).values
-            if np.max(np.abs(model.product_values(a, b)), initial=0.0) > slack:
+            if not np.max(np.abs(model.product_values(a, b)), initial=0.0) <= slack:
                 return False
     rng = seeded_rng(seed, 4)
     for _ in range(trials):
         a = rng.uniform(-1, 1, model.size)
         b = rng.uniform(-1, 1, model.size)
         bound = np.max(np.abs(a)) * np.max(np.abs(b))
-        if np.max(np.abs(model.product_values(a, b)), initial=0.0) > bound * slack:
+        if not np.max(np.abs(model.product_values(a, b)), initial=0.0) <= bound * slack:
             return False
     return True
 

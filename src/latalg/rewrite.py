@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Mapping
 
 import numpy as np
@@ -187,10 +187,11 @@ _PRODUCT_KILL = {**_REBUILD, Mul: lambda node, left, right: Zero()}
 
 
 def product_kill(e: Expr) -> Expr:
-    """Copy of ``e`` with every product node replaced by 0.
+    """A new term: ``e`` with every product node replaced by 0.
 
     The output is product-free, hence positively homogeneous, and equals
-    the scaled limit ``e(eps*a)/eps`` as ``eps`` decreases to 0.
+    the scaled limit ``e(eps*a)/eps`` as ``eps`` decreases to 0.  It shares
+    only leaves with ``e``.
     """
     return fold(e, _PRODUCT_KILL)
 
@@ -219,10 +220,10 @@ _ZERO_SIMPLIFY = {**_REBUILD, Scale: _simplify_scale, Add: _simplify_add, Join: 
 
 
 def zero_simplify(e: Expr) -> Expr:
-    """Remove neutral zeros structurally: 0+e, e+0, 1*e, c*0, 0 \\/ 0.
+    """A new term: ``e`` without its neutral zeros 0+e, e+0, 1*e, c*0, 0 \\/ 0.
 
     No lattice identities beyond neutral elements are used; in particular
-    ``e \\/ 0`` is left alone.
+    ``e \\/ 0`` is left alone.  The output shares only leaves with ``e``.
     """
     return fold(e, _ZERO_SIMPLIFY)
 
@@ -232,6 +233,10 @@ def zero_simplify(e: Expr) -> Expr:
 
 class _Builder:
     """Normal-form combinators with a global term budget.
+
+    ``zero``, ``var``, ``scale``, ``add``, ``join`` and ``mul`` are the ops of
+    :func:`~latalg.expr.fold`: each takes the node and its children's normal
+    forms, and :meth:`build` folds a term with them.
 
     Every polynomial in a join list built here has only positive
     coefficients: the leaves are ``0``, ``v+`` and ``v-``, ``add`` and
@@ -275,15 +280,15 @@ class _Builder:
             for q in ys:
                 self._emit(acc, p + q)
 
-    def zero(self) -> NormalForm:
+    def zero(self, node: Expr) -> NormalForm:
         z = Polynomial()
         return NormalForm((z,), (z,))
 
-    def var(self, name: str) -> NormalForm:
-        return NormalForm((Polynomial.symbol(split_pos(name)),),
-                          (Polynomial.symbol(split_neg(name)),))
+    def var(self, node: Var) -> NormalForm:
+        return NormalForm((Polynomial.symbol(split_pos(node.name)),),
+                          (Polynomial.symbol(split_neg(node.name)),))
 
-    def add(self, a: NormalForm, b: NormalForm) -> NormalForm:
+    def add(self, node: Add, a: NormalForm, b: NormalForm) -> NormalForm:
         # max(P1)+max(P2) = max over pairs of sums, and likewise for the
         # subtrahends.
         pos, neg = {}, {}
@@ -291,16 +296,17 @@ class _Builder:
         self._pairsum(neg, a.neg, b.neg)
         return NormalForm(tuple(pos), tuple(neg))
 
-    def scale(self, a: NormalForm, coeff: float) -> NormalForm:
+    def scale(self, node: Scale, a: NormalForm) -> NormalForm:
+        coeff = node.coeff
         if coeff == 0.0:
-            return self.zero()
+            return self.zero(node)
         scaled_pos = tuple(p.scaled(abs(coeff)) for p in a.pos)
         scaled_neg = tuple(q.scaled(abs(coeff)) for q in a.neg)
         if coeff > 0:
             return NormalForm(scaled_pos, scaled_neg)
         return NormalForm(scaled_neg, scaled_pos)
 
-    def join(self, a: NormalForm, b: NormalForm) -> NormalForm:
+    def join(self, node: Join, a: NormalForm, b: NormalForm) -> NormalForm:
         # (p - n) \/ 0 = p for disjoint p, n >= 0, in either order.
         for x, y in ((a, b), (b, a)):
             if (len(x.pos) == len(x.neg) == len(y.pos) == len(y.neg) == 1
@@ -325,7 +331,7 @@ class _Builder:
                 self._emit(acc, q * p)
         return tuple(acc)
 
-    def mul(self, a: NormalForm, b: NormalForm) -> NormalForm:
+    def mul(self, node: Mul, a: NormalForm, b: NormalForm) -> NormalForm:
         pos, neg = {}, {}
         self._pairsum(pos, self._products(a.pos, b.pos), self._products(a.neg, b.neg))
         self._pairsum(neg, self._products(a.pos, b.neg), self._products(a.neg, b.pos))
@@ -333,14 +339,8 @@ class _Builder:
 
     def build(self, e: Expr) -> NormalForm:
         """Normal form of the core term ``e``, children before parents."""
-        return fold(e, {
-            Zero: lambda node: self.zero(),
-            Var: lambda node: self.var(node.name),
-            Scale: lambda node, a: self.scale(a, node.coeff),
-            Add: lambda node, a, b: self.add(a, b),
-            Join: lambda node, a, b: self.join(a, b),
-            Mul: lambda node, a, b: self.mul(a, b),
-        })
+        return fold(e, {Zero: self.zero, Var: self.var, Scale: self.scale,
+                        Add: self.add, Join: self.join, Mul: self.mul})
 
 
 def normal_form(e: Expr, budget: int = 1_000_000) -> NormalForm:
@@ -365,21 +365,14 @@ def normal_form_to_expr(nf: NormalForm) -> Expr:
     occurrence.  Structure, and so the printed text and the normal form of
     the result, is that of a build with new nodes at every occurrence.
     """
-    symbols: dict[str, Expr] = {}
-    monomials: dict[Monomial, Expr] = {}
-
+    @cache
     def symbol_expr(token: str) -> Expr:
-        e = symbols.get(token)
-        if e is None:
-            name, sign = token[:-1], token[-1]
-            e = symbols[token] = Pos(Var(name)) if sign == "+" else NegPart(Var(name))
-        return e
+        name, sign = token[:-1], token[-1]
+        return Pos(Var(name)) if sign == "+" else NegPart(Var(name))
 
+    @cache
     def monomial_expr(mono: Monomial) -> Expr:
-        e = monomials.get(mono)
-        if e is None:
-            e = monomials[mono] = reduce(Mul, map(symbol_expr, mono))
-        return e
+        return reduce(Mul, map(symbol_expr, mono))
 
     def poly_expr(p: Polynomial) -> Expr:
         if p.is_zero():
@@ -439,7 +432,8 @@ def check_normal_form(e: Expr, nf: NormalForm, seed: int = 0) -> float:
     Independent oracle: direct real evaluation of ``e`` (join as
     ``np.maximum``, so a NaN propagates and a zero keeps its sign) against
     the split-variable evaluation of ``nf``, each at all points in one call,
-    each difference divided by ``1 + |e|``.  Raises AssertionError beyond 1e-6.
+    each difference divided by ``1 + |e|``.  Raises AssertionError beyond 1e-6,
+    or at NaN: a point where either side overflows cannot be compared.
     """
     rng = random.Random(seed)
     names = variables(e)
@@ -448,6 +442,6 @@ def check_normal_form(e: Expr, nf: NormalForm, seed: int = 0) -> float:
     lhs = eval_pointwise(e, a)
     err = np.abs(lhs - nf.evaluate(a)) / (1.0 + np.abs(lhs))
     worst = float(np.max(err, initial=0.0))
-    if worst > 1e-6:
+    if not worst <= 1e-6:
         raise AssertionError(f"normal form disagrees with expression: rel err {worst}")
     return worst

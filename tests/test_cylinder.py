@@ -257,6 +257,16 @@ def test_star_axioms_catch_unweighted_product(grid2):
     assert any(v["law"] == "unit_weight_row" for v in report.violations)
 
 
+def test_star_axioms_catch_nan_product(grid2):
+    def nan(f, g):
+        return StarFunction(grid2, np.full(grid2.shape, np.nan))
+
+    report = check_star_axioms(grid2, trials=2, seed=0, product=nan)
+    assert not report.ok
+    assert {v["law"] for v in report.violations} == {
+        "unit_weight_row", "commutativity", "associativity", "f_algebra_condition"}
+
+
 def test_star_axioms_catch_support_smearing(grid2):
     report = check_star_axioms(grid2, trials=20, seed=1, product=smearing)
     assert any(v["law"] in ("f_algebra_condition", "commutativity")

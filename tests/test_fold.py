@@ -14,11 +14,13 @@ from latalg.ball import BallGrid, transport_residual, vanishes_on_ball, vanishes
 from latalg.discretize import error_budget
 from latalg.expr import (
     _FOLDS_BEFORE_KERNEL, _KERNEL_MAX_ENTRIES, _POINTWISE, MAX_NESTING, Abs, Add, Join,
-    MissingVariableError, Mul, Scale, Var, Zero, _lookup, eval_pointwise, eval_real, fold, parse,
-    print_expr, random_expr, substitute, variables,
+    MissingVariableError, Mul, Scale, Var, Zero, _children, _lookup, eval_pointwise, eval_real,
+    fold, parse, print_expr, random_expr, substitute, variables,
 )
 from latalg.models import WeightedGridModel, ZeroProductModel
-from latalg.rewrite import NormalFormBudgetError, normal_form, polynomial_majorant, product_kill
+from latalg.rewrite import (
+    NormalFormBudgetError, normal_form, polynomial_majorant, product_kill, zero_simplify,
+)
 
 
 def test_postorder_tape():
@@ -278,6 +280,31 @@ def test_fold_runs_children_before_parents():
            Scale: lambda node, child: f"s({child})",
            Add: lambda node, left, right: f"+({left},{right})"}
     assert fold(Add(Scale(2.0, Var("x")), Zero()), ops) == "+(s(x),0)"
+
+
+def _objects(e):
+    """The distinct node objects of ``e``, by identity."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += _children(node)
+    return len(seen)
+
+
+@pytest.mark.parametrize("e, killed, simplified", [
+    # x*y repeated in distinct objects, then one shared object under abs, then
+    # a term that no rewrite changes: each comes back as a new term.
+    (parse("x*y + x*y"), Add(Zero(), Zero()), parse("x*y + x*y")),
+    (Abs(parse("x + x*y")), Abs(Add(Var("x"), Zero())), Abs(parse("x + x*y"))),
+    (parse("x + y"), parse("x + y"), parse("x + y")),
+])
+def test_rewrites_build_one_new_node_per_tape_entry(e, killed, simplified):
+    for result, expected in ((product_kill(e), killed), (zero_simplify(e), simplified),
+                             (substitute(e, {}), e)):
+        assert result is not e and result == expected
+        assert len(result.tape) == len(expected.tape) == _objects(result)
 
 
 def test_equality_and_hash_without_recursion():

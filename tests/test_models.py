@@ -176,6 +176,16 @@ def test_submultiplicative():
         assert check_submultiplicative(model, 10, seed=i)
 
 
+def test_submultiplicative_fails_a_nan_product():
+    class NaNModel(FiniteModel):
+        kind = "nan"
+
+        def product_values(self, a, b):
+            return np.full(self.size, np.nan)
+
+    assert not check_submultiplicative(NaNModel(3), 10, seed=0)
+
+
 def test_zero_product_collapse_bit_exact():
     m = ZeroProductModel(6)
     rng = np.random.default_rng(12)

@@ -46,6 +46,15 @@ def test_zero_simplify_rules():
     assert zero_simplify(Join(x, Zero())) == Join(x, Zero())
 
 
+def test_check_normal_form_fails_where_a_point_overflows():
+    # At |x| above about 2.76 both 700-factor powers overflow, so the term
+    # reads inf - inf = NaN there: those points cannot be compared.
+    power = " * ".join(["x"] * 700)
+    e = parse(f"{power} - {power}")
+    with np.errstate(all="ignore"), pytest.raises(AssertionError, match="rel err nan"):
+        check_normal_form(e, normal_form(parse("x - x")))
+
+
 def test_normal_form_var():
     nf = normal_form(Var("x"))
     assert nf.pos == (Polynomial.symbol("x+"),)
