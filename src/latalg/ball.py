@@ -75,7 +75,7 @@ class BallGrid:
     @cached_property
     def points(self) -> np.ndarray:
         axis = np.linspace(-1.0, 1.0, self.points_per_axis)
-        mesh = np.meshgrid(*([axis] * self.dimension), indexing="ij")
+        mesh = np.meshgrid(*([axis] * self.dimension), indexing="ij", copy=False)
         return np.stack(mesh, axis=-1).reshape(-1, self.dimension)
 
     @property

@@ -22,7 +22,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .ball import BallGrid, transport_residual, vanishes_on_ball, vanishes_on_reals
+from .ball import BallGrid, generator_vectors, transport_residual, vanishes_on_ball, vanishes_on_reals
 from .cylinder import CylinderGrid, constant_one, cylinder_extension, generator, star_product
 from .discretize import build_partition, discretize_generators, verify_bounds
 from .expr import contains_product, eval_pointwise, parse, variables
@@ -81,7 +81,8 @@ def _parse_gens(text: str | None, names: tuple[str, ...],
                 n: int | None) -> tuple[dict, int]:
     """Parse ``"v=e1;w=0.5,0.5"`` into vectors of one dimension, returned with
     it: ``n`` when given, else the longest generator.  Default: the basis in
-    name order, ``"x=e1;y=e2;..."``."""
+    name order, ``"x=e1;y=e2;..."``.  The library binds the variables of the
+    term to these vectors and refuses a variable without one."""
     text = text or ";".join(f"{name}=e{i}" for i, name in enumerate(names, 1))
     parsed = {}
     for part in text.split(";"):
@@ -99,9 +100,6 @@ def _parse_gens(text: str | None, names: tuple[str, ...],
         if vec.shape[0] > dim:
             _usage_error(f"generator for {name!r} has {vec.shape[0]} coordinates, "
                          f"more than the dimension {dim}")
-    missing = [name for name in names if name not in parsed]
-    if missing:
-        _usage_error(f"no generators for variables {missing}")
     return {name: np.pad(vec, (0, dim - vec.shape[0])) for name, vec in parsed.items()}, dim
 
 
@@ -214,18 +212,19 @@ def cmd_norm(args: argparse.Namespace) -> int:
 def cmd_discretize(args: argparse.Namespace) -> int:
     e = parse(args.expr)
     gens, n = _parse_gens(args.gens, variables(e), args.n)
+    vectors, _ = generator_vectors(e, gens, n)
     grid = CylinderGrid.regular(n, r_levels=args.grid_r, face_points=args.grid_sphere)
     w = np.broadcast_to(grid.r_levels[:, None], grid.shape)
-    keys = sorted(gens)
-    originals = [generator(gens[name], grid).values for name in keys]
+    values = {name: grid.sphere_points @ vec for name, vec in vectors.items()}
     runs = []
     for delta in args.delta or [2.0 ** -5]:
         try:
-            discrete = discretize_generators([v[0] for v in originals], grid, delta)
+            discrete = discretize_generators(list(values.values()), grid, delta)
         except ValueError as exc:
             _usage_error(f"generator absolute-sum norms must stay below 1 + delta = "
                          f"{1.0 + delta} to discretize ({exc})")
-        composite_gens = dict(zip(keys, zip(originals, discrete.coefficients)))
+        composite_gens = {name: (np.broadcast_to(row, grid.shape), coefficients)
+                          for (name, row), coefficients in zip(values.items(), discrete.coefficients)}
         bounds = verify_bounds(discrete.splits, discrete.discretes, w, discrete.weights,
                                discrete.atoms, delta, composite=e, composite_gens=composite_gens)
         runs.append(bounds.to_json())

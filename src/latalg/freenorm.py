@@ -87,7 +87,7 @@ from .ball import (
     majorant_upper_bound,
 )
 from .cylinder import CylinderGrid
-from .discretize import discretize_generators
+from .discretize import build_partition, discretize_generators
 from .expr import Expr, contains_product, eval_pointwise
 from .models import DiagonalAlgebra
 from .seeding import seeded_rng
@@ -223,7 +223,10 @@ def _mesh_atoms(grid: CylinderGrid, delta: float) -> tuple[np.ndarray, np.ndarra
 def _fixed_atoms(n: int, seed: int, delta_list: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The sign atoms (weight 1), then each mesh parameter's unless the grid
     exceeds :data:`REAL_GRID_CAP` points, as one table: per source its weights
-    (padded with the last one to the most cells) and row count, then all rows."""
+    (padded with the last one to the most cells) and row count, then all rows.
+    Every mesh parameter is checked, also where the grid is skipped."""
+    for delta in delta_list:
+        build_partition(delta)
     tables = [(np.ones(1), _sign_rows(n, seed, 41))]
     if delta_list and CylinderGrid.regular_size(n, R_LEVELS, FACE_POINTS) <= REAL_GRID_CAP:
         grid = CylinderGrid.regular(n, r_levels=R_LEVELS, face_points=FACE_POINTS)

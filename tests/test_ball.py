@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +344,19 @@ def test_grid_budget_checked_before_allocation():
     # Decided without the 10**7-digit point count, and without printing it.
     with pytest.raises(ValueError, match=r"3\^10000000 points, more than the budget"):
         BallGrid(10 ** 7, 3)
+
+
+def test_ball_grid_points_are_built_once():
+    # The meshgrid's axes are views, so the stacked grid is the one copy.
+    grid = BallGrid(3, 41)
+    tracemalloc.start()
+    try:
+        points = grid.points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (41 ** 3, 3) and points.flags.c_contiguous
+    assert peak <= 1.1 * points.nbytes
 
 
 def test_non_finite_ball_residual_does_not_vanish():

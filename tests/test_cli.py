@@ -219,6 +219,27 @@ def test_gens_missing_variable_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["kernel", "surface", "norm", "discretize"])
+def test_missing_generator_is_refused_by_the_library(capsys, tmp_path, command):
+    out_dir = tmp_path / "surfaces"
+    extra = ["--out", str(out_dir)] if command == "surface" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, "--expr", "x*y", "--gens", "y=e1", *extra])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err == "error: no generator vector for variable 'x'\n"
+    assert not out_dir.exists()
+
+
+def test_discretize_ignores_generators_the_term_does_not_read(capsys):
+    runs = []
+    for gens in ("x=1,0;y=0,1", "x=1,0"):
+        code, out, _ = run_cli(capsys, "discretize", "--expr", "x", "--gens", gens)
+        assert code == 0
+        runs.append(json.loads(out)["runs"])
+    assert runs[0] == runs[1] and runs[0][0]["atoms"] == 264
+
+
 @pytest.mark.parametrize("argv", [
     ["norm", "--expr", "x", "--gens", "x=e0"],
     ["norm", "--expr", "x", "--gens", "x=abc"],

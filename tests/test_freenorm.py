@@ -308,6 +308,16 @@ def test_monotone_in_delta_list():
     assert longer >= short
 
 
+@pytest.mark.parametrize("n", [4, 7])
+def test_bad_mesh_parameter_refused_with_or_without_the_mesh_source(n):
+    # From n = 7 on the cylinder grid exceeds the budget and the mesh source is
+    # skipped; its parameters are refused all the same.
+    gens = {f"x{i}": np.eye(n)[i] for i in range(n)}
+    config = SearchConfig(search_iters=5, delta_list=(1.5,))
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\), got 1.5"):
+        norm_sandwich(parse("x0 \\/ x1"), gens, config, n)
+
+
 def test_scaling_law_with_replayed_witness():
     e = parse("v*v + (v \\/ 0)")
     gens = {"v": [1.0]}
