@@ -14,8 +14,9 @@ The verdicts rest on three vanishing checks, :func:`vanishes_on_ball`,
 models), and all three are one chunked scan: the first point of the
 strictly largest ``|value| / (1 + bound)`` is the witness, and a point whose
 value or bound is not finite scores ``inf``.  No grid is ever built whole:
-both grid scans draw their points as views of one reused block of at most
-6,000 points, each valid until the next is drawn.
+both grid scans draw their points as views of one reused block of whole
+trailing planes (one 101 x 101 plane of a 101^3 grid), each valid until the
+next is drawn.  A block holds one contiguous row per coordinate.
 """
 
 from __future__ import annotations
@@ -152,11 +153,20 @@ def vanishes_on_ball(e: Expr, gens: Mapping[str, Sequence[float]], grid: BallGri
     bound = majorant_upper_bound(e, generator_norms(gens))
     threshold = tol * (1.0 + bound)
 
+    products = [name for name, j in coordinates.items() if j is None]
+
     def chunks():
-        for points in _grid_chunks(np.linspace(-1.0, 1.0, grid.points_per_axis), grid.dimension):
-            values = eval_pointwise(e, {name: points @ vectors[name] if j is None else points[:, j]
-                                        for name, j in coordinates.items()})
-            yield values, 0.0, lambda i: tuple(points[i])
+        buffer = None  # the (size, k) points of a block in C order, for the products
+        for block in _grid_chunks(np.linspace(-1.0, 1.0, grid.points_per_axis), grid.dimension):
+            env = {name: block[j] for name, j in coordinates.items() if j is not None}
+            if products:
+                if buffer is None:  # the first block is the largest
+                    buffer = np.empty(block.shape[::-1])
+                points = buffer[:block.shape[1]]
+                for j, row in enumerate(block):
+                    points[:, j] = row
+                env.update((name, points @ vectors[name]) for name in products)
+            yield eval_pointwise(e, env), 0.0, lambda i: tuple(block[:, i])
 
     # Below every score: the first point is the witness even when all are 0.
     residual, witness = _worst_point(chunks(), worst=-1.0)
@@ -176,33 +186,44 @@ class RealLineReport:
 
 _DEFAULT_AXIS_POINTS = {0: 1, 1: 1001, 2: 101, 3: 41}
 
-#: Most grid points evaluated at once.  Each array then takes at most 48 KB,
-#: about an L1 data cache: on a Xeon with 48 KB of L1d per core, chunks of
-#: 10,000 points took up to 1.5x as long on the 3- and 5-variable grids.
+#: Most random points the real line draws at once, and most entries of a
+#: norm-search window (:mod:`latalg.freenorm`); the draws, and so the random
+#: stream, do not depend on the grid's blocks.
 _CHUNK = 6_000
+
+#: Most grid points in one block.  It takes a whole 101 x 101 plane (10,201
+#: points), so a 101^3 scan is 101 blocks, and each coordinate row, like each
+#: array an evaluation makes on a block, takes at most 96 KB: below glibc's
+#: default 128 KiB mmap threshold, so none is a fresh mapping.
+_GRID_BLOCK = 12_000
 
 
 def _grid_chunks(axis: np.ndarray, k: int):
-    """The grid ``axis^k`` in C order, as ``(size, k)`` blocks of ``rows`` points of the
-    leading k - m axes, each with the whole block of the trailing m axes.
+    """The grid ``axis^k`` in C order, as ``(k, size)`` blocks of ``rows`` points of the
+    leading k - m axes, each with the whole block of the trailing m axes: row
+    ``j`` of a block is coordinate ``j`` of its points, one contiguous array.
 
     Every block is a C-order view of one buffer allocated per call: the
-    trailing coordinates are written into it once, and each block writes
-    only its leading ones.  A block is valid until the next one is drawn."""
+    trailing coordinates are written into it once (again for a short last
+    block), and each block writes only its leading ones.  A block is valid
+    until the next one is drawn."""
     g = axis.size
-    m = max(j for j in range(k) if g ** j <= _CHUNK)
+    m = max(j for j in range(k) if g ** j <= _GRID_BLOCK)
     leads, block = g ** (k - m), g ** m
-    rows = _CHUNK // block
-    buffer = np.empty((rows * block, k))
-    for j in range(m):  # trailing axis j is constant over g^(m-1-j) points, repeated in cycles
-        buffer.reshape(rows * g ** j, g, g ** (m - 1 - j), k)[..., k - m + j] = axis[:, None]
-    by_row = buffer.reshape(rows, block, k)
+    rows = min(_GRID_BLOCK // block, leads)
+    buffer = np.empty(k * rows * block)
+    filled = 0
     for start in range(0, leads, rows):
-        lead = np.unravel_index(np.arange(start, min(start + rows, leads)), (g,) * (k - m))
-        count = lead[0].size
-        for j, index in enumerate(lead):  # one column at a time: runs of block points
-            by_row[:count, :, j] = axis[index][:, None]
-        yield buffer[:count * block]
+        count = min(rows, leads - start)
+        points = buffer[:k * count * block].reshape(k, count * block)
+        if count != filled:  # trailing axis j is constant over g^(m-1-j) points, in cycles
+            for j in range(m):
+                points[k - m + j].reshape(-1, g, g ** (m - 1 - j))[...] = axis[:, None]
+            filled = count
+        lead = np.unravel_index(np.arange(start, start + count), (g,) * (k - m))
+        for j, index in enumerate(lead):  # runs of block points
+            points[j].reshape(count, block)[...] = axis[index][:, None]
+        yield points
 
 
 def _worst_point(chunks, worst: float = 0.0) -> tuple[float, object]:
@@ -240,10 +261,11 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
     ``samples`` random points (none when it is 0); residuals are scaled by
     ``1 + p(|a|)`` with ``p`` the majorant, so the verdict is uniform across
     magnitudes.  A point where the value or the majorant is not finite
-    scores ``inf``.  The grid runs in C order (first variable slowest) and
-    the random points are drawn from one stream, both in chunks of at most
-    6,000 points; the witness is the first point, in that order and then
-    the random points, of the largest scaled residual.
+    scores ``inf``.  The grid runs in C order (first variable slowest), in
+    blocks of whole trailing planes of at most 12,000 points, and the random
+    points are drawn from one stream in chunks of at most 6,000; the
+    witness is the first point, in that order and then the random points,
+    of the largest scaled residual.
     By default the grid has at most :data:`REAL_GRID_CAP` points: from 7
     variables on, the per-axis count is the largest odd one within the cap
     (``grid_capped``); an explicit ``grid_per_axis`` below 1 is a ValueError.
@@ -262,16 +284,16 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
 
     def chunks(point_chunks):
         for points in point_chunks:
-            env = dict(zip(names, points.T))
+            env = dict(zip(names, points))
             values = eval_pointwise(e, env)
             bound = majorant.evaluate({n: np.abs(c) for n, c in env.items()})
             yield values, bound, lambda i: {n: float(c[i]) for n, c in env.items()}
 
     if k == 0:
-        point_chunks = [np.empty((1, 0))]
+        point_chunks = [np.empty((0, 1))]
     else:
         rng = seeded_rng(seed, 11)
-        draws = (rng.uniform(-scale, scale, (min(_CHUNK, samples - start), k))
+        draws = (rng.uniform(-scale, scale, (min(_CHUNK, samples - start), k)).T
                  for start in range(0, samples, _CHUNK))
         point_chunks = itertools.chain(_grid_chunks(np.linspace(-scale, scale, g), k), draws)
     worst, witness = _worst_point(chunks(point_chunks))

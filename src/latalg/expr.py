@@ -388,9 +388,11 @@ _KERNEL_MAX_ENTRIES = 1024
 #: norm search makes 3 calls when no ascent round improves (the fixed table,
 #: one window of the ascent and the replay), and one more per window after a
 #: round that does, so it compiles only past six windows; check-identity's
-#: real-line check makes 3 calls in one variable and 4 in two, the ball
-#: kernel check 1-2 and a cylinder extension 1.  Those fold, while the
-#: 41-model transport compiles.
+#: real-line check makes 3 calls in one or two variables, 8 in three and 4
+#: in four, the ball kernel check at its default 9 points per axis 1 up to
+#: four dimensions, and a cylinder extension 1.  Those fold, while the
+#: 41-model transport, a 101^3 ball scan (101 calls) and the real line in
+#: five or more variables compile.
 _FOLDS_BEFORE_KERNEL = 8
 
 

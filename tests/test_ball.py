@@ -192,6 +192,35 @@ def test_ball_reports_are_bit_identical():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BALL_DIGEST
 
 
+def _cube_corpus():
+    """(term, generators) cases on the 101^3 ball grid, 101 blocks of one
+    101 x 101 plane each: the CI kernel term ``x*y - z``, three random terms
+    and two whose worst point lies inside the grid, with the basis
+    generators x = e1, z = e3 and the product generators y = (0, 0.5, 0.5)
+    and u = (0.1, -0.3, 0.7), whose products round."""
+    gens = {"x": [1.0, 0.0, 0.0], "y": [0.0, 0.5, 0.5], "z": [0.0, 0.0, 1.0],
+            "u": [0.1, -0.3, 0.7]}
+    rng = random.Random(3636)
+    terms = [parse("x*y - z")] + [random_expr(rng, ("x", "y", "z"), 8) for _ in range(3)]
+    terms.append(parse("x*x*x - x + y*y*y - y"))  # worst at (-0.58, -1, -0.16), block 21
+    terms.append(parse("u*u*u - u + pos(x)"))  # worst at (1, 0.02, -0.96), block 100
+    return [(e, {v: gens[v] for v in variables(e)}) for e in terms]
+
+
+# sha256 of (vanishes, max_residual, threshold, witness) over the corpus
+# above, recorded from the reports of the (size, k) block layout.
+CUBE_DIGEST = "548af0277e2104c4332411a2c899db7212360f5a862a4159b98f27c0e8c5c8b9"
+
+
+def test_cube_reports_are_bit_identical():
+    lines = []
+    for e, gens in _cube_corpus():
+        report = vanishes_on_ball(e, gens, BallGrid(3, 101))
+        witness = None if report.witness is None else [float(c) for c in report.witness]
+        lines.append(repr((report.vanishes, report.max_residual, report.threshold, witness)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CUBE_DIGEST
+
+
 def _transport_corpus():
     """(term text, seed) cases for the pinned transport digest: identities with
     random subterms, random non-identities and zero terms, at four seeds."""
@@ -260,24 +289,49 @@ def test_random_samples_are_drawn_in_chunks(monkeypatch):
     assert sum(sizes) == 27 + 20_000 and max(sizes) <= ball._CHUNK
 
 
-@pytest.mark.parametrize("g, k", [(1, 1), (1, 4), (1001, 1), (101, 3), (21, 4), (3, 7)])
+def test_one_evaluation_per_block(monkeypatch):
+    sizes = []
+
+    def counting(e, env):
+        sizes.append(len(next(iter(env.values()))))
+        return eval_pointwise(e, env)
+
+    monkeypatch.setattr(ball, "eval_pointwise", counting)
+    # The 3-variable real line: 41^3 grid points in 6 blocks of whole 41 x 41
+    # planes, then 10,000 random points in 2; all 8 calls fold the tape.
+    e = parse("x*y - pos(z)")
+    vanishes_on_reals(e)
+    assert len(sizes) == 8 and sum(sizes) == 41 ** 3 + 10_000
+    assert "_kernel" not in vars(e)
+    # The ball grids: one 101 x 101 plane per block.
+    for n, blocks in ((3, 101), (2, 1)):
+        sizes.clear()
+        gens = {"x": np.eye(n)[0], "y": np.full(n, 0.5)}
+        vanishes_on_ball(parse("x*y - pos(x)"), gens, BallGrid(n, 101))
+        assert len(sizes) == blocks and sizes == [101 ** n // blocks] * blocks
+
+
+@pytest.mark.parametrize("g, k", [(1, 1), (1, 4), (1001, 1), (101, 3), (41, 3), (21, 4), (3, 7)])
 def test_grid_chunks_stack_to_the_c_order_grid(g, k):
-    # (1, k): the single point; (1001, 1): no trailing axes; (101, 3): a
-    # short last chunk; (21, 4): two trailing axes.
+    # (1, k): the single point; (1001, 1): no trailing axes; (101, 3): one
+    # 101 x 101 plane per block; (41, 3): a short last block; (21, 4): two
+    # trailing axes.
     axis = np.linspace(-1.0, 1.0, g)
     blocks, buffers = [], set()
     for points in ball._grid_chunks(axis, k):
-        assert points.shape[1] == k and points.shape[0] <= ball._CHUNK
-        assert points.flags.c_contiguous
+        assert points.shape[0] == k and points.shape[1] <= ball._GRID_BLOCK
+        assert points.flags.c_contiguous  # one contiguous row per coordinate
         buffers.add(id(points.base))
-        blocks.append(points.copy())
+        blocks.append(np.ascontiguousarray(points.T))
     expected = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
     stacked = np.concatenate(blocks)
     assert stacked.shape == expected.shape
     assert np.array_equal(stacked.view(np.int64), expected.view(np.int64))
     assert len(buffers) == 1  # every block is a view of one buffer
     if (g, k) == (101, 3):
-        assert len(blocks) == 173 and blocks[-1].shape[0] < blocks[0].shape[0]
+        assert len(blocks) == 101 and all(block.shape[0] == 101 ** 2 for block in blocks)
+    if (g, k) == (41, 3):
+        assert len(blocks) == 6 and blocks[-1].shape[0] < blocks[0].shape[0]
 
 
 def test_grid_chunk_is_reused_and_witnesses_are_copies():
@@ -395,15 +449,17 @@ def test_basis_index_only_for_exact_unit_vectors():
 @pytest.mark.parametrize("g, k", [(101, 2), (41, 3), (15, 4)])
 def test_basis_coordinate_is_the_product_on_every_grid_block(g, k):
     # Reading coordinate j of a block gives the floats of its product with
-    # e_j, the sign of every zero included.
+    # e_j, the sign of every zero included: the 101^2 grid in one block, the
+    # others in blocks of 7 planes of 41 x 41 and 3 cubes of 15^3.
     blocks = 0
-    for points in ball._grid_chunks(np.linspace(-1.0, 1.0, g), k):
+    for block in ball._grid_chunks(np.linspace(-1.0, 1.0, g), k):
+        points = np.ascontiguousarray(block.T)
         for j, unit in enumerate(np.eye(k)):
             product = points @ unit
-            assert np.array_equal(points[:, j], product)
-            assert np.array_equal(np.signbit(points[:, j]), np.signbit(product))
+            assert np.array_equal(block[j], product)
+            assert np.array_equal(np.signbit(block[j]), np.signbit(product))
         blocks += 1
-    assert blocks > 1
+    assert blocks == {(101, 2): 1, (41, 3): 6, (15, 4): 5}[g, k]
 
 
 def _old_ball_scan(e, gens, grid, tol=1e-9):
@@ -413,7 +469,8 @@ def _old_ball_scan(e, gens, grid, tol=1e-9):
     threshold = tol * (1.0 + ball.majorant_upper_bound(e, ball.generator_norms(gens)))
 
     def chunks():
-        for points in ball._grid_chunks(np.linspace(-1.0, 1.0, grid.points_per_axis), grid.dimension):
+        for block in ball._grid_chunks(np.linspace(-1.0, 1.0, grid.points_per_axis), grid.dimension):
+            points = np.ascontiguousarray(block.T)  # (size, k), in C order
             values = eval_pointwise(e, {name: points @ vec for name, vec in vectors.items()})
             yield values, 0.0, lambda i: tuple(points[i])
 
