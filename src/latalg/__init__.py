@@ -5,7 +5,7 @@ product.  The package provides a parser/printer and evaluator for these
 terms (:mod:`latalg.expr`), symbolic rewrites including the product-kill
 transform, a split-variable normal form and polynomial majorants
 (:mod:`latalg.rewrite`), finite f-algebra models with axiom checkers
-(:mod:`latalg.models`), the chunked vanishing checks on the dual ball, the
+(:mod:`latalg.models`), the vanishing checks on the dual ball, the
 reals and the models (:mod:`latalg.ball`), the cylinder function model
 (:mod:`latalg.cylinder`), a level-set discretizer that
 turns sampled functions into finite diagonal f-algebras

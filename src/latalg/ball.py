@@ -11,12 +11,13 @@ place of the product; every other generator takes one product per point.
 
 The verdicts rest on three vanishing checks, :func:`vanishes_on_ball`,
 :func:`vanishes_on_reals` and :func:`transport_residual` (to the finite
-models), and all three are one chunked scan: the first point of the
+models), and all three score points by one rule: the first point of the
 strictly largest ``|value| / (1 + bound)`` is the witness, and a point whose
-value or bound is not finite scores ``inf``.  No grid is ever built whole:
-both grid scans draw their points as views of one reused block of whole
-trailing planes (one 101 x 101 plane of a 101^3 grid), each valid until the
-next is drawn.  A block holds one contiguous row per coordinate.
+value or bound is not finite scores ``inf``.  The transport is one
+evaluation of all model points, and its hit a real point.  No grid is ever
+built whole: both grid scans draw their points as views of one reused block
+of whole trailing planes (one 101 x 101 plane of a 101^3 grid), each valid
+until the next is drawn.  A block holds one contiguous row per coordinate.
 """
 
 from __future__ import annotations
@@ -300,26 +301,52 @@ def vanishes_on_reals(e: Expr, scale: float = 3.0, grid_per_axis: int | None = N
     return RealLineReport(worst <= tol, worst, tol, None if worst <= tol else witness, g, capped)
 
 
-def transport_residual(e: Expr, seed: int = 0) -> tuple[float, tuple | None]:
-    """The identity transport: ``e`` in each model of ``model_suite(seed)``,
-    evaluated once over five assignments (coordinates uniform in [-1, 1],
-    one stream).  The residual is the sup norm of the value scaled by
-    ``1 + p(sup|a|)``; returns the largest and its ``(model, {name:
-    coordinates})`` witness, or ``(0.0, None)`` when every residual is 0."""
+def transport_residual(e: Expr, seed: int = 0) -> tuple[float, dict | None]:
+    """The identity transport: ``e`` in each model of ``model_suite(seed)`` over
+    five assignments (coordinates uniform in [-1, 1], one stream, drawn model
+    by model), in one evaluation: each model is the reals with the product
+    ``w*a*b``.  A (model, assignment) residual is the sup norm of the value
+    scaled by ``1 + p(sup|a|)``; returns the largest and a real witness for it
+    (below any tolerance too), or ``(0.0, None)`` when every residual is 0.
+
+    The witness rescales the model point ``a`` of largest ``|value|``: to
+    ``w*a`` for a weight w > 0, as ``x -> w*x`` maps (R, w*ab) onto (R, ab).
+    At w = 0 the value is ``product_kill(e)(a) = lim e(t*a)/t``, and the
+    witness is ``t*a`` at the first ``t = 2^-k`` whose :func:`limit_profile`
+    residual is at most half the value, else at the ``t`` of largest
+    ``|e(t*a)|/t``."""
     names = variables(e)
     majorant = polynomial_majorant(e)
     rng = seeded_rng(seed, 61)
+    suite = model_suite(seed)
+    weights = np.concatenate([model.weights for model in suite])
+    starts = np.cumsum([0] + [model.size for model in suite[:-1]])
+    draws = np.concatenate([rng.uniform(-1.0, 1.0, (5, len(names), model.size)) for model in suite],
+                           axis=-1)  # assignment, name, point
+    env = dict(zip(names, draws.swapaxes(0, 1)))
 
-    def chunks():  # sup norms are maxima over the last axis, the model's points
-        for model in model_suite(seed):
-            draws = rng.uniform(-1.0, 1.0, (5, len(names), model.size))  # assignment, name, point
-            env = dict(zip(names, draws.swapaxes(0, 1)))
-            values = np.broadcast_to(eval_pointwise(e, env, model.product_values), (5, model.size))
-            bound = majorant.evaluate({n: np.abs(a).max(-1, initial=0.0) for n, a in env.items()})
-            yield (np.abs(values).max(-1, initial=0.0), bound,
-                   lambda i: (model, {n: a[i].tolist() for n, a in env.items()}))
+    def sups(a):  # each (model, assignment) sup norm, model-major: a tie goes to the first model
+        return np.maximum.reduceat(np.abs(a), starts, axis=-1).T.ravel()
 
-    return _worst_point(chunks())
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(eval_pointwise(e, env, lambda a, b: weights * a * b),
+                                 (5, weights.size))
+        bound = majorant.evaluate({n: sups(a) for n, a in env.items()})
+        worst, hit = _worst_point([(sups(values), bound, lambda i: divmod(i, 5))])
+        if hit is None:
+            return worst, None
+        m, j = hit
+        i = starts[m] + int(np.argmax(np.abs(values[j, starts[m]:starts[m] + suite[m].size])))
+        point = {n: float(a[j, i]) for n, a in env.items()}
+        w = weights[i]
+        if w == 0.0:
+            t = 2.0 ** -np.arange(64)
+            close = [r <= abs(values[j, i]) / 2.0 for _, r in limit_profile(e, point, t)]
+            if any(close):
+                w = t[close.index(True)]
+            else:
+                w = t[np.argmax(np.abs(eval_pointwise(e, {n: t * a for n, a in point.items()})) / t)]
+        return worst, {n: float(w * a) for n, a in point.items()}
 
 
 def lattice_projection(e: Expr) -> Expr:

@@ -384,16 +384,15 @@ _KERNEL_MAX_ENTRIES = 1024
 
 #: Evaluations of a term that :func:`eval_pointwise` folds before it compiles
 #: the tape.  Compiling costs about what 30 kernel calls save, at any tape
-#: length, so it pays only for a term evaluated many times.  Per term, the
-#: norm search makes 3 calls when no ascent round improves (the fixed table,
-#: one window of the ascent and the replay), and one more per window after a
-#: round that does, so it compiles only past six windows; check-identity's
-#: real-line check makes 3 calls in one or two variables, 8 in three and 4
-#: in four, the ball kernel check at its default 9 points per axis 1 up to
-#: four dimensions, and a cylinder extension 1.  Those fold, while the
-#: 41-model transport, a 101^3 ball scan (101 calls) and the real line in
-#: five or more variables compile.
-_FOLDS_BEFORE_KERNEL = 8
+#: length, so it pays only for a term evaluated many times.  Per term,
+#: check-identity makes 3 real-line calls in one or two variables, 8 in three
+#: and 4 in four, then 1 in the models (2 or 3 for a witness at weight 0);
+#: kernel 1 on its default ball grid up to four dimensions, a cylinder
+#: extension 1, and the norm search 3 when no ascent round improves, one more
+#: per window after a round that does.  Those fold, unless an ascent takes
+#: more than eight windows, while a 101^3 ball scan (101 calls) and the real
+#: line in five or more variables compile.
+_FOLDS_BEFORE_KERNEL = 10
 
 
 def _compile_pointwise(tape) -> Callable:

@@ -28,7 +28,7 @@ __all__ = [
     "WeightedGridModel", "DiagonalAlgebra", "ZeroProductModel",
     "check_f_algebra_condition", "check_semiprime",
     "check_fstar", "check_submultiplicative", "square_zero_witness",
-    "ConditionReport", "model_to_json",
+    "ConditionReport",
     "random_weighted_grid", "random_diagonal", "model_suite",
 ]
 
@@ -50,13 +50,11 @@ class ModelElement:
         return float(np.maximum.reduce(np.abs(self.values), initial=0.0))
 
     def __repr__(self) -> str:
-        return f"ModelElement({self.model.kind}, {self.values!r})"
+        return f"ModelElement({type(self.model).__name__}, {self.values!r})"
 
 
 class FiniteModel:
     """Base class: finite coordinate lattice with a model-specific product."""
-
-    kind = "abstract"
 
     def __init__(self, size: int):
         if size < 1:
@@ -103,8 +101,6 @@ class FiniteModel:
 class WeightedGridModel(FiniteModel):
     """Pointwise product damped by per-point weights in [0, 1]."""
 
-    kind = "weighted_grid"
-
     def __init__(self, weights):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1:
@@ -126,8 +122,6 @@ class DiagonalAlgebra(WeightedGridModel):
     product.
     """
 
-    kind = "diagonal"
-
     def __init__(self, weights):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim == 1 and not np.all(weights > 0.0):
@@ -137,8 +131,6 @@ class DiagonalAlgebra(WeightedGridModel):
 
 class ZeroProductModel(WeightedGridModel):
     """Coordinate lattice with the identically zero product: every weight is 0."""
-
-    kind = "zero_product"
 
     def __init__(self, points: int):
         super().__init__(np.zeros(max(int(points), 0)))
@@ -270,14 +262,7 @@ def check_submultiplicative(model: FiniteModel, trials: int = 100, seed: int = 0
 
 
 # ---------------------------------------------------------------------------
-# Serialization and random model factories
-
-def model_to_json(model: WeightedGridModel) -> dict:
-    """The model's ``kind`` and its weights, or its point count for the zero product."""
-    if model.kind == ZeroProductModel.kind:
-        return {"kind": model.kind, "points": model.size}
-    return {"kind": model.kind, "weights": model.weights.tolist()}
-
+# Random model factories
 
 def random_weighted_grid(rng: np.random.Generator, size: int) -> WeightedGridModel:
     return WeightedGridModel(rng.uniform(0.0, 1.0, size))

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import random
 import tracemalloc
@@ -21,8 +20,9 @@ from latalg.freenorm import (
     OperatorIntoAlgebra, SearchConfig, evaluate_operator, operator_lower_bound,
     product_free_lower_bound,
 )
-from latalg.models import DiagonalAlgebra, model_to_json
-from latalg.rewrite import product_kill
+from latalg.models import DiagonalAlgebra, ZeroProductModel
+from latalg.rewrite import polynomial_majorant, product_kill
+from latalg.seeding import seeded_rng
 
 WITNESS = parse("pos(pos(x)*pos(x) - pos(x))")
 
@@ -241,18 +241,72 @@ def _transport_corpus():
     return cases
 
 
-# sha256 of (max_scaled_residual, worst model as JSON) over the corpus above,
-# recorded from known-good reports of the check-identity model transport.
-TRANSPORT_DIGEST = "4d2d17e3cb3bfb550acdc127d013018ebe32fce496c446aab93c9c9a08a588b2"
+# sha256 of the residuals over the corpus above, as the transport gave them
+# when it evaluated the models one by one, and of the (residual, real
+# witness) pairs, recorded from the one-evaluation transport.
+TRANSPORT_DIGEST = "9f1e968429c1df36a16c1f302c9d7e51c46481cccd04e83d46341f3a8acea8c5"
+WITNESS_DIGEST = "34edc46b3119c51d0c34e8d3f6cf67217d4c3dc0b4e07d60b2a26e02981bd488"
 
 
 def test_transport_reports_are_bit_identical():
-    lines = []
-    for text, seed in _transport_corpus():
-        worst, witness = transport_residual(parse(text), seed)
-        model = None if witness is None else model_to_json(witness[0])
-        lines.append(repr((worst, json.dumps(model, sort_keys=True))))
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRANSPORT_DIGEST
+    reports = [transport_residual(parse(text), seed) for text, seed in _transport_corpus()]
+    residuals = "\n".join(repr(worst) for worst, _ in reports)
+    assert hashlib.sha256(residuals.encode()).hexdigest() == TRANSPORT_DIGEST
+    witnesses = "\n".join(repr(report) for report in reports)
+    assert hashlib.sha256(witnesses.encode()).hexdigest() == WITNESS_DIGEST
+
+
+def test_transport_is_one_evaluation(monkeypatch):
+    shapes = []
+
+    def counting(e, env, product=None):
+        shapes.append([np.shape(value) for value in env.values()])
+        return eval_pointwise(e, env, product)
+
+    monkeypatch.setattr(ball, "eval_pointwise", counting)
+    points = sum(model.size for model in ball.model_suite(0))
+    for text, names in (("x*y - pos(z)", 3), ("x*x + 2*x", 1), ("0*0", 0)):
+        shapes.clear()
+        transport_residual(parse(text))
+        assert shapes == [[(5, points)] * names]
+
+
+def _zero_weight_hit(monkeypatch, text):
+    """The transport of ``text`` in the 7-point zero-product model alone, and
+    the model point ``a`` of its hit: the largest value in the worst of the
+    five assignments, recomputed from the seeded draws."""
+    monkeypatch.setattr(ball, "model_suite", lambda seed: [ZeroProductModel(7)])
+    e = parse(text)
+    worst, witness = transport_residual(e)
+    draws = seeded_rng(0, 61).uniform(-1.0, 1.0, (5, 2, 7))  # assignment, name, point
+    values = np.array([[eval_real(product_kill(e), {"x": x, "y": y}) for x, y in zip(*d)]
+                       for d in draws])
+    sups = np.abs(draws).max(-1)
+    bound = polynomial_majorant(e).evaluate({"x": sups[:, 0], "y": sups[:, 1]})
+    j = int(np.argmax(np.abs(values).max(-1) / (1.0 + bound)))
+    i = int(np.argmax(np.abs(values[j])))
+    assert worst > 0.0 and values[j, i] > 0.0
+    return e, worst, witness, dict(zip("xy", draws[j, :, i].tolist()))
+
+
+def test_zero_weight_hit_is_a_shrunk_real_point(monkeypatch):
+    # The model value at a is product_kill(e)(a) = lim e(t*a)/t, here
+    # pos(y - abs(x)) > 0, while the product part -100*x*x*y dominates e(a).
+    e, worst, witness, a = _zero_weight_hit(monkeypatch, "pos(y - abs(x)) - 100*x*x*y")
+    assert worst > 1e-9 and eval_real(e, a) < 0.0
+    t = witness["y"] / a["y"]
+    assert 0.0 < t < 1.0 and math.log2(t).is_integer()
+    assert witness == {name: t * value for name, value in a.items()}
+    assert all(type(value) is float for value in witness.values())
+    assert eval_real(e, witness) > 0.0  # the model value's sign
+
+
+def test_zero_weight_witness_without_a_close_scale(monkeypatch):
+    # Down to t = 2^-63 the product part keeps e(t*a)/t far from the model
+    # value, so the witness is the t of largest |e(t*a)|/t: t = 1.  (The
+    # majorant scales the residual below any tolerance; the witness is kept.)
+    e, _, witness, a = _zero_weight_hit(monkeypatch, "pos(y - abs(x)) - 1e300*x*x*y")
+    assert witness == a and eval_real(e, witness) < 0.0
 
 
 def test_real_grid_cap():

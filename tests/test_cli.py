@@ -14,7 +14,6 @@ from latalg import ball, freenorm
 from latalg.cli import _COMMANDS, _OPTIONS, main
 from latalg.expr import eval_real, parse
 from latalg.models import WeightedGridModel
-from latalg.rewrite import polynomial_majorant
 
 TEN_VARIABLES = " \\/ ".join(f"x{i}" for i in range(10))
 
@@ -71,13 +70,14 @@ def test_kernel_classifications(capsys):
 
 # One input per verdict branch of check-identity and kernel.  The cone term is
 # nonzero only where |x - y/100| < 9y/1000: the real grid of --iters 0 misses
-# it and the model transport's random draws hit it.  Its product with pos(y)
-# keeps a product, so the hit stays a transport violation.
+# it and the model transport's random draws hit it.  Each model is the reals
+# at points rescaled by its weights, so the hit is a real non-identity, with
+# or without a product.
 CONE = "pos(0.009*y - abs(x - 0.01*y))"
 VERDICTS = [
     (["check-identity", "--expr", "x \\/ 0", "--iters", "10"], "non-identity", 0),
     (["check-identity", "--expr", "pos(x)*neg(x)", "--iters", "10"], "identity", 0),
-    (["check-identity", "--expr", f"{CONE}*pos(y)", "--iters", "0"], "transport-violation", 1),
+    (["check-identity", "--expr", f"{CONE}*pos(y)", "--iters", "0"], "non-identity", 0),
     (["kernel", "--expr", "x"], "nonzero on ball", 0),
     (["kernel", "--expr", "pos(pos(x)*pos(x)-pos(x))", "--grid-sphere", "101"],
      "ball-kernel witness", 0),
@@ -86,7 +86,8 @@ VERDICTS = [
 
 
 @pytest.mark.parametrize("argv, verdict, expected", VERDICTS,
-                         ids=[f"{argv[0]}-{verdict}" for argv, verdict, _ in VERDICTS])
+                         ids=[f"{argv[0]}-{verdict}" + ("-model-hit" if CONE in argv[2] else "")
+                              for argv, verdict, _ in VERDICTS])
 def test_every_verdict_is_labelled_sampled(capsys, argv, verdict, expected):
     code, out, _ = run_cli(capsys, *argv)
     report = json.loads(out)
@@ -94,15 +95,15 @@ def test_every_verdict_is_labelled_sampled(capsys, argv, verdict, expected):
 
 
 def test_product_free_model_hit_is_a_real_witness(capsys):
-    # Without a product the model's value at its points is the real value
-    # there, so the transport's hit is reported as a real non-identity.
-    code, out, _ = run_cli(capsys, "check-identity", "--expr", CONE, "--iters", "0")
-    report = json.loads(out)
-    assert (code, report["verdict"], report["vanishes_on_reals"]) == (0, "non-identity", True)
-    assert report["violating_model"]["kind"] == "weighted_grid"
-    e, point = parse(CONE), report["witness"]
-    bound = polynomial_majorant(e).evaluate({name: abs(value) for name, value in point.items()})
-    assert abs(eval_real(e, point)) / (1.0 + bound) >= report["model_residual"] > 1e-9
+    # With or without a product, the model point of the hit rescaled by its
+    # weight is a real point where the term is not zero.
+    for text in (CONE, f"{CONE}*pos(y)"):
+        code, out, _ = run_cli(capsys, "check-identity", "--expr", text, "--iters", "0")
+        report = json.loads(out)
+        assert (code, report["verdict"], report["vanishes_on_reals"]) == (0, "non-identity", True)
+        assert report["model_residual"] > 1e-9
+        assert report["witness"] == {"x": 0.00762057662548922, "y": 0.5232855147215352}
+        assert eval_real(parse(text), report["witness"]) > 0.0
 
 
 def test_surface_outputs(tmp_path, capsys):
@@ -470,11 +471,10 @@ def test_non_finite_real_line_point_is_named(capsys):
 
 
 def test_non_finite_transport_value_exits_2(capsys, monkeypatch):
-    class Overflowing(WeightedGridModel):
-        def product_values(self, a, b):
-            return np.full(self.size, np.inf)
+    overflowing = WeightedGridModel([1.0])
+    overflowing.weights = np.array([np.inf])  # the transport multiplies by the weights
 
-    monkeypatch.setattr(ball, "model_suite", lambda seed: [Overflowing([1.0])])
+    monkeypatch.setattr(ball, "model_suite", lambda seed: [overflowing])
     with pytest.raises(SystemExit) as err:
         main(["check-identity", "--expr", "pos(x)*neg(x)"])
     captured = capsys.readouterr()

@@ -258,21 +258,21 @@ def test_terms_evaluated_a_few_times_are_folded_not_compiled():
     assert vars(e)["_kernel"] is not None
 
 
-def test_only_check_identity_transport_compiles():
-    # check-identity's real-line check and the kernel check evaluate a term in
-    # one or two variables a few times, too few to repay compiling its tape;
-    # the 41-model transport evaluates it 41 times.
-    for text in ("x*x + 2*x", "x*y + 2*x \\/ y"):
+def test_check_identity_and_kernel_never_compile():
+    # On one to three variables check-identity evaluates a term 3 or 8 times
+    # on the real line and once in the models, and kernel once on its ball
+    # grid and 3 or 8 times on the real line: too few to repay compiling.
+    for text in ("x*x + 2*x", "x*y + 2*x \\/ y", "x*y - pos(z)", "pos(x)*neg(x) + 0*(y \\/ z)"):
         e = parse(text)
         vanishes_on_reals(e, samples=10_000)
+        transport_residual(e)
         assert "_kernel" not in vars(e)
         names = variables(e)
         checked = parse(text)
         vanishes_on_ball(checked, {n: np.eye(len(names))[i] for i, n in enumerate(names)},
-                         BallGrid(len(names), 101))
+                         BallGrid(len(names), 9))
+        vanishes_on_reals(checked, samples=10_000)
         assert "_kernel" not in vars(checked)
-        transport_residual(e)
-        assert vars(e)["_kernel"] is not None
 
 
 def test_fold_runs_children_before_parents():

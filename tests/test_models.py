@@ -9,8 +9,8 @@ from latalg.expr import Mul, Var, parse, random_expr, variables
 from latalg.models import (
     ConditionReport, DiagonalAlgebra, FiniteModel, ModelError, WeightedGridModel,
     ZeroProductModel, check_f_algebra_condition, check_fstar, check_semiprime,
-    check_submultiplicative, model_suite,
-    model_to_json, random_diagonal, random_weighted_grid, square_zero_witness,
+    check_submultiplicative, model_suite, random_diagonal, random_weighted_grid,
+    square_zero_witness,
 )
 from latalg.rewrite import polynomial_majorant, product_kill
 
@@ -18,16 +18,12 @@ from latalg.rewrite import polynomial_majorant, product_kill
 class BrokenOffDiagonalModel(FiniteModel):
     """Negative control: product smears mass across neighbouring points."""
 
-    kind = "broken"
-
     def product_values(self, a, b):
         return a * np.roll(b, 1)
 
 
 class InflatingModel(FiniteModel):
     """Negative control: weight 2 breaks submultiplicativity."""
-
-    kind = "inflating"
 
     def product_values(self, a, b):
         return 2.0 * a * b
@@ -37,8 +33,6 @@ class SmearingModel(FiniteModel):
     """Negative control: squares are nonzero, but a point's product also reads
     its neighbour's, so disjoint elements can multiply to nonzero."""
 
-    kind = "smearing"
-
     def product_values(self, a, b):
         return a * b + np.roll(a, 1) * b
 
@@ -47,8 +41,6 @@ class SignedSquareModel(FiniteModel):
     """Negative control: one point whose product drops negative values, so
     elements of opposite signs multiply to zero although their meet is not."""
 
-    kind = "signed_square"
-
     def product_values(self, a, b):
         return np.maximum(a * b, 0.0)
 
@@ -56,8 +48,6 @@ class SignedSquareModel(FiniteModel):
 class SummingModel(FiniteModel):
     """Negative control: every point holds the product of the coordinate sums,
     1 on basis pairs but above sup|a| * sup|b| for spread-out elements."""
-
-    kind = "summing"
 
     def product_values(self, a, b):
         return np.full(a.shape, np.sum(a) * np.sum(b))
@@ -178,8 +168,6 @@ def test_submultiplicative():
 
 def test_submultiplicative_fails_a_nan_product():
     class NaNModel(FiniteModel):
-        kind = "nan"
-
         def product_values(self, a, b):
             return np.full(self.size, np.nan)
 
@@ -220,20 +208,11 @@ def test_identity_transport_suite():
 
 def test_model_suite_returns_a_fresh_list():
     first = model_suite(seed=4)
-    kinds = [model.kind for model in first]
+    kinds = [type(model) for model in first]
     first.clear()
     second = model_suite(seed=4)
-    assert [model.kind for model in second] == kinds and len(second) == 41
+    assert [type(model) for model in second] == kinds and len(second) == 41
     assert second is not model_suite(seed=4)
-
-
-def test_model_json_round_trip():
-    # The form in which the CLI reports a violating model, for each kind.
-    assert model_to_json(DiagonalAlgebra([0.25, 0.75])) == {"kind": "diagonal",
-                                                            "weights": [0.25, 0.75]}
-    assert model_to_json(WeightedGridModel([0.0, 1.0])) == {"kind": "weighted_grid",
-                                                            "weights": [0.0, 1.0]}
-    assert model_to_json(ZeroProductModel(7)) == {"kind": "zero_product", "points": 7}
 
 
 def test_condition_report_shape():
