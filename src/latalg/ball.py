@@ -1,5 +1,4 @@
-"""Dual-ball grids, the three vanishing checks, and the positively
-homogeneous projection.
+"""Dual-ball grids, the three vanishing checks, and radial limit profiles.
 
 For generators living in the n-dimensional absolute-sum-normed space, the
 dual unit ball is the cube.  :func:`vanishes_on_ball` samples the function
@@ -18,6 +17,9 @@ evaluation of all model points, and its hit a real point.  No grid is ever
 built whole: both grid scans draw their points as views of one reused block
 of whole trailing planes (one 101 x 101 plane of a 101^3 grid), each valid
 until the next is drawn.  A block holds one contiguous row per coordinate.
+
+:func:`limit_profile` measures how fast ``e(eps*a)/eps`` approaches the
+term's positively homogeneous projection, :func:`~latalg.rewrite.product_kill`.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ import numpy as np
 
 from .expr import Expr, eval_pointwise, eval_real, variables
 from .models import model_suite
-from .rewrite import polynomial_majorant, product_kill, zero_simplify
+from .rewrite import polynomial_majorant, product_kill
 from .seeding import seeded_rng
 
 __all__ = [
     "BallGrid", "generator_vectors", "generator_norms", "majorant_upper_bound",
     "vanishes_on_ball", "vanishes_on_reals",
-    "transport_residual", "lattice_projection", "limit_profile", "BallReport", "RealLineReport",
+    "transport_residual", "limit_profile", "BallReport", "RealLineReport",
     "REAL_GRID_CAP",
 ]
 
@@ -347,15 +349,6 @@ def transport_residual(e: Expr, seed: int = 0) -> tuple[float, dict | None]:
             else:
                 w = t[np.argmax(np.abs(eval_pointwise(e, {n: t * a for n, a in point.items()})) / t)]
         return worst, {n: float(w * a) for n, a in point.items()}
-
-
-def lattice_projection(e: Expr) -> Expr:
-    """Product-free image of ``e`` under the positively homogeneous projection.
-
-    Symbolically this is product-kill followed by the structural zero
-    cleanup; it is idempotent and the identity on product-free terms.
-    """
-    return zero_simplify(product_kill(e))
 
 
 def limit_profile(e: Expr, point: Mapping[str, float],

@@ -67,7 +67,7 @@ __all__ = [
     "Assignment", "ExprError", "ParseError", "MissingVariableError",
     "MAX_NESTING", "MAX_TERM_SIZE", "fold",
     "parse", "print_expr", "complexity", "variables",
-    "eval_real", "eval_pointwise", "substitute", "contains_product",
+    "eval_real", "eval_pointwise", "contains_product",
     "random_expr", "cosh_sinh_witness",
 ]
 
@@ -325,15 +325,6 @@ _VARIABLES = {Zero: lambda node: frozenset(), Var: lambda node: frozenset((node.
 def variables(e: Expr) -> tuple[str, ...]:
     """Free variables of ``e``, sorted lexicographically."""
     return tuple(sorted(fold(e, _VARIABLES)))
-
-
-def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:
-    """A new term: ``e`` with its variables replaced by expressions (simultaneously).
-
-    Leaves of ``e`` and the replacements are reused as they are.
-    """
-    ops = {**_REBUILD, Var: lambda node: replacements.get(node.name, node)}
-    return fold(e, ops)
 
 
 _CONTAINS_PRODUCT = {Zero: lambda node: False, Var: lambda node: False,

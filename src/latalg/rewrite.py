@@ -5,7 +5,8 @@ Three transforms live here:
 * :func:`product_kill` replaces every product node by 0, yielding a
   product-free (hence positively homogeneous) term.  On any model whose
   product is identically zero, a term and its killed form evaluate
-  identically.
+  identically.  It is the one projection of a term onto its lattice part:
+  idempotent, and a product-free term comes back equal to itself.
 
 * :func:`normal_form` rewrites a term as a difference of two joins of
   constant-free polynomials in the split variables ``v+`` and ``v-``
@@ -22,10 +23,6 @@ Three transforms live here:
   constant-free polynomial ``p`` with ``|e(a)| <= p(|a|)`` for every real
   assignment ``a`` (the same bound holds in any model with a
   submultiplicative lattice norm, evaluated at element norms).
-
-:func:`zero_simplify` is a purely structural cleanup used after
-product-kill: it removes neutral zeros (``0 + e``, ``1*e``, ``c*0``,
-``0 \\/ 0``) and nothing else.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from .expr import (
 
 __all__ = [
     "Polynomial", "NormalForm", "NormalFormBudgetError",
-    "product_kill", "zero_simplify", "normal_form", "normal_form_to_expr",
+    "product_kill", "normal_form", "normal_form_to_expr",
     "polynomial_majorant", "check_normal_form",
     "split_pos", "split_neg",
 ]
@@ -181,7 +178,7 @@ class NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# Product kill and structural cleanup
+# Product kill
 
 _PRODUCT_KILL = {**_REBUILD, Mul: lambda node, left, right: Zero()}
 
@@ -194,38 +191,6 @@ def product_kill(e: Expr) -> Expr:
     only leaves with ``e``.
     """
     return fold(e, _PRODUCT_KILL)
-
-
-def _simplify_scale(node: Scale, child: Expr) -> Expr:
-    if isinstance(child, Zero) or node.coeff == 1.0:
-        return child
-    return Scale(node.coeff, child)
-
-
-def _simplify_add(node: Add, left: Expr, right: Expr) -> Expr:
-    if isinstance(left, Zero):
-        return right
-    if isinstance(right, Zero):
-        return left
-    return Add(left, right)
-
-
-def _simplify_join(node: Join, left: Expr, right: Expr) -> Expr:
-    if isinstance(left, Zero) and isinstance(right, Zero):
-        return left
-    return Join(left, right)
-
-
-_ZERO_SIMPLIFY = {**_REBUILD, Scale: _simplify_scale, Add: _simplify_add, Join: _simplify_join}
-
-
-def zero_simplify(e: Expr) -> Expr:
-    """A new term: ``e`` without its neutral zeros 0+e, e+0, 1*e, c*0, 0 \\/ 0.
-
-    No lattice identities beyond neutral elements are used; in particular
-    ``e \\/ 0`` is left alone.  The output shares only leaves with ``e``.
-    """
-    return fold(e, _ZERO_SIMPLIFY)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_c02_identity_transport():
                 value = model.evaluate(e, assignment).sup_norm()
                 bound = float(majorant.evaluate(
                     {v: a.sup_norm() for v, a in assignment.items()}))
-                assert value <= 1e-9 * (1.0 + bound), (text, model.kind, value)
+                assert value <= 1e-9 * (1.0 + bound), (text, type(model).__name__, value)
     _report("2 identity transport")
 
 

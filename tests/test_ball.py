@@ -8,12 +8,12 @@ import pytest
 
 from latalg import ball
 from latalg.ball import (
-    REAL_GRID_CAP, BallGrid, lattice_projection, limit_profile,
+    REAL_GRID_CAP, BallGrid, limit_profile,
     transport_residual, vanishes_on_ball, vanishes_on_reals,
 )
 from latalg.cylinder import CylinderGrid, cylinder_extension
 from latalg.expr import (
-    Add, Join, Mul, Scale, Var, Zero, cosh_sinh_witness, eval_pointwise, eval_real, parse,
+    Add, Mul, Scale, Var, Zero, cosh_sinh_witness, eval_pointwise, eval_real, parse,
     print_expr, random_expr, variables,
 )
 from latalg.freenorm import (
@@ -556,20 +556,19 @@ def test_non_finite_points_are_violations():
         assert report.witness == {"x": -3.0}
 
 
-def test_lattice_projection_examples():
-    e = parse("x*y + (x \\/ y)")
-    assert lattice_projection(e) == Join(Var("x"), Var("y"))
+def test_product_kill_projection_examples():
     product_free = parse("(x \\/ y) + -2.0*x")
-    assert lattice_projection(product_free) == product_free
-    assert lattice_projection(cosh_sinh_witness(5)) == Zero()
+    assert product_kill(product_free) == product_free
+    for e in (parse("x*y + (x \\/ y)"), cosh_sinh_witness(5)):
+        assert product_kill(product_kill(e)) == product_kill(e)
 
 
-def test_lattice_projection_idempotent():
+def test_product_kill_idempotent():
     rng = random.Random(3)
     for _ in range(50):
         e = random_expr(rng, ("x", "y"), 8)
-        p = lattice_projection(e)
-        assert lattice_projection(p) == p
+        p = product_kill(e)
+        assert product_kill(p) == p
 
 
 def test_limit_profile_closed_forms():
@@ -625,12 +624,12 @@ def test_semiprime_surrogate_on_ball():
 
 
 def test_projection_semantic_identity_on_product_free():
-    # The projection may clean vestigial zeros but never changes values of
-    # product-free terms.
+    # The projection returns a product-free term unchanged, so its values too.
     rng = random.Random(9)
     for _ in range(50):
         e = random_expr(rng, ("x", "y"), 8, allow_product=False)
-        p = lattice_projection(e)
+        p = product_kill(e)
+        assert p == e
         for _ in range(10):
             a = {"x": rng.uniform(-2, 2), "y": rng.uniform(-2, 2)}
             assert eval_real(p, a) == eval_real(e, a)

@@ -1,8 +1,10 @@
 """Package hygiene: every exported name exists, the package re-exports each
-module's public names, and no module-level import goes unused."""
+module's public names, no module-level import goes unused, and every function
+the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -14,6 +16,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(latalg.__path__))
 #: The modules whose public names the package re-exports: all but the CLI entry point.
 LIBRARY = [name for name in MODULES if name != "cli"]
 SOURCES = sorted(Path(latalg.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 @pytest.mark.parametrize("name", ["latalg"] + [f"latalg.{m}" for m in MODULES])
@@ -57,3 +60,16 @@ def test_package_reexports_every_public_name_once():
             assert name in latalg.__all__, f"latalg.__all__ lacks {module_name}.{name}"
             assert getattr(latalg, name) is getattr(module, name), \
                 f"latalg.{name} is not {module_name}.{name}"
+
+
+def test_every_tracer_target_resolves():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, owner_name, attr, _, _ in tracer.TARGETS:
+        module = importlib.import_module(f"latalg.{module_name}")
+        owner = module if owner_name is None else getattr(module, owner_name, None)
+        if owner is None or not hasattr(owner, attr):
+            missing.append(".".join(filter(None, (f"latalg.{module_name}", owner_name, attr))))
+    assert not missing, f"bench/tracer.py wraps names latalg lacks: {missing}"

@@ -11,7 +11,6 @@ from latalg.expr import (
 from latalg.rewrite import (
     NormalForm, _Builder, NormalFormBudgetError, Polynomial, check_normal_form,
     normal_form, normal_form_to_expr, polynomial_majorant, product_kill,
-    zero_simplify,
 )
 
 
@@ -33,17 +32,6 @@ def test_product_kill_positive_homogeneity():
         for t in (0.5, 2.0, 8.0, 0.0):
             scaled = {k: t * v for k, v in a.items()}
             assert eval_real(e, scaled) == t * eval_real(e, a)
-
-
-def test_zero_simplify_rules():
-    x = Var("x")
-    assert zero_simplify(Add(Zero(), x)) == x
-    assert zero_simplify(Add(x, Zero())) == x
-    assert zero_simplify(Scale(1.0, x)) == x
-    assert zero_simplify(Scale(-3.0, Zero())) == Zero()
-    assert zero_simplify(Join(Zero(), Zero())) == Zero()
-    # join with zero is not collapsed: that is a lattice fact, not a neutral one
-    assert zero_simplify(Join(x, Zero())) == Join(x, Zero())
 
 
 def test_check_normal_form_fails_where_a_point_overflows():
